@@ -12,11 +12,11 @@ import numpy as np
 
 from . import io_formats as iof
 from .errors import RsSfmError
-from .geometry import CameraConfig, FlowSample
+from .geometry import CameraConfig
 from .experiment import run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
-from .robust import RansacConfig, filter_flows, ransac, refit_trimmed
+from .robust import RansacConfig, ranked_pixels, ransac, refit_trimmed, samples_from_pixels
 from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, SceneSpec, generate_discrete
 
 MODELS = {"gs": GLOBAL_SHUTTER, "cv": CONST_VELOCITY, "ca": CONST_ACCEL}
@@ -29,40 +29,14 @@ def main():
 
 def _samples_from_flow(flow: iof.FlowFile, flow_bwd=None, max_samples=2000, seed=0,
                        keep_fraction=0.2):
-    cfg = flow.config
-    if flow.is_dense:
-        if flow_bwd is not None:
-            samples = filter_flows(flow.dense, flow_bwd.dense, cfg, keep_fraction)
-        else:
-            H, W = flow.dense.shape[:2]
-            finite = np.isfinite(flow.dense).all(axis=2)
-            ys, xs = np.nonzero(finite)
-            samples = []
-            for r, c in zip(ys, xs):
-                y2 = r + flow.dense[r, c, 1]
-                if not (0 <= y2 < cfg.h):
-                    continue
-                x, y = cfg.pixel_to_normalized(float(c), float(r))
-                samples.append(FlowSample(
-                    x=np.array([x, y]),
-                    u=np.array([flow.dense[r, c, 0] / cfg.fx, flow.dense[r, c, 1] / cfg.fy]),
-                    y1=float(r), y2=float(y2)))
+    if flow.is_dense and flow_bwd is not None:
+        pixels = ranked_pixels(flow.dense, flow_bwd.dense, keep_fraction)
+    elif flow.is_dense:
+        rows, cols = np.indices(flow.dense.shape[:2]).reshape(2, -1)  # row-major
+        pixels = (cols, rows, *flow.dense.reshape(-1, 2).T)
     else:
-        samples = []
-        for x_px, y_px, u_px, v_px in flow.sparse:
-            y2 = y_px + v_px
-            if not (0 <= y2 < cfg.h):
-                continue
-            x, y = cfg.pixel_to_normalized(float(x_px), float(y_px))
-            samples.append(FlowSample(
-                x=np.array([x, y]),
-                u=np.array([u_px / cfg.fx, v_px / cfg.fy]),
-                y1=float(y_px), y2=float(y2)))
-    if max_samples and len(samples) > max_samples:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(samples), max_samples, replace=False))
-        samples = [samples[i] for i in idx]
-    return samples
+        pixels = flow.sparse.T
+    return samples_from_pixels(*pixels, flow.config, max_samples, seed)
 
 
 def _read_flow_or_die(path):

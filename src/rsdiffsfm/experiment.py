@@ -3,8 +3,6 @@ the trend experiments (readout-ratio and acceleration sweeps)."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -77,18 +75,8 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model):
 
 def run_sweep(cfg: ExperimentConfig):
     """All cells of the sweep; rows in deterministic axis order."""
-    cells = list(product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks, cfg.models))
-    max_workers = int(os.environ.get("RSSFM_THREADS", os.cpu_count() or 1))
-    max_workers = max(1, max_workers)
-    if max_workers == 1:
-        results = [run_cell(cfg, *cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda c: run_cell(cfg, *c), cells))
-    rows = []
-    for (gamma, trans, w_mag, k, model), (te, re, n) in zip(cells, results):
-        rows.append((gamma, trans, w_mag, k, model, te, re, n))
-    return rows
+    cells = product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks, cfg.models)
+    return [(*cell, *run_cell(cfg, *cell)) for cell in cells]
 
 
 def sweep_csv(rows):

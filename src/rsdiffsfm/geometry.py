@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidScanlinePair
+
+CONST_VELOCITY = "cv"
+CONST_ACCEL = "ca"
+GLOBAL_SHUTTER = "gs"
+
 
 def skew(v):
     """Skew-symmetric matrix: skew(v) @ x == cross(v, x)."""
@@ -49,18 +55,94 @@ def log_so3(R):
     return theta / (2.0 * np.sin(theta)) * axis
 
 
+def translation_flow(x, y, v):
+    """A v per component: flow at (x, y) of a unit-inverse-depth point under
+    translation v.  x and y may be arrays of any common shape."""
+    vx, vy, vz = v
+    return -vx + x * vz, -vy + y * vz
+
+
+def rotation_flow(x, y, w):
+    """B w per component: flow at (x, y) under rotation w."""
+    wx, wy, wz = w
+    return (
+        x * y * wx - (1.0 + x * x) * wy + y * wz,
+        (1.0 + y * y) * wx - x * y * wy - x * wz,
+    )
+
+
 def matrices_ab(x):
-    """Flow-projection matrices A, B (2x3 each) at normalized point x."""
-    px, py = float(x[0]), float(x[1])
-    A = np.array([
-        [-1.0, 0.0, px],
-        [0.0, -1.0, py],
-    ])
-    B = np.array([
-        [px * py, -(1.0 + px * px), py],
-        [1.0 + py * py, -px * py, -px],
-    ])
-    return A, B
+    """Flow-projection matrices A, B at normalized point(s) x of shape (..., 2).
+
+    Returns two (..., 2, 3) arrays whose columns are the flow kernels at the
+    unit vectors, so A @ v and B @ w reproduce `translation_flow` and
+    `rotation_flow`.
+    """
+    px, py = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+
+    def columns(kernel):
+        # + 0.0 turns the -0.0 of zero entries into 0.0
+        return np.stack([np.stack(kernel(px, py, e), axis=-1) for e in np.eye(3)], axis=-1) + 0.0
+
+    return columns(translation_flow), columns(rotation_flow)
+
+
+def beta(a, b, k):
+    """Pose scale (2a + b k) / (2 + k) of the constant-acceleration model.
+
+    Between scanline timestamps t1 and t2, a = t2 - t1 and b = t2^2 - t1^2;
+    the pose of timestamp t relative to t = 0 scales by beta(t, t^2, k).
+    beta(a, b, 0) == a.
+    """
+    return (2.0 * a + b * k) / (2.0 + k)
+
+
+def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
+    """Coefficients (a, b) of beta for flows from row y1 to row y2 under a model.
+
+    a = b = 1 (beta = 1) for the global-shutter model, without a camera and
+    at gamma = 0.  Raises InvalidScanlinePair where a = t2 - t1 <= 0.
+    """
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    if model == GLOBAL_SHUTTER or config is None or config.gamma == 0:
+        ones = np.ones_like(y1 + y2)
+        return ones, ones
+    g = config.gamma / config.h
+    t1 = g * y1
+    t2 = 1.0 + g * y2
+    a = t2 - t1
+    if np.any(a <= 0):
+        i = np.argmin(a)
+        raise InvalidScanlinePair(f"alpha = {a.flat[i]:.4f} <= 0 for rows ({y1.flat[i]}, {y2.flat[i]})")
+    return a, t2 * t2 - t1 * t1
+
+
+def depth_terms(x, y, ux, uy, v, w, bt):
+    """(q, c) = (beta A v, u - beta B w) per component at the flow midpoints.
+
+    The flow model u = beta (A v rho + B w), with A and B evaluated at the
+    midpoint x + u/2, reads c = rho q in the inverse depth rho.
+    """
+    xm = x + 0.5 * ux
+    ym = y + 0.5 * uy
+    ax, ay = translation_flow(xm, ym, v)
+    bx, by = rotation_flow(xm, ym, w)
+    return (bt * ax, bt * ay), (ux - bt * bx, uy - bt * by)
+
+
+def inv_depth(q, c):
+    """Least-squares inverse depth rho = (c . q) / (q . q) of c = rho q.
+
+    Returns (rho, valid): rho is NaN where q vanishes (the translation
+    epipole) and valid marks a defined, positive rho (cheirality).
+    """
+    qx, qy = q
+    cx, cy = c
+    qq = qx * qx + qy * qy
+    degenerate = qq < 1e-24
+    rho = np.where(degenerate, np.nan, (cx * qx + cy * qy) / np.where(degenerate, 1.0, qq))
+    return rho, ~degenerate & (rho > 0)
 
 
 def project_flow(x, Z, v, w):
@@ -172,6 +254,15 @@ class FlowSample:
         if not (0 <= y1 < config.h and 0 <= y2 < config.h):
             raise ValueError(f"rows ({y1:.2f}, {y2:.2f}) outside [0, {config.h})")
         return cls(x=x, u=u, y1=y1, y2=y2)
+
+
+def stack_samples(samples):
+    """Arrays (x (N, 2), u (N, 2), y1 (N,), y2 (N,)) of a list of flow samples."""
+    x = np.array([s.x for s in samples]).reshape(-1, 2)
+    u = np.array([s.u for s in samples]).reshape(-1, 2)
+    y1 = np.array([s.y1 for s in samples], dtype=float)
+    y2 = np.array([s.y2 for s in samples], dtype=float)
+    return x, u, y1, y2
 
 
 @dataclass(frozen=True)

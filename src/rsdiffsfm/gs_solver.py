@@ -14,12 +14,15 @@ from .geometry import (
     EpipolarVector,
     FlowSample,
     MotionEstimate,
+    depth_terms,
+    inv_depth,
     lift,
     lift_flow,
     matrices_ab,
     midpoint,
     s_to_vech,
     skew,
+    stack_samples,
 )
 
 RANK_TOL = 1e-10
@@ -79,23 +82,15 @@ def _s_of(v, w):
 
 def closed_form_inv_depth(sample: FlowSample, v, w, beta=1.0):
     """Per-sample optimal inverse depth for the flow prediction model."""
-    A, B = matrices_ab(midpoint(sample))
-    q = beta * (A @ v)
-    c = sample.u - beta * (B @ w)
-    qq = q @ q
-    if qq < 1e-24:
-        return None
-    return float((c @ q) / qq)
+    rho, _ = inv_depth(*depth_terms(*sample.x, *sample.u, v, w, beta))
+    return None if np.isnan(rho) else float(rho)
 
 
 def cheirality_vote(samples, v, w):
     """Number of samples whose closed-form depth is positive under (v, w)."""
-    votes = 0
-    for s in samples:
-        rho = closed_form_inv_depth(s, v, w)
-        if rho is not None and rho > 0:
-            votes += 1
-    return votes
+    x, u, _, _ = stack_samples(samples)
+    _, valid = inv_depth(*depth_terms(x[:, 0], x[:, 1], u[:, 0], u[:, 1], v, w, 1.0))
+    return int(np.count_nonzero(valid))
 
 
 def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate:
@@ -123,15 +118,9 @@ def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate
 
 def _fit_rotation_only(samples):
     """Least-squares w assuming zero translation."""
-    Bs = []
-    us = []
-    for s in samples:
-        _, B = matrices_ab(midpoint(s))
-        Bs.append(B)
-        us.append(s.u)
-    M = np.vstack(Bs)
-    rhs = np.concatenate(us)
-    w, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    x, u, _, _ = stack_samples(samples)
+    _, B = matrices_ab(x + 0.5 * u)
+    w, *_ = np.linalg.lstsq(B.reshape(-1, 3), u.reshape(-1), rcond=None)
     return w
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import binary_fill_holes
 
-from .geometry import CameraConfig, MotionEstimate, exp_so3
+from .geometry import CameraConfig, MotionEstimate, beta, exp_so3, rotation_flow, translation_flow
 
 
 @dataclass
@@ -30,7 +30,7 @@ class WarpField:
 def beta_first_scanline(rows, k, gamma, h):
     """Pose fraction beta1 of scanline `rows` relative to the first scanline."""
     t = gamma * np.asarray(rows, dtype=float) / h
-    return (2.0 * t + k * t * t) / (2.0 + k)
+    return beta(t, t * t, k)
 
 
 def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField:
@@ -48,12 +48,10 @@ def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField
     beta1 = beta_first_scanline(py, motion.k, config.gamma, config.h)
     valid = np.isfinite(depth) & (depth > 0)
     rho = np.where(valid, 1.0 / np.where(valid, depth, 1.0), 0.0)
-    vx, vy, vz = motion.v
-    wx, wy, wz = motion.w
-    flow_x = (-vx + x * vz) * rho + x * y * wx - (1.0 + x * x) * wy + y * wz
-    flow_y = (-vy + y * vz) * rho + (1.0 + y * y) * wx - x * y * wy - x * wz
-    du = -beta1 * flow_x * config.fx
-    dv = -beta1 * flow_y * config.fy
+    ax, ay = translation_flow(x, y, motion.v)
+    bx, by = rotation_flow(x, y, motion.w)
+    du = -beta1 * (ax * rho + bx) * config.fx
+    dv = -beta1 * (ay * rho + by) * config.fy
     return WarpField(du=np.where(valid, du, 0.0), dv=np.where(valid, dv, 0.0), valid=valid)
 
 

@@ -17,9 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularBlock
-from .geometry import CameraConfig, MotionEstimate, matrices_ab, midpoint
-from .rs_solvers import scanline_factors
-from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
+from .geometry import (
+    CONST_ACCEL,
+    CameraConfig,
+    MotionEstimate,
+    beta,
+    depth_terms,
+    inv_depth,
+    matrices_ab,
+    scanline_ab,
+    stack_samples,
+)
 
 
 @dataclass
@@ -34,34 +42,27 @@ class SampleBlocks:
 
     @classmethod
     def build(cls, samples, config: CameraConfig | None, model=CONST_ACCEL):
-        A = np.empty((len(samples), 2, 3))
-        B = np.empty_like(A)
-        u = np.empty((len(samples), 2))
-        a = np.ones(len(samples))
-        b = np.ones(len(samples))
-        for i, s in enumerate(samples):
-            A[i], B[i] = matrices_ab(midpoint(s))
-            u[i] = s.u
-            if model != GLOBAL_SHUTTER and config is not None and config.gamma > 0:
-                f = scanline_factors(s, config)
-                a[i] = f.a
-                b[i] = f.b
+        x, u, y1, y2 = stack_samples(samples)
+        A, B = matrices_ab(x + 0.5 * u)
+        a, b = scanline_ab(y1, y2, config, model)
         return cls(A=A, B=B, u=u, a=a, b=b)
 
     def beta(self, k):
-        return (2.0 * self.a + self.b * k) / (2.0 + k)
+        return beta(self.a, self.b, k)
 
 
 def objective(blocks: SampleBlocks, motion: MotionEstimate, inv_depths, mask=None):
     """Sum of squared flow prediction errors over unmasked samples."""
-    beta = blocks.beta(motion.k)
-    pred = beta[:, None] * (
-        (blocks.A @ motion.v) * inv_depths[:, None] + blocks.B @ motion.w
-    )
-    errs = np.sum((blocks.u - pred) ** 2, axis=1)
+    errs = np.sum(_flow_errors(blocks, motion, inv_depths) ** 2, axis=1)
     if mask is not None:
         errs = errs[mask]
     return float(np.sum(errs))
+
+
+def _flow_errors(blocks: SampleBlocks, motion: MotionEstimate, inv_depths):
+    """Per-sample flow minus its prediction beta (A v rho + B w), (N, 2)."""
+    bt = blocks.beta(motion.k)[:, None]
+    return blocks.u - bt * ((blocks.A @ motion.v) * inv_depths[:, None] + blocks.B @ motion.w)
 
 
 def update_depths(blocks: SampleBlocks, motion: MotionEstimate):
@@ -70,16 +71,8 @@ def update_depths(blocks: SampleBlocks, motion: MotionEstimate):
     Returns (inv_depths, valid) where invalid entries sit at the translation
     epipole or have non-positive optimal depth.
     """
-    beta = blocks.beta(motion.k)
-    q = beta[:, None] * (blocks.A @ motion.v)
-    c = blocks.u - beta[:, None] * (blocks.B @ motion.w)
-    qq = np.sum(q * q, axis=1)
-    degenerate = qq < 1e-24
-    qq_safe = np.where(degenerate, 1.0, qq)
-    rho = np.sum(c * q, axis=1) / qq_safe
-    rho = np.where(degenerate, np.nan, rho)
-    valid = ~degenerate & (rho > 0)
-    return rho, valid
+    bt = blocks.beta(motion.k)[:, None]
+    return inv_depth((bt * (blocks.A @ motion.v)).T, (blocks.u - bt * (blocks.B @ motion.w)).T)
 
 
 def update_v(blocks: SampleBlocks, k, w, inv_depths, mask):
@@ -216,7 +209,6 @@ def refine(
         prev = cur
     if polish and prev > 0:
         v, w, k, rho, valid, prev = _polish_lm(blocks, v, w, k, prev, model)
-        rho_f = np.where(valid, rho, 0.0)
         trace.append(prev)
     return RefineState(
         motion=MotionEstimate(v=v, w=w, k=k).normalized(),
@@ -246,30 +238,24 @@ def _polish_lm(blocks, v, w, k, obj_current, model):
     def resid(theta):
         m = unpack(theta)
         rho, valid = update_depths(blocks, m)
-        rho_f = np.where(valid, rho, 0.0)
-        beta = blocks.beta(m.k)
-        pred = beta[:, None] * ((blocks.A @ m.v) * rho_f[:, None] + blocks.B @ m.w)
-        return (blocks.u - pred).ravel()
+        return _flow_errors(blocks, m, np.where(valid, rho, 0.0)).ravel()
 
     theta0 = np.concatenate([v, w, [k]]) if free_k else np.concatenate([v, w])
     try:
         sol = least_squares(resid, theta0, method="lm", xtol=1e-15, ftol=1e-15, max_nfev=400)
-    except Exception:
-        m = MotionEstimate(v=v, w=w, k=k)
+    except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
+        sol = None
+    if sol is not None:
+        m = unpack(sol.x)
         rho, valid = update_depths(blocks, m)
-        return v, w, k, rho, valid, obj_current
-    m = unpack(sol.x)
-    rho, valid = update_depths(blocks, m)
-    rho_f = np.where(valid, rho, 0.0)
-    obj_new = objective(blocks, m, rho_f, valid)
-    if obj_new >= obj_current:
-        m0 = MotionEstimate(v=v, w=w, k=k)
-        rho0, valid0 = update_depths(blocks, m0)
-        return v, w, k, rho0, valid0, obj_current
-    vn = np.linalg.norm(m.v)
-    v_new = m.v / vn if vn > 1e-15 else m.v
-    rho = rho * vn  # keep the unit-v gauge: depths absorb the scale
-    return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new
+        obj_new = objective(blocks, m, np.where(valid, rho, 0.0), valid)
+        if obj_new < obj_current:
+            vn = np.linalg.norm(m.v)
+            v_new = m.v / vn if vn > 1e-15 else m.v
+            rho = rho * vn  # keep the unit-v gauge: depths absorb the scale
+            return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new
+    rho, valid = update_depths(blocks, MotionEstimate(v=v, w=w, k=k))
+    return v, w, k, rho, valid, obj_current
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):
@@ -282,33 +268,12 @@ def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):
     H, W = flow.shape[:2]
     py, px = np.mgrid[0:H, 0:W].astype(float)
     x, y = config.pixel_to_normalized(px, py)
-    ux = flow[..., 0] / config.fx
-    uy = flow[..., 1] / config.fy
-    finite = np.isfinite(ux) & np.isfinite(uy)
-
-    y2 = py + np.where(finite, flow[..., 1], 0.0)
-    g = config.gamma / config.h
-    t1 = g * py
-    t2 = 1.0 + g * y2
-    a = t2 - t1
-    b = t2 * t2 - t1 * t1
-    beta = (2.0 * a + b * motion.k) / (2.0 + motion.k)
-
-    # q = beta * A v, c = u - beta * B w, rho = (c.q)/(q.q) pixelwise,
-    # with the model matrices evaluated at the flow midpoint
-    xm = x + np.where(finite, 0.5 * ux, 0.0)
-    ym = y + np.where(finite, 0.5 * uy, 0.0)
-    vx, vy, vz = motion.v
-    wx, wy, wz = motion.w
-    qx = beta * (-vx + xm * vz)
-    qy = beta * (-vy + ym * vz)
-    bwx = xm * ym * wx - (1.0 + xm * xm) * wy + ym * wz
-    bwy = (1.0 + ym * ym) * wx - xm * ym * wy - xm * wz
-    cx = ux - beta * bwx
-    cy = uy - beta * bwy
-    qq = qx * qx + qy * qy
-    degenerate = qq < 1e-24
-    rho = (cx * qx + cy * qy) / np.where(degenerate, 1.0, qq)
-    valid = finite & ~degenerate & (rho > 0)
+    finite = np.isfinite(flow[..., 0]) & np.isfinite(flow[..., 1])
+    flow_x = np.where(finite, flow[..., 0], 0.0)
+    flow_y = np.where(finite, flow[..., 1], 0.0)
+    bt = beta(*scanline_ab(py, py + flow_y, config), motion.k)
+    q, c = depth_terms(x, y, flow_x / config.fx, flow_y / config.fy, motion.v, motion.w, bt)
+    rho, valid = inv_depth(q, c)
+    valid &= finite
     depth = np.where(valid, 1.0 / np.where(valid, rho, 1.0), np.nan)
     return depth, valid

@@ -19,15 +19,21 @@ from .errors import (
     NoRealSolution,
     RobustFailure,
 )
-from .geometry import CameraConfig, FlowSample, MotionEstimate, matrices_ab
-from .gs_solver import solve_gs
-from .rs_solvers import (
-    DEFAULT_ROOT_WINDOW,
-    scanline_factors,
-    solve_const_accel,
-    solve_const_velocity,
+from .geometry import (
+    CONST_ACCEL,
+    CONST_VELOCITY,
+    GLOBAL_SHUTTER,
+    CameraConfig,
+    FlowSample,
+    MotionEstimate,
+    beta,
+    depth_terms,
+    inv_depth,
+    scanline_ab,
+    stack_samples,
 )
-from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
+from .gs_solver import solve_gs
+from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel, solve_const_velocity
 
 MINIMAL_SIZE = {GLOBAL_SHUTTER: 8, CONST_VELOCITY: 8, CONST_ACCEL: 9}
 
@@ -63,56 +69,30 @@ class RansacResult:
     n_iterations: int
 
 
-def residual(sample: FlowSample, motion: MotionEstimate, config: CameraConfig | None):
+def residual(sample: FlowSample, motion: MotionEstimate, config: CameraConfig | None,
+             model: str = CONST_ACCEL):
     """Differential re-projection error of one sample under a motion.
 
     The per-sample depth is re-optimized in closed form; when the optimal
-    inverse depth is non-positive the error is evaluated at the rotation-only
-    boundary and the sample counts as cheirality-violating.
+    inverse depth is undefined or non-positive the error is evaluated at the
+    rotation-only boundary and the sample counts as cheirality-violating.
     """
-    r, _ = _residuals(np.array([sample.x]), np.array([sample.u]),
-                      np.array([sample.y1]), np.array([sample.y2]), motion, config)
-    return float(r[0])
+    return float(score_motion([sample], motion, config, model)[0])
 
 
-def _residuals(xs, us, y1s, y2s, motion: MotionEstimate, config: CameraConfig | None):
-    """Vectorized residuals; returns (errors, cheirality_ok)."""
-    if config is not None and config.gamma > 0:
-        g = config.gamma / config.h
-        t1 = g * y1s
-        t2 = 1.0 + g * y2s
-        a = t2 - t1
-        b = t2 * t2 - t1 * t1
-        beta = (2.0 * a + b * motion.k) / (2.0 + motion.k)
-    else:
-        beta = np.ones(len(xs))
-    # model matrices evaluated at the flow midpoint
-    x = xs[:, 0] + 0.5 * us[:, 0]
-    y = xs[:, 1] + 0.5 * us[:, 1]
-    vx, vy, vz = motion.v
-    wx, wy, wz = motion.w
-    qx = beta * (-vx + x * vz)
-    qy = beta * (-vy + y * vz)
-    cx = us[:, 0] - beta * (x * y * wx - (1.0 + x * x) * wy + y * wz)
-    cy = us[:, 1] - beta * ((1.0 + y * y) * wx - x * y * wy - x * wz)
-    qq = qx * qx + qy * qy
-    degenerate = qq < 1e-24
-    rho = (cx * qx + cy * qy) / np.where(degenerate, 1.0, qq)
-    cheirality_ok = ~degenerate & (rho > 0)
-    rho_c = np.where(cheirality_ok, rho, 0.0)
-    ex = cx - rho_c * qx
-    ey = cy - rho_c * qy
-    return np.hypot(ex, ey), cheirality_ok
+def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
+                 model: str = CONST_ACCEL):
+    """Residual vector of a motion hypothesis over all samples.
 
-
-def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None):
-    """Residual vector of a motion hypothesis over all samples."""
-    xs = np.array([s.x for s in samples])
-    us = np.array([s.u for s in samples])
-    y1s = np.array([s.y1 for s in samples])
-    y2s = np.array([s.y2 for s in samples])
-    errs, _ = _residuals(xs, us, y1s, y2s, motion, config)
-    return errs
+    Flows are scaled by the model's beta: 1 for the global-shutter model,
+    the rolling-shutter scanline factor otherwise.
+    """
+    x, u, y1, y2 = stack_samples(samples)
+    bt = beta(*scanline_ab(y1, y2, config, model), motion.k)
+    q, c = depth_terms(x[:, 0], x[:, 1], u[:, 0], u[:, 1], motion.v, motion.w, bt)
+    rho, valid = inv_depth(q, c)
+    rho = np.where(valid, rho, 0.0)
+    return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
 
 
 def _minimal_solve(subset, model, config, root_window):
@@ -147,7 +127,7 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
             continue
         n_valid += 1
         for motion in hypotheses:
-            errs = score_motion(samples, motion, config)
+            errs = score_motion(samples, motion, config, model)
             inl = errs <= rc.threshold
             count = int(np.count_nonzero(inl))
             mean = float(np.mean(errs[inl])) if count else np.inf
@@ -225,11 +205,12 @@ def _bilinear(img, x, y):
     return np.where(inside, v, np.nan)
 
 
-def filter_flows(forward, backward, config: CameraConfig, keep_fraction: float = 0.20):
-    """Keep the most consistent fraction of a dense bidirectional flow pair.
+def ranked_pixels(forward, backward, keep_fraction: float = 0.20):
+    """The most consistent fraction of a dense bidirectional flow pair.
 
     Pixels are ranked by ascending forward-backward error (row-major order
-    breaks ties) and the top `keep_fraction` converted to flow samples.
+    breaks ties) and the top `keep_fraction` returned in rank order as
+    (cols, rows, flow_x, flow_y) arrays, in the forward flow's dtype.
     """
     err = forward_backward_error(forward, backward)
     finite_flow = np.isfinite(forward[..., 0]) & np.isfinite(forward[..., 1])
@@ -241,24 +222,38 @@ def filter_flows(forward, backward, config: CameraConfig, keep_fraction: float =
     n_keep = max(1, int(round(keep_fraction * usable.size)))
     n_keep = min(n_keep, n_usable)
     order = np.argsort(flat_err, kind="stable")[:n_keep]
-    H, W = err.shape
-    samples = []
-    for flat in order:
-        r, c = divmod(int(flat), W)
-        ux_px = forward[r, c, 0]
-        uy_px = forward[r, c, 1]
-        x, y = config.pixel_to_normalized(float(c), float(r))
-        y2 = r + uy_px
-        if not (0 <= y2 < config.h):
-            continue
-        samples.append(
-            FlowSample(
-                x=np.array([float(x), float(y)]),
-                u=np.array([ux_px / config.fx, uy_px / config.fy]),
-                y1=float(r),
-                y2=float(y2),
-            )
-        )
+    rows, cols = np.divmod(order, err.shape[1])
+    flow = forward.reshape(-1, 2)[order]
+    # integer coordinates in the flow's dtype: the destination row is then
+    # rounded to the flow's precision
+    return cols.astype(flow.dtype), rows.astype(flow.dtype), flow[:, 0], flow[:, 1]
+
+
+def filter_flows(forward, backward, config: CameraConfig, keep_fraction: float = 0.20):
+    """Flow samples of the `ranked_pixels` of a dense bidirectional flow pair."""
+    samples = samples_from_pixels(*ranked_pixels(forward, backward, keep_fraction), config)
     if not samples:
         raise EmptySelection("all selected pixels map outside the image")
     return samples
+
+
+def samples_from_pixels(cols, rows, flow_x, flow_y, config: CameraConfig, max_samples=0,
+                        seed=0):
+    """Flow samples of pixels (cols, rows) with pixel-unit flows (flow_x, flow_y).
+
+    Keeps, in the given order, the finite entries whose destination row
+    rows + flow_y (computed in the precision of the inputs) lies in
+    [0, h).  When more than `max_samples` (if nonzero) remain, a seeded
+    random subset of that size is kept, still in order.  Sample objects are
+    built for the kept entries only.
+    """
+    y2 = rows + flow_y
+    keep = np.flatnonzero(np.isfinite(cols) & np.isfinite(flow_x) & (y2 >= 0) & (y2 < config.h))
+    if max_samples and len(keep) > max_samples:
+        rng = np.random.default_rng(seed)
+        keep = keep[np.sort(rng.choice(len(keep), max_samples, replace=False))]
+    x = np.column_stack(config.pixel_to_normalized(cols[keep].astype(float),
+                                                    rows[keep].astype(float)))
+    u = np.column_stack([flow_x[keep] / config.fx, flow_y[keep] / config.fy]).astype(float)
+    return [FlowSample(x=xi, u=ui, y1=float(r), y2=float(r2))
+            for xi, ui, r, r2 in zip(x, u, rows[keep].tolist(), y2[keep].tolist())]

@@ -18,8 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial as npoly
 
-from .errors import InvalidScanlinePair, NoRealSolution
-from .geometry import CameraConfig, EpipolarVector, FlowSample, MotionEstimate
+from .errors import NoRealSolution
+from .geometry import (
+    CameraConfig,
+    EpipolarVector,
+    FlowSample,
+    MotionEstimate,
+    beta,
+    scanline_ab,
+    stack_samples,
+)
 from .gs_solver import gs_row, recover_motion, solve_linear
 
 DEFLATION_TOL = 1e-8
@@ -40,34 +48,34 @@ class ScanlineFactors:
     b: float
 
     def beta(self, k):
-        return (2.0 * self.a + self.b * k) / (2.0 + k)
+        return beta(self.a, self.b, k)
 
 
 def scanline_factors(sample: FlowSample, config: CameraConfig) -> ScanlineFactors:
     """Scale factors for the scanline pair of one flow sample."""
-    g = config.gamma / config.h
-    t1 = g * sample.y1
-    t2 = 1.0 + g * sample.y2
-    alpha = t2 - t1
-    if alpha <= 0:
-        raise InvalidScanlinePair(
-            f"alpha = {alpha:.4f} <= 0 for rows ({sample.y1}, {sample.y2})"
-        )
-    return ScanlineFactors(alpha=alpha, a=alpha, b=t2 * t2 - t1 * t1)
+    return _factors([sample], config)[0]
+
+
+def _factors(samples, config: CameraConfig):
+    _, _, y1, y2 = stack_samples(samples)
+    a, b = scanline_ab(y1, y2, config)
+    return [ScanlineFactors(alpha=ai, a=ai, b=bi) for ai, bi in zip(a.tolist(), b.tolist())]
+
+
+def _rescaled(samples, scales):
+    """Samples with each flow divided by its scale; x is shifted so that
+    x + u/2 stays at the measured flow midpoint, where the downstream
+    constraint rows are evaluated."""
+    out = []
+    for s, f in zip(samples, scales):
+        u = s.u / f
+        out.append(FlowSample(x=s.x + 0.5 * (s.u - u), u=u, y1=s.y1, y2=s.y2))
+    return out
 
 
 def rectified_samples(samples, config: CameraConfig):
-    """Constant-velocity rectification: scale each flow by 1/alpha.
-
-    x is shifted so that x + u/2 stays at the measured flow midpoint, which
-    is where the downstream constraint rows are evaluated.
-    """
-    out = []
-    for s in samples:
-        f = scanline_factors(s, config)
-        u = s.u / f.alpha
-        out.append(FlowSample(x=s.x + 0.5 * (s.u - u), u=u, y1=s.y1, y2=s.y2))
-    return out
+    """Constant-velocity rectification: scale each flow by 1/alpha."""
+    return _rescaled(samples, [f.alpha for f in _factors(samples, config)])
 
 
 def solve_const_velocity(samples, config: CameraConfig) -> MotionEstimate:
@@ -207,7 +215,7 @@ def solve_const_accel(
     the acceleration factor is unobservable; the constant-velocity solution
     is returned as the single candidate with the convention k = 0.
     """
-    factor_list = [scanline_factors(s, config) for s in samples]
+    factor_list = _factors(samples, config)
     if max(abs(f.b - f.a) for f in factor_list) < 1e-12:
         motion = solve_const_velocity(samples, config)
         return [AccelCandidate(motion=motion, k=0.0, smallest_singular_value=0.0)]
@@ -225,17 +233,8 @@ def solve_const_accel(
         _, sv, Vt = np.linalg.svd(Zk)
         e = EpipolarVector(Vt[-1])
         # recover (v, w) against beta(k)-rectified flows so the closed-form
-        # depth votes use the right per-sample scale; x shifted to keep the
-        # evaluation midpoint at the measured one
-        rect = [
-            FlowSample(
-                x=s.x + 0.5 * (s.u - s.u / f.beta(k)),
-                u=s.u / f.beta(k),
-                y1=s.y1,
-                y2=s.y2,
-            )
-            for s, f in zip(samples, factor_list)
-        ]
+        # depth votes use the right per-sample scale
+        rect = _rescaled(samples, [f.beta(k) for f in factor_list])
         motion = recover_motion(e, rect, k=k)
         candidates.append(
             AccelCandidate(motion=motion, k=k, smallest_singular_value=float(sv[-1]))

@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import (
+from .geometry import (  # the model names are re-exported from here
+    CONST_ACCEL,
+    CONST_VELOCITY,
+    GLOBAL_SHUTTER,
     CameraConfig,
     FlowSample,
     MotionEstimate,
+    beta,
     exp_so3,
     matrices_ab,
 )
-
-CONST_VELOCITY = "cv"
-CONST_ACCEL = "ca"
-GLOBAL_SHUTTER = "gs"
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def benchmark_config(gamma=0.8):
 
 def beta_timestamp(t, k):
     """Pose scale at scanline timestamp t (fraction of the frame period)."""
-    return (2.0 * t + k * t * t) / (2.0 + k)
+    return beta(t, t * t, k)
 
 
 def scanline_pose(t, motion: MotionEstimate, model=CONST_ACCEL):

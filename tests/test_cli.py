@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from rsdiffsfm import CameraConfig, MotionEstimate, dense_depth
-from rsdiffsfm.cli import main
+from rsdiffsfm.cli import _samples_from_flow, main
 from rsdiffsfm.io_formats import (
     FlowFile,
     read_flow,
@@ -195,3 +195,46 @@ def test_convert_flo(runner, tmp_path):
     back = read_flow(out)
     assert back.config.gamma == 0.9
     assert np.array_equal(back.dense, data)
+
+
+def reference_samples(flow, max_samples, seed):
+    """Per-pixel loop: the sample selection `_samples_from_flow` reproduces."""
+    cfg = flow.config
+    if flow.is_dense:
+        rows, cols = np.nonzero(np.isfinite(flow.dense).all(axis=2))
+        entries = [(c, r, *flow.dense[r, c]) for r, c in zip(rows, cols)]
+    else:
+        entries = list(flow.sparse)
+    out = []
+    for c, r, u_px, v_px in entries:
+        y2 = r + v_px
+        if 0 <= y2 < cfg.h:
+            x, y = cfg.pixel_to_normalized(float(c), float(r))
+            out.append((float(x), float(y), float(u_px / cfg.fx), float(v_px / cfg.fy),
+                        float(r), float(y2)))
+    if max_samples and len(out) > max_samples:
+        idx = np.sort(np.random.default_rng(seed).choice(len(out), max_samples, replace=False))
+        out = [out[i] for i in idx]
+    return out
+
+
+@pytest.mark.parametrize("max_samples", [0, 40])
+def test_samples_from_flow_matches_pixel_loop(max_samples):
+    H = W = 12
+    cam = CameraConfig(gamma=0.8, h=H, fx=10.0, fy=10.0, cx=6.0, cy=6.0, width=W)
+    rng = np.random.default_rng(0)
+    dense = rng.uniform(-4.0, 4.0, (H, W, 2)).astype(np.float32)
+    dense[2, 3] = np.nan
+    dense[5, 7, 0] = np.nan
+    dense[8, 1, 1] = np.nan
+    dense[0, :, 1] = -1.5  # top row flows out of the image
+    dense[H - 1, :, 1] = 2.5  # bottom row too
+    sparse = np.column_stack([rng.uniform(0, W, 60), rng.uniform(0, H, 60),
+                              rng.uniform(-4, 4, 60), rng.uniform(-4, 4, 60)]).astype(np.float32)
+    for flow in (FlowFile(config=cam, width=W, height=H, dense=dense),
+                 FlowFile(config=cam, width=W, height=H, sparse=sparse)):
+        samples = _samples_from_flow(flow, max_samples=max_samples, seed=5)
+        got = [(*s.x, *s.u, s.y1, s.y2) for s in samples]
+        expected = reference_samples(flow, max_samples, seed=5)
+        assert len(expected) < (H * W if flow.is_dense else 60)
+        assert got == expected

@@ -8,6 +8,7 @@ from rsdiffsfm.geometry import (
     EpipolarVector,
     FlowSample,
     MotionEstimate,
+    beta,
     epipolar_residual,
     exp_so3,
     log_so3,
@@ -15,10 +16,15 @@ from rsdiffsfm.geometry import (
     midpoint,
     project_flow,
     s_to_vech,
+    scanline_ab,
     skew,
     symmetric_s,
     vech_to_s,
 )
+from rsdiffsfm.gs_solver import closed_form_inv_depth
+from rsdiffsfm.refine import SampleBlocks, dense_depth, update_depths
+from rsdiffsfm.robust import residual
+from rsdiffsfm.synth import beta_timestamp
 
 finite = st.floats(-1.0, 1.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -106,3 +112,44 @@ def test_motion_estimate_normalized():
     n = m.normalized()
     assert np.isclose(np.linalg.norm(n.v), 1.0)
     assert n.k == m.k
+
+
+KERNEL_CAMERA = CameraConfig(gamma=0.8, h=24, fx=20.0, fy=20.0, cx=12.0, cy=12.0, width=24)
+pixel_flows = st.lists(
+    st.tuples(st.integers(0, 23), st.integers(0, 23), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    min_size=1, max_size=12, unique_by=lambda p: p[:2])
+
+
+@given(pixel_flows, vec3, vec3, st.floats(-0.5, 0.5))
+@settings(max_examples=100, deadline=None)
+def test_flow_model_consumers_agree(pixels, v, w, k):
+    """Scoring, refinement, dense depth and the GS depth share one inverse
+    depth and cheirality, and beta_timestamp differences are beta."""
+    cam = KERNEL_CAMERA
+    motion = MotionEstimate(v=v, w=w, k=k)
+    field = np.full((cam.h, cam.width, 2), np.nan)
+    samples = []
+    for c, r, fx_px, fy_px in pixels:
+        field[r, c] = fx_px, fy_px
+        samples.append(FlowSample(x=cam.pixel_to_normalized(float(c), float(r)),
+                                  u=[fx_px / cam.fx, fy_px / cam.fy], y1=float(r), y2=r + fy_px))
+    rho, valid = update_depths(SampleBlocks.build(samples, cam), motion)
+    depth, dense_valid = dense_depth(field, motion, cam)
+    g = cam.gamma / cam.h
+    for i, (s, (c, r, _, _)) in enumerate(zip(samples, pixels)):
+        bt = beta(*scanline_ab(s.y1, s.y2, cam), k)
+        assert abs(beta_timestamp(1.0 + g * s.y2, k) - beta_timestamp(g * s.y1, k) - bt) < 1e-12
+        A, B = matrices_ab(midpoint(s))
+        rho_cf = closed_form_inv_depth(s, v, w, beta=bt)
+        if rho_cf is None:
+            assert np.isnan(rho[i]) and not valid[i] and not dense_valid[r, c]
+            assert residual(s, motion, cam) == pytest.approx(np.linalg.norm(s.u - bt * (B @ w)))
+            continue
+        tol = 1e-9 * (1.0 + abs(rho_cf))
+        assert abs(rho[i] - rho_cf) <= tol
+        if abs(rho_cf) > tol:  # the sign is resolved: cheirality agrees
+            assert valid[i] == dense_valid[r, c] == (rho_cf > 0)
+        if dense_valid[r, c]:
+            assert abs(1.0 / depth[r, c] - rho_cf) <= tol
+        pred = bt * ((A @ v) * (rho_cf if valid[i] else 0.0) + B @ w)
+        assert abs(residual(s, motion, cam) - np.linalg.norm(s.u - pred)) < 1e-9

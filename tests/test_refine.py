@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize_scalar
 
 from rsdiffsfm import generate_linearized, refine, translation_error
@@ -127,6 +128,31 @@ def test_refine_cv_model_keeps_k_zero(camera):
     state = refine(samples, start, camera, CONST_VELOCITY)
     assert state.motion.k == 0.0
     assert state.objective < 1e-16
+
+
+def test_polish_failure_keeps_descent_result(camera, monkeypatch):
+    """A ValueError from the LM polish keeps the coordinate-descent result;
+    any other error propagates."""
+    spec = make_spec(camera, n_points=30, k=0.1, seed=11)
+    samples, gt = generate_linearized(spec)
+    start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w, k=0.0)
+    descent = refine(samples, start, camera, CONST_ACCEL, max_cycles=3, polish=False)
+    assert descent.objective > 0
+
+    def raising(exc):
+        def least_squares(*args, **kwargs):
+            raise exc
+        return least_squares
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", raising(ValueError("non-finite")))
+    state = refine(samples, start, camera, CONST_ACCEL, max_cycles=3)
+    assert state.objective == descent.objective
+    for field in ("v", "w", "k"):
+        assert np.array_equal(getattr(state.motion, field), getattr(descent.motion, field))
+    assert np.array_equal(state.inv_depths, descent.inv_depths, equal_nan=True)
+    monkeypatch.setattr(scipy.optimize, "least_squares", raising(TypeError("bad call")))
+    with pytest.raises(TypeError):
+        refine(samples, start, camera, CONST_ACCEL, max_cycles=3)
 
 
 def test_update_blocks_raise_on_too_few_samples(camera):

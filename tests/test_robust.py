@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from rsdiffsfm import (
 from rsdiffsfm.errors import EmptySelection, RobustFailure
 from rsdiffsfm.geometry import FlowSample
 from rsdiffsfm.robust import refit_trimmed, residual, score_motion
-from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY
+from rsdiffsfm.gs_solver import solve_gs
+from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
 from conftest import gross_outlier, make_spec
 
@@ -30,6 +33,17 @@ def test_residual_zero_for_consistent_sample(camera):
     samples, gt = generate_linearized(spec)
     for s in samples:
         assert residual(s, gt.motion, camera) < 1e-14
+
+
+def test_gs_hypothesis_scores_under_gs_model(camera):
+    """GS hypotheses are scored with beta = 1, whatever the camera's gamma."""
+    spec = make_spec(dataclasses.replace(camera, gamma=0.0), n_points=40, seed=12)
+    samples, _ = generate_linearized(spec)
+    motion = solve_gs(samples)
+    assert np.max(score_motion(samples, motion, camera, GLOBAL_SHUTTER)) < 1e-12
+    r = ransac(samples, GLOBAL_SHUTTER, camera, RansacConfig(iterations=20, seed=12))
+    assert len(r.inliers) == len(samples)
+    assert np.max(r.residuals) < 1e-12
 
 
 def test_score_motion_flags_outliers(camera):
