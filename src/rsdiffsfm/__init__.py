@@ -19,6 +19,7 @@ from .errors import (
 from .geometry import (
     CameraConfig,
     EpipolarVector,
+    FlowBatch,
     FlowSample,
     MotionEstimate,
     epipolar_residual,
@@ -32,9 +33,7 @@ from .geometry import (
 from .gs_solver import recover_motion, solve_gs, solve_linear
 from .rs_solvers import (
     DetPolynomial,
-    ScanlineFactors,
     det_polynomial,
-    scanline_factors,
     solve_const_accel,
     solve_const_velocity,
 )
@@ -86,6 +85,7 @@ __all__ = [
     "EmptySelection",
     "EpipolarVector",
     "ExperimentConfig",
+    "FlowBatch",
     "FlowFile",
     "FlowSample",
     "GLOBAL_SHUTTER",
@@ -99,7 +99,6 @@ __all__ = [
     "RobustFailure",
     "RsSfmError",
     "SceneSpec",
-    "ScanlineFactors",
     "SingularBlock",
     "WarpField",
     "dense_depth",
@@ -127,7 +126,6 @@ __all__ = [
     "rotation_error",
     "run_cell",
     "run_sweep",
-    "scanline_factors",
     "skew",
     "solve_const_accel",
     "solve_const_velocity",

@@ -11,8 +11,8 @@ import click
 import numpy as np
 
 from . import io_formats as iof
-from .errors import RsSfmError
-from .geometry import CameraConfig
+from .errors import EmptySelection, InvalidScanlinePair, RsSfmError
+from .geometry import CameraConfig, FlowBatch
 from .experiment import run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
@@ -20,6 +20,8 @@ from .robust import RansacConfig, ranked_pixels, ransac, refit_trimmed, samples_
 from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, SceneSpec, generate_discrete
 
 MODELS = {"gs": GLOBAL_SHUTTER, "cv": CONST_VELOCITY, "ca": CONST_ACCEL}
+# the camera record a motion file carries for `rectify`
+CAMERA_KEYS = ("gamma", "h", "fx", "fy", "cx", "cy")
 
 
 @click.group()
@@ -39,15 +41,23 @@ def _samples_from_flow(flow: iof.FlowFile, flow_bwd=None, max_samples=2000, seed
     return samples_from_pixels(*pixels, flow.config, max_samples, seed)
 
 
+def _input_error(message):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _read_flow_or_die(path):
     try:
         return iof.read_flow(path)
     except FileNotFoundError:
-        click.echo(f"error: flow file not found: {path}", err=True)
-        sys.exit(2)
+        _input_error(f"flow file not found: {path}")
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _input_error(exc)
+
+
+def _camera_fields(values):
+    """The CAMERA_KEYS entries of a mapping, typed: h an integer, the rest floats."""
+    return {key: (int if key == "h" else float)(values[key]) for key in CAMERA_KEYS}
 
 
 @main.command()
@@ -65,7 +75,10 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
     """Estimate relative motion from a flow file."""
     flow = _read_flow_or_die(flow_path)
     bwd = _read_flow_or_die(bwd_path) if bwd_path else None
-    samples = _samples_from_flow(flow, bwd, max_samples=max_samples, seed=seed)
+    try:
+        samples = _samples_from_flow(flow, bwd, max_samples=max_samples, seed=seed)
+    except EmptySelection as exc:
+        _input_error(exc)
     try:
         rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
         result = ransac(samples, MODELS[model], flow.config, rc)
@@ -82,6 +95,7 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
         "n_inliers": len(result.inliers),
         "residual_mean": float(np.mean(res)),
         "residual_median": float(np.median(res)),
+        **_camera_fields(vars(flow.config)),
     })
 
 
@@ -93,10 +107,12 @@ def depth(flow_path, motion_path, out_path):
     """Dense depth map (PFM) from a dense flow field and a motion file."""
     flow = _read_flow_or_die(flow_path)
     if not flow.is_dense:
-        click.echo("error: depth recovery needs a dense flow layout", err=True)
-        sys.exit(2)
+        _input_error("depth recovery needs a dense flow layout")
     motion = iof.read_motion(motion_path)
-    depth_map, valid = dense_depth(flow.dense, motion, flow.config)
+    try:
+        depth_map, valid = dense_depth(flow.dense, motion, flow.config)
+    except InvalidScanlinePair as exc:
+        _input_error(f"flow moves a pixel too far up for the camera's readout: {exc}")
     iof.write_pfm(out_path, np.where(valid, depth_map, np.nan))
 
 
@@ -111,29 +127,19 @@ def rectify(image_path, depth_path, motion_path, out_path):
     depth_map = iof.read_pfm(depth_path)
     motion = iof.read_motion(motion_path)
     if img.shape[:2] != depth_map.shape:
-        click.echo(
-            f"error: image shape {img.shape[:2]} does not match depth {depth_map.shape}",
-            err=True)
-        sys.exit(2)
-    flow = _read_flow_config_for(depth_map, motion_path)
-    warp = warp_field(depth_map, motion, flow)
+        _input_error(f"image shape {img.shape[:2]} does not match depth {depth_map.shape}")
+    kv = iof.read_keyvalues(motion_path)
+    missing = [key for key in CAMERA_KEYS if key not in kv]
+    if missing:
+        _input_error(f"{motion_path} has no camera ({', '.join(missing)} missing); "
+                     "write the motion file with `estimate`")
+    try:
+        camera = CameraConfig(**_camera_fields(kv), width=depth_map.shape[1])
+        warp = warp_field(depth_map, motion, camera)
+    except ValueError as exc:  # a malformed camera, or one that does not fit the depth map
+        _input_error(f"{motion_path}: {exc}")
     out, _ = rectify_image(img, warp)
     iof.write_pnm(out_path, out)
-
-
-def _read_flow_config_for(depth_map, motion_path):
-    # camera parameters ride along in the motion file when present
-    kv = iof.read_keyvalues(motion_path)
-    H, W = depth_map.shape
-    return CameraConfig(
-        gamma=float(kv.get("gamma", "1.0")),
-        h=int(kv.get("h", H)),
-        fx=float(kv.get("fx", max(H, W))),
-        fy=float(kv.get("fy", max(H, W))),
-        cx=float(kv.get("cx", W / 2.0)),
-        cy=float(kv.get("cy", H / 2.0)),
-        width=W,
-    )
 
 
 @main.command()
@@ -156,18 +162,14 @@ def synth(config_path, flow_path, truth_path):
         seed=cfg.seed,
     )
     samples, gt = generate_discrete(spec)
-    sparse = np.empty((len(samples), 4), dtype=np.float32)
-    for i, s in enumerate(samples):
-        px, py = camera.normalized_to_pixel(s.x[0], s.x[1])
-        u_px = s.u[0] * camera.fx
-        v_px = s.u[1] * camera.fy
-        sparse[i] = (px, py, u_px, v_px)
+    batch = FlowBatch.of(samples)
+    px, py = camera.normalized_to_pixel(*batch.x.T)
+    sparse = np.column_stack([px, py, batch.u[:, 0] * camera.fx,
+                              batch.u[:, 1] * camera.fy]).astype(np.float32)
     iof.write_flow(flow_path, iof.FlowFile(
         config=camera, width=camera.width, height=camera.h, sparse=sparse))
     iof.write_motion(truth_path, gt.motion, extra={
-        "gamma": camera.gamma, "h": camera.h,
-        "fx": camera.fx, "fy": camera.fy, "cx": camera.cx, "cy": camera.cy,
-        "n_samples": len(samples),
+        **_camera_fields(vars(camera)), "n_samples": len(samples),
     })
 
 
@@ -175,14 +177,11 @@ def _load_config(path):
     try:
         return iof.ExperimentConfig.from_file(path)
     except FileNotFoundError:
-        click.echo(f"error: config file not found: {path}", err=True)
-        sys.exit(2)
+        _input_error(f"config file not found: {path}")
     except KeyError as exc:
-        click.echo(f"error: unknown config key {exc.args[0]!r}", err=True)
-        sys.exit(2)
+        _input_error(f"unknown config key {exc.args[0]!r}")
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _input_error(exc)
 
 
 @main.command()
@@ -209,8 +208,7 @@ def convert(flo_path, gamma, fx, fy, cx, cy, out_path):
     try:
         data = iof.read_flo(flo_path)
     except (FileNotFoundError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _input_error(exc)
     H, W = data.shape[:2]
     cfg = CameraConfig(gamma=gamma, h=H, fx=fx, fy=fy, cx=cx, cy=cy, width=W)
     iof.write_flow(out_path, iof.FlowFile(config=cfg, width=W, height=H, dense=data))

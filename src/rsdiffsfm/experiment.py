@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 
+from .errors import RsSfmError
 from .geometry import CameraConfig
 from .io_formats import ExperimentConfig
 from .robust import RansacConfig, ransac, refit_trimmed
@@ -64,7 +65,7 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model):
                 samples, model, camera, cfg.ransac_iters, cfg.threshold,
                 seed=seed + 1, use_refine=cfg.use_refine,
             )
-        except Exception:
+        except RsSfmError:
             continue
         t_errs.append(translation_error(motion.v, gt.motion.v))
         r_errs.append(rotation_error(motion.w, gt.motion.w))

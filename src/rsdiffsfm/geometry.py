@@ -164,7 +164,7 @@ def symmetric_s(v, w):
 
 
 def midpoint(sample):
-    """Flow-midpoint evaluation position x + u/2.
+    """Flow-midpoint evaluation position x + u/2 of a sample or a batch.
 
     Evaluating the differential model halfway along the measured flow makes
     the fit second-order accurate in the motion magnitude (a central
@@ -256,13 +256,45 @@ class FlowSample:
         return cls(x=x, u=u, y1=y1, y2=y2)
 
 
-def stack_samples(samples):
-    """Arrays (x (N, 2), u (N, 2), y1 (N,), y2 (N,)) of a list of flow samples."""
-    x = np.array([s.x for s in samples]).reshape(-1, 2)
-    u = np.array([s.u for s in samples]).reshape(-1, 2)
-    y1 = np.array([s.y1 for s in samples], dtype=float)
-    y2 = np.array([s.y2 for s in samples], dtype=float)
-    return x, u, y1, y2
+@dataclass(frozen=True, eq=False)
+class FlowBatch:
+    """N flow measurements as arrays: the library's multi-sample type.
+
+    Fields are those of `FlowSample`, stacked: x (N, 2), u (N, 2), y1 (N,)
+    and y2 (N,).  An integer index gives a `FlowSample`; a slice or an
+    index array gives a sub-batch.
+    """
+
+    x: np.ndarray
+    u: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+
+    @classmethod
+    def of(cls, samples):
+        """The batch itself, or the stacked arrays of a sequence of FlowSample."""
+        if isinstance(samples, cls):
+            return samples
+        return cls(
+            x=np.array([s.x for s in samples], dtype=float).reshape(-1, 2),
+            u=np.array([s.u for s in samples], dtype=float).reshape(-1, 2),
+            y1=np.array([s.y1 for s in samples], dtype=float),
+            y2=np.array([s.y2 for s in samples], dtype=float),
+        )
+
+    def __len__(self):
+        return len(self.y1)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return FlowSample(x=self.x[i], u=self.u[i], y1=float(self.y1[i]), y2=float(self.y2[i]))
+        return FlowBatch(x=self.x[i], u=self.u[i], y1=self.y1[i], y2=self.y2[i])
+
+    def rescaled(self, scales):
+        """Each flow divided by its scale; x is shifted so that x + u/2 stays
+        at the measured flow midpoint, where the constraint rows are evaluated."""
+        u = self.u / scales[:, None]
+        return FlowBatch(x=self.x + 0.5 * (self.u - u), u=u, y1=self.y1, y2=self.y2)
 
 
 @dataclass(frozen=True)

@@ -12,52 +12,49 @@ import numpy as np
 from .errors import DegenerateConfiguration
 from .geometry import (
     EpipolarVector,
+    FlowBatch,
     FlowSample,
     MotionEstimate,
     depth_terms,
     inv_depth,
-    lift,
-    lift_flow,
     matrices_ab,
     midpoint,
     s_to_vech,
     skew,
-    stack_samples,
 )
 
 RANK_TOL = 1e-10
 
 
-def gs_row(sample: FlowSample):
-    """Constraint row: coefficients of u^T v^ x~ - x~^T s x~ in e-ordering.
+def gs_rows(samples):
+    """Constraint rows (N, 9): coefficients of u^T v^ x~ - x~^T s x~ in e-ordering.
 
     The constraint is evaluated at the flow midpoint x + u/2.  Off-diagonal
     s coefficients are doubled so that the s-block dot product reproduces
     x~^T s x~ exactly.
     """
-    xt = lift(midpoint(sample))
-    ut = lift_flow(sample.u)
-    # u^T v^ x~ = v . (x~ x u)
-    v_block = np.cross(xt, ut)
-    px, py = xt[0], xt[1]
-    s_block = -np.array([px * px, 2 * px * py, 2 * px, py * py, 2 * py, 1.0])
-    return np.concatenate([v_block, s_block])
+    batch = FlowBatch.of(samples)
+    px, py = midpoint(batch).T
+    ux, uy = batch.u.T
+    # u^T v^ x~ = v . (x~ x u~) with x~ = (px, py, 1), u~ = (ux, uy, 0)
+    return np.column_stack([
+        -uy, ux, px * uy - py * ux,
+        -px * px, -2 * px * py, -2 * px, -py * py, -2 * py, -np.ones_like(px),
+    ])
 
 
-def stack_rows(samples, row_fn=gs_row, normalize=True):
-    rows = np.array([row_fn(s) for s in samples])
-    if normalize:
-        norms = np.linalg.norm(rows, axis=1)
-        norms[norms < 1e-300] = 1.0
-        rows = rows / norms[:, None]
-    return rows
+def unit_rows(Z):
+    """Rows of Z scaled to unit norm; all-zero rows are left as they are."""
+    norms = np.linalg.norm(Z, axis=1)
+    norms[norms < 1e-300] = 1.0
+    return Z / norms[:, None]
 
 
 def solve_linear(samples) -> EpipolarVector:
     """Least-squares epipolar vector from >= 8 flow samples."""
     if len(samples) < 8:
         raise DegenerateConfiguration(f"need at least 8 samples, got {len(samples)}")
-    Z = stack_rows(samples)
+    Z = unit_rows(gs_rows(samples))
     _, sv, Vt = np.linalg.svd(Z, full_matrices=True)
     if sv[7] <= RANK_TOL * sv[0]:
         raise DegenerateConfiguration(
@@ -88,8 +85,8 @@ def closed_form_inv_depth(sample: FlowSample, v, w, beta=1.0):
 
 def cheirality_vote(samples, v, w):
     """Number of samples whose closed-form depth is positive under (v, w)."""
-    x, u, _, _ = stack_samples(samples)
-    _, valid = inv_depth(*depth_terms(x[:, 0], x[:, 1], u[:, 0], u[:, 1], v, w, 1.0))
+    batch = FlowBatch.of(samples)
+    _, valid = inv_depth(*depth_terms(*batch.x.T, *batch.u.T, v, w, 1.0))
     return int(np.count_nonzero(valid))
 
 
@@ -100,6 +97,7 @@ def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate
     for fixed v.  The global sign of (v, s) is chosen so that the closed-form
     depths are positive for the majority of samples.
     """
+    samples = FlowBatch.of(samples)
     v = e.v.copy()
     s_vech = e.e[3:].copy()
     vnorm = np.linalg.norm(v)
@@ -118,13 +116,13 @@ def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate
 
 def _fit_rotation_only(samples):
     """Least-squares w assuming zero translation."""
-    x, u, _, _ = stack_samples(samples)
-    _, B = matrices_ab(x + 0.5 * u)
-    w, *_ = np.linalg.lstsq(B.reshape(-1, 3), u.reshape(-1), rcond=None)
+    _, B = matrices_ab(midpoint(samples))
+    w, *_ = np.linalg.lstsq(B.reshape(-1, 3), samples.u.reshape(-1), rcond=None)
     return w
 
 
 def solve_gs(samples) -> MotionEstimate:
     """Full global-shutter pipeline: linear solve plus motion recovery."""
+    samples = FlowBatch.of(samples)
     e = solve_linear(samples)
     return recover_motion(e, samples)

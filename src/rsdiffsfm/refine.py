@@ -20,13 +20,14 @@ from .errors import SingularBlock
 from .geometry import (
     CONST_ACCEL,
     CameraConfig,
+    FlowBatch,
     MotionEstimate,
     beta,
     depth_terms,
     inv_depth,
     matrices_ab,
+    midpoint,
     scanline_ab,
-    stack_samples,
 )
 
 
@@ -42,10 +43,10 @@ class SampleBlocks:
 
     @classmethod
     def build(cls, samples, config: CameraConfig | None, model=CONST_ACCEL):
-        x, u, y1, y2 = stack_samples(samples)
-        A, B = matrices_ab(x + 0.5 * u)
-        a, b = scanline_ab(y1, y2, config, model)
-        return cls(A=A, B=B, u=u, a=a, b=b)
+        batch = FlowBatch.of(samples)
+        A, B = matrices_ab(midpoint(batch))
+        a, b = scanline_ab(batch.y1, batch.y2, config, model)
+        return cls(A=A, B=B, u=batch.u, a=a, b=b)
 
     def beta(self, k):
         return beta(self.a, self.b, k)

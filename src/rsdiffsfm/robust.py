@@ -24,13 +24,13 @@ from .geometry import (
     CONST_VELOCITY,
     GLOBAL_SHUTTER,
     CameraConfig,
+    FlowBatch,
     FlowSample,
     MotionEstimate,
     beta,
     depth_terms,
     inv_depth,
     scanline_ab,
-    stack_samples,
 )
 from .gs_solver import solve_gs
 from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel, solve_const_velocity
@@ -87,9 +87,9 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
     Flows are scaled by the model's beta: 1 for the global-shutter model,
     the rolling-shutter scanline factor otherwise.
     """
-    x, u, y1, y2 = stack_samples(samples)
-    bt = beta(*scanline_ab(y1, y2, config, model), motion.k)
-    q, c = depth_terms(x[:, 0], x[:, 1], u[:, 0], u[:, 1], motion.v, motion.w, bt)
+    batch = FlowBatch.of(samples)
+    bt = beta(*scanline_ab(batch.y1, batch.y2, config, model), motion.k)
+    q, c = depth_terms(*batch.x.T, *batch.u.T, motion.v, motion.w, bt)
     rho, valid = inv_depth(q, c)
     rho = np.where(valid, rho, 0.0)
     return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
@@ -110,6 +110,7 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     every real root of the minimal solver is scored as its own hypothesis.
     """
     rc = ransac_config or RansacConfig()
+    samples = FlowBatch.of(samples)
     m = MINIMAL_SIZE[model]
     if len(samples) < m:
         raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
@@ -119,8 +120,7 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     best_mean = np.inf
     n_valid = 0
     for _ in range(rc.iterations):
-        idx = rng.choice(len(samples), size=m, replace=False)
-        subset = [samples[i] for i in idx]
+        subset = samples[rng.choice(len(samples), size=m, replace=False)]
         try:
             hypotheses = _minimal_solve(subset, model, config, rc.root_window)
         except (DegenerateConfiguration, NoRealSolution, InvalidScanlinePair):
@@ -163,8 +163,7 @@ def refit_trimmed(samples, result: RansacResult, model: str, config: CameraConfi
     idx = result.inliers
     order = np.argsort(result.residuals[idx], kind="stable")
     n_keep = max(MINIMAL_SIZE[model], int(round(keep * len(idx))))
-    chosen = [samples[i] for i in idx[order[:n_keep]]]
-    return refine(chosen, result.motion, config, model)
+    return refine(FlowBatch.of(samples)[idx[order[:n_keep]]], result.motion, config, model)
 
 
 def forward_backward_error(forward, backward):
@@ -230,7 +229,7 @@ def ranked_pixels(forward, backward, keep_fraction: float = 0.20):
 
 
 def filter_flows(forward, backward, config: CameraConfig, keep_fraction: float = 0.20):
-    """Flow samples of the `ranked_pixels` of a dense bidirectional flow pair."""
+    """Flow batch of the `ranked_pixels` of a dense bidirectional flow pair."""
     samples = samples_from_pixels(*ranked_pixels(forward, backward, keep_fraction), config)
     if not samples:
         raise EmptySelection("all selected pixels map outside the image")
@@ -239,21 +238,19 @@ def filter_flows(forward, backward, config: CameraConfig, keep_fraction: float =
 
 def samples_from_pixels(cols, rows, flow_x, flow_y, config: CameraConfig, max_samples=0,
                         seed=0):
-    """Flow samples of pixels (cols, rows) with pixel-unit flows (flow_x, flow_y).
+    """Flow batch of pixels (cols, rows) with pixel-unit flows (flow_x, flow_y).
 
     Keeps, in the given order, the finite entries whose destination row
     rows + flow_y (computed in the precision of the inputs) lies in
     [0, h).  When more than `max_samples` (if nonzero) remain, a seeded
-    random subset of that size is kept, still in order.  Sample objects are
-    built for the kept entries only.
+    random subset of that size is kept, still in order.
     """
     y2 = rows + flow_y
     keep = np.flatnonzero(np.isfinite(cols) & np.isfinite(flow_x) & (y2 >= 0) & (y2 < config.h))
     if max_samples and len(keep) > max_samples:
         rng = np.random.default_rng(seed)
         keep = keep[np.sort(rng.choice(len(keep), max_samples, replace=False))]
-    x = np.column_stack(config.pixel_to_normalized(cols[keep].astype(float),
-                                                    rows[keep].astype(float)))
+    y1 = rows[keep].astype(float)
+    x = np.column_stack(config.pixel_to_normalized(cols[keep].astype(float), y1))
     u = np.column_stack([flow_x[keep] / config.fx, flow_y[keep] / config.fy]).astype(float)
-    return [FlowSample(x=xi, u=ui, y1=float(r), y2=float(r2))
-            for xi, ui, r, r2 in zip(x, u, rows[keep].tolist(), y2[keep].tolist())]
+    return FlowBatch(x=x, u=u, y1=y1, y2=y2[keep].astype(float))

@@ -22,60 +22,22 @@ from .errors import NoRealSolution
 from .geometry import (
     CameraConfig,
     EpipolarVector,
-    FlowSample,
+    FlowBatch,
     MotionEstimate,
     beta,
     scanline_ab,
-    stack_samples,
 )
-from .gs_solver import gs_row, recover_motion, solve_linear
+from .gs_solver import gs_rows, recover_motion, solve_linear, unit_rows
 
 DEFLATION_TOL = 1e-8
 DEFAULT_ROOT_WINDOW = (-2.0, 10.0)
 
 
-@dataclass(frozen=True)
-class ScanlineFactors:
-    """Per-sample scanline scale factors.
-
-    alpha is the constant-velocity pose scale; a and b parameterize the
-    constant-acceleration scale beta(k) = (2a + b k) / (2 + k), with
-    beta(0) == alpha.
-    """
-
-    alpha: float
-    a: float
-    b: float
-
-    def beta(self, k):
-        return beta(self.a, self.b, k)
-
-
-def scanline_factors(sample: FlowSample, config: CameraConfig) -> ScanlineFactors:
-    """Scale factors for the scanline pair of one flow sample."""
-    return _factors([sample], config)[0]
-
-
-def _factors(samples, config: CameraConfig):
-    _, _, y1, y2 = stack_samples(samples)
-    a, b = scanline_ab(y1, y2, config)
-    return [ScanlineFactors(alpha=ai, a=ai, b=bi) for ai, bi in zip(a.tolist(), b.tolist())]
-
-
-def _rescaled(samples, scales):
-    """Samples with each flow divided by its scale; x is shifted so that
-    x + u/2 stays at the measured flow midpoint, where the downstream
-    constraint rows are evaluated."""
-    out = []
-    for s, f in zip(samples, scales):
-        u = s.u / f
-        out.append(FlowSample(x=s.x + 0.5 * (s.u - u), u=u, y1=s.y1, y2=s.y2))
-    return out
-
-
-def rectified_samples(samples, config: CameraConfig):
+def rectified_samples(samples, config: CameraConfig) -> FlowBatch:
     """Constant-velocity rectification: scale each flow by 1/alpha."""
-    return _rescaled(samples, [f.alpha for f in _factors(samples, config)])
+    batch = FlowBatch.of(samples)
+    alpha, _ = scanline_ab(batch.y1, batch.y2, config)
+    return batch.rescaled(alpha)
 
 
 def solve_const_velocity(samples, config: CameraConfig) -> MotionEstimate:
@@ -85,31 +47,17 @@ def solve_const_velocity(samples, config: CameraConfig) -> MotionEstimate:
     return recover_motion(e, rect, k=0.0)
 
 
-def accel_row(sample: FlowSample, factors: ScanlineFactors, k: float):
-    """Row of the (2+k)-cleared constant-acceleration constraint at k."""
-    r0, r1 = accel_row_coeffs(sample, factors)
-    return r0 + k * r1
+def affine_rows(samples, a, b):
+    """Affine decomposition Z(k) = R0 + k R1 of the cleared constraint rows.
 
-
-def accel_row_coeffs(sample: FlowSample, factors: ScanlineFactors):
-    """Affine decomposition row(k) = r0 + k r1 of the cleared constraint.
-
-    The cleared constraint is (2+k) u^T v^ x~ - (2a + b k) x~^T s x~ = 0;
-    the base GS row already carries the minus sign on its s-block.
+    The cleared constraint is (2+k) u^T v^ x~ - (2a + b k) x~^T s x~ = 0 per
+    sample, with (a, b) its beta coefficients; the GS rows already carry the
+    minus sign on their s-block.  Returns two (N, 9) arrays.
     """
-    base = gs_row(sample)
-    v_part = np.concatenate([base[:3], np.zeros(6)])
-    s_part = np.concatenate([np.zeros(3), base[3:]])
-    r0 = 2.0 * v_part + 2.0 * factors.a * s_part
-    r1 = v_part + factors.b * s_part
-    return r0, r1
-
-
-def _stack_affine(samples, factor_list):
-    R0 = np.empty((9, 9))
-    R1 = np.empty((9, 9))
-    for i, (s, f) in enumerate(zip(samples, factor_list)):
-        R0[i], R1[i] = accel_row_coeffs(s, f)
+    base = gs_rows(samples)
+    v_part, s_part = base[:, :3], base[:, 3:]
+    R0 = np.hstack([2.0 * v_part, 2.0 * a[:, None] * s_part])
+    R1 = np.hstack([v_part, b[:, None] * s_part])
     return R0, R1
 
 
@@ -138,8 +86,11 @@ class DetPolynomial:
         return sorted(out)
 
 
-def det_polynomial(samples, factor_list) -> DetPolynomial:
+def det_polynomial(samples, config: CameraConfig) -> DetPolynomial:
     """Determinant of the stacked 9x9 affine-in-k system as a polynomial.
+
+    The rows are the `affine_rows` of the 9 samples, with their beta
+    coefficients (a, b) taken from the camera `config`.
 
     Every entry of the three translation columns of Z(k) carries a (2+k)
     factor, so det Z(k) = (2+k)^3 det M(k) with M(k) the matrix whose
@@ -152,7 +103,8 @@ def det_polynomial(samples, factor_list) -> DetPolynomial:
     """
     if len(samples) != 9:
         raise ValueError(f"the 9-point solver needs exactly 9 samples, got {len(samples)}")
-    R0, R1 = _stack_affine(samples, factor_list)
+    batch = FlowBatch.of(samples)
+    R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, config))
     # column equilibration; a pure per-column scale leaves roots unchanged
     col = np.sqrt(np.linalg.norm(R0, axis=0) ** 2 + np.linalg.norm(R1, axis=0) ** 2)
     col[col < 1e-300] = 1.0
@@ -215,27 +167,23 @@ def solve_const_accel(
     the acceleration factor is unobservable; the constant-velocity solution
     is returned as the single candidate with the convention k = 0.
     """
-    factor_list = _factors(samples, config)
-    if max(abs(f.b - f.a) for f in factor_list) < 1e-12:
-        motion = solve_const_velocity(samples, config)
+    batch = FlowBatch.of(samples)
+    a, b = scanline_ab(batch.y1, batch.y2, config)
+    if np.max(np.abs(b - a)) < 1e-12:
+        motion = solve_const_velocity(batch, config)
         return [AccelCandidate(motion=motion, k=0.0, smallest_singular_value=0.0)]
-    poly = det_polynomial(samples, factor_list)
+    poly = det_polynomial(batch, config)
     roots = poly.real_roots(window=root_window)
     if not roots:
         raise NoRealSolution("determinant polynomial has no admissible real root")
-    R0, R1 = _stack_affine(samples, factor_list)
+    R0, R1 = affine_rows(batch, a, b)
     candidates = []
     for k in roots:
-        Zk = R0 + k * R1
-        norms = np.linalg.norm(Zk, axis=1)
-        norms[norms < 1e-300] = 1.0
-        Zk = Zk / norms[:, None]
-        _, sv, Vt = np.linalg.svd(Zk)
+        _, sv, Vt = np.linalg.svd(unit_rows(R0 + k * R1))
         e = EpipolarVector(Vt[-1])
         # recover (v, w) against beta(k)-rectified flows so the closed-form
         # depth votes use the right per-sample scale
-        rect = _rescaled(samples, [f.beta(k) for f in factor_list])
-        motion = recover_motion(e, rect, k=k)
+        motion = recover_motion(e, batch.rescaled(beta(a, b, k)), k=k)
         candidates.append(
             AccelCandidate(motion=motion, k=k, smallest_singular_value=float(sv[-1]))
         )

@@ -36,7 +36,7 @@ from rsdiffsfm.io_formats import ExperimentConfig
 from rsdiffsfm.rectify import beta_first_scanline
 from rsdiffsfm.refine import SampleBlocks, objective, update_k
 from rsdiffsfm.robust import refit_trimmed, score_motion
-from rsdiffsfm.rs_solvers import det_polynomial, scanline_factors
+from rsdiffsfm.rs_solvers import det_polynomial
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, beta_timestamp
 
 from conftest import gross_outlier, make_spec
@@ -75,8 +75,7 @@ def test_ca_solver_recovers_acceleration():
     worst_k = worst_v = worst_w = worst_deg = worst_rem = 0.0
     for seed in range(100):
         samples, gt = clean_samples(9, seed, k=0.1)
-        factors = [scanline_factors(s, CAMERA) for s in samples]
-        poly = det_polynomial(samples, factors)
+        poly = det_polynomial(samples, CAMERA)
         worst_deg = max(worst_deg, len(np.trim_zeros(poly.coeffs, "b")) - 1)
         worst_rem = max(worst_rem, poly.remainder_ratio)
         cands = solve_const_accel(samples, CAMERA)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rsdiffsfm import CameraConfig, MotionEstimate, dense_depth
+from rsdiffsfm import CameraConfig, MotionEstimate, dense_depth, rectify_image, warp_field
 from rsdiffsfm.cli import _samples_from_flow, main
 from rsdiffsfm.io_formats import (
     FlowFile,
     read_flow,
+    read_keyvalues,
     read_motion,
     read_pfm,
     read_pnm,
@@ -127,6 +128,72 @@ def test_rectify_identity_at_zero_motion(runner, tmp_path):
     run_ok(runner, ["rectify", "--image", str(ipath), "--depth", str(dpath),
                     "--motion", str(mpath), "--out", str(out)])
     assert np.array_equal(read_pnm(out), img)
+
+
+def test_estimate_then_rectify_uses_flow_camera(runner, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    write_config(cfg, image_size=60, focal=54.0)
+    flow = tmp_path / "f.rsflow"
+    mpath = tmp_path / "m.txt"
+    run_ok(runner, ["synth", "--config", str(cfg), "--out-flow", str(flow),
+                    "--out-truth", str(tmp_path / "truth.txt")])
+    run_ok(runner, ["estimate", "--flow", str(flow), "--ransac-iters", "30",
+                    "--out", str(mpath)])
+    cam = read_flow(flow).config
+    kv = read_keyvalues(mpath)
+    assert {key: float(kv[key]) for key in ("gamma", "h", "fx", "fy", "cx", "cy")} == {
+        "gamma": cam.gamma, "h": cam.h, "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy}
+
+    H = W = 60
+    img = np.random.default_rng(4).integers(0, 256, (H, W), dtype=np.uint8)
+    depth_map = np.random.default_rng(5).uniform(4.0, 8.0, (H, W)).astype(np.float32)
+    ipath, dpath, out = tmp_path / "img.pgm", tmp_path / "d.pfm", tmp_path / "rect.pgm"
+    write_pnm(ipath, img)
+    write_pfm(dpath, depth_map)
+    run_ok(runner, ["rectify", "--image", str(ipath), "--depth", str(dpath),
+                    "--motion", str(mpath), "--out", str(out)])
+    expected, _ = rectify_image(img, warp_field(depth_map, read_motion(mpath), cam))
+    assert np.array_equal(read_pnm(out), np.clip(np.round(expected), 0, 255).astype(np.uint8))
+
+
+def test_rectify_requires_camera(runner, tmp_path):
+    H = W = 20
+    ipath, dpath, mpath = tmp_path / "img.pgm", tmp_path / "d.pfm", tmp_path / "m.txt"
+    write_pnm(ipath, np.zeros((H, W), dtype=np.uint8))
+    write_pfm(dpath, np.full((H, W), 5.0, dtype=np.float32))
+    write_motion(mpath, MotionEstimate(v=np.zeros(3), w=np.zeros(3), k=0.0))
+    res = runner.invoke(main, ["rectify", "--image", str(ipath), "--depth", str(dpath),
+                               "--motion", str(mpath), "--out", str(tmp_path / "o.pgm")])
+    assert res.exit_code == 2
+    assert "camera" in res.output and "gamma" in res.output
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_depth_invalid_scanline_pair_is_input_error(runner, tmp_path):
+    cam = CameraConfig(gamma=0.8, h=24, fx=22.0, fy=22.0, cx=12.0, cy=12.0, width=24)
+    dense = np.zeros((24, 24, 2), dtype=np.float32)
+    dense[20, 5, 1] = -60.0  # more than h / gamma rows upward: alpha <= 0
+    flow, mpath = tmp_path / "d.rsflow", tmp_path / "m.txt"
+    write_flow(flow, FlowFile(config=cam, width=24, height=24, dense=dense))
+    write_motion(mpath, MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0))
+    res = runner.invoke(main, ["depth", "--flow", str(flow), "--motion", str(mpath),
+                               "--out", str(tmp_path / "depth.pfm")])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and "alpha" in res.output
+
+
+def test_estimate_empty_bidirectional_selection_is_input_error(runner, tmp_path):
+    cam = CameraConfig(gamma=0.8, h=16, fx=15.0, fy=15.0, cx=8.0, cy=8.0, width=16)
+    nan_flow = np.full((16, 16, 2), np.nan, dtype=np.float32)
+    fwd, bwd = tmp_path / "f.rsflow", tmp_path / "b.rsflow"
+    for path in (fwd, bwd):
+        write_flow(path, FlowFile(config=cam, width=16, height=16, dense=nan_flow))
+    res = runner.invoke(main, ["estimate", "--flow", str(fwd), "--flow-bwd", str(bwd),
+                               "--out", str(tmp_path / "m.txt")])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "forward-backward" in res.output
 
 
 def test_rectify_shape_mismatch(runner, tmp_path):

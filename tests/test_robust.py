@@ -12,7 +12,7 @@ from rsdiffsfm import (
     translation_error,
 )
 from rsdiffsfm.errors import EmptySelection, RobustFailure
-from rsdiffsfm.geometry import FlowSample
+from rsdiffsfm.geometry import FlowBatch, FlowSample
 from rsdiffsfm.robust import refit_trimmed, residual, score_motion
 from rsdiffsfm.gs_solver import solve_gs
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
@@ -74,6 +74,34 @@ def test_ransac_deterministic(camera):
     r2 = ransac(mixed, CONST_VELOCITY, camera, cfg)
     assert np.array_equal(r1.inliers, r2.inliers)
     assert np.array_equal(r1.motion.v, r2.motion.v)
+
+
+def test_ransac_same_on_list_and_batch(camera):
+    samples, _, _ = contaminated_scene(camera, seed=6, k=0.1)
+    batch = FlowBatch.of(samples)
+    assert FlowBatch.of(batch) is batch
+    assert len(batch) == len(samples)
+    for i in (0, 7, len(samples) - 1):
+        got, want = batch[i], samples[i]
+        assert isinstance(got, FlowSample)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.u, want.u)
+        assert (got.y1, got.y2) == (want.y1, want.y2)
+    assert np.array_equal(batch[[3, 1]].x, np.array([samples[3].x, samples[1].x]))
+    assert len(batch[2:5]) == 3
+    for model in (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL):
+        rc = RansacConfig(iterations=30, seed=2)
+        res_list = ransac(samples, model, camera, rc)
+        res_batch = ransac(batch, model, camera, rc)
+        assert np.array_equal(res_list.inliers, res_batch.inliers)
+        assert np.array_equal(res_list.residuals, res_batch.residuals)
+        assert np.array_equal(res_list.motion.v, res_batch.motion.v)
+        assert np.array_equal(res_list.motion.w, res_batch.motion.w)
+        assert res_list.motion.k == res_batch.motion.k
+        ref_list = refit_trimmed(samples, res_list, model, camera).motion
+        ref_batch = refit_trimmed(batch, res_batch, model, camera).motion
+        assert np.array_equal(ref_list.v, ref_batch.v)
+        assert np.array_equal(ref_list.w, ref_batch.w)
+        assert ref_list.k == ref_batch.k
 
 
 def test_ransac_too_few_samples(camera):

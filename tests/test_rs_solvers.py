@@ -9,27 +9,20 @@ from rsdiffsfm import (
     translation_error,
 )
 from rsdiffsfm.errors import InvalidScanlinePair
-from rsdiffsfm.geometry import FlowSample
-from rsdiffsfm.gs_solver import solve_gs
-from rsdiffsfm.rs_solvers import (
-    accel_row,
-    accel_row_coeffs,
-    det_polynomial,
-    scanline_factors,
-    _stack_affine,
-)
+from rsdiffsfm.geometry import FlowBatch, beta, scanline_ab
+from rsdiffsfm.gs_solver import gs_rows, solve_gs
+from rsdiffsfm.rs_solvers import affine_rows, det_polynomial
 
 from conftest import make_spec
 
 
 def test_scanline_factors_basic(camera):
-    s = FlowSample(x=np.zeros(2), u=np.zeros(2), y1=100.0, y2=130.0)
-    f = scanline_factors(s, camera)
+    a, b = scanline_ab(100.0, 130.0, camera)
     g = camera.gamma / camera.h
-    assert np.isclose(f.alpha, 1.0 + g * 30.0)
-    assert np.isclose(f.beta(0.0), f.alpha)
+    assert np.isclose(a, 1.0 + g * 30.0)  # a is the constant-velocity alpha
+    assert np.isclose(beta(a, b, 0.0), a)
     # beta(k) interpolates between 2a/2 and b as k grows
-    assert np.isclose(f.beta(1e12), f.b, rtol=1e-9)
+    assert np.isclose(beta(a, b, 1e12), b, rtol=1e-9)
 
 
 def test_beta_equals_alpha_at_k0_bulk():
@@ -48,9 +41,8 @@ def test_beta_equals_alpha_at_k0_bulk():
 
 
 def test_invalid_scanline_pair(camera):
-    s = FlowSample(x=np.zeros(2), u=np.zeros(2), y1=899.0, y2=-2000.0)
     with pytest.raises(InvalidScanlinePair):
-        scanline_factors(s, camera)
+        scanline_ab(899.0, -2000.0, camera)
 
 
 def test_cv_exact_recovery(camera):
@@ -66,11 +58,14 @@ def test_cv_exact_recovery(camera):
 def test_accel_row_affine_in_k(camera):
     spec = make_spec(camera, n_points=1, k=0.1, seed=1)
     samples, _ = generate_linearized(spec)
-    s = samples[0]
-    f = scanline_factors(s, camera)
-    r0, r1 = accel_row_coeffs(s, f)
+    batch = FlowBatch.of(samples)
+    a, b = scanline_ab(batch.y1, batch.y2, camera)
+    r0, r1 = affine_rows(batch, a, b)
+    base = gs_rows(batch)
     for k in (-1.5, 0.0, 0.3, 2.0):
-        assert np.allclose(accel_row(s, f, k), r0 + k * r1)
+        # the (2+k)-cleared constraint: (2+k) on the v-block, 2a + b k on the s-block
+        cleared = np.hstack([(2.0 + k) * base[:, :3], (2.0 * a + b * k)[:, None] * base[:, 3:]])
+        assert np.allclose(cleared, r0 + k * r1)
 
 
 def test_accel_row_annihilates_truth(camera):
@@ -79,20 +74,20 @@ def test_accel_row_annihilates_truth(camera):
     from rsdiffsfm.geometry import s_to_vech, symmetric_s
 
     e = np.concatenate([gt.motion.v, s_to_vech(symmetric_s(gt.motion.v, gt.motion.w))])
-    for s in samples:
-        f = scanline_factors(s, camera)
-        assert abs(accel_row(s, f, 0.1) @ e) < 1e-12
+    batch = FlowBatch.of(samples)
+    r0, r1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, camera))
+    assert np.max(np.abs((r0 + 0.1 * r1) @ e)) < 1e-12
 
 
 def test_det_polynomial_properties(camera):
     spec = make_spec(camera, n_points=9, k=0.1, seed=7)
     samples, _ = generate_linearized(spec)
-    factors = [scanline_factors(s, camera) for s in samples]
-    poly = det_polynomial(samples, factors)
+    poly = det_polynomial(samples, camera)
     assert len(poly.coeffs) <= 7  # degree <= 6
     assert poly.remainder_ratio < 1e-8
     # poly equals det Z(k) / (2+k)^3 up to roundoff at the polynomial's scale
-    R0, R1 = _stack_affine(samples, factors)
+    batch = FlowBatch.of(samples)
+    R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, camera))
     probes = np.linspace(-1.5, 3.0, 13)
     scale = max(abs(poly(k)) for k in probes)
     for k in probes:
