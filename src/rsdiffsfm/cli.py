@@ -46,11 +46,14 @@ def _input_error(message):
     sys.exit(2)
 
 
-def _read_flow_or_die(path):
+def _read_or_die(read, path, kind):
+    """read(path), or exit 2 with a message when the file is missing or malformed."""
     try:
-        return iof.read_flow(path)
+        return read(path)
     except FileNotFoundError:
-        _input_error(f"flow file not found: {path}")
+        _input_error(f"{kind} file not found: {path}")
+    except KeyError as exc:
+        _input_error(f"{path}: {kind} file has no {exc.args[0]!r} entry")
     except ValueError as exc:
         _input_error(exc)
 
@@ -73,8 +76,8 @@ def _camera_fields(values):
 def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samples,
              no_refine, out_path):
     """Estimate relative motion from a flow file."""
-    flow = _read_flow_or_die(flow_path)
-    bwd = _read_flow_or_die(bwd_path) if bwd_path else None
+    flow = _read_or_die(iof.read_flow, flow_path, "flow")
+    bwd = _read_or_die(iof.read_flow, bwd_path, "flow") if bwd_path else None
     try:
         samples = _samples_from_flow(flow, bwd, max_samples=max_samples, seed=seed)
     except EmptySelection as exc:
@@ -105,10 +108,10 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
 @click.option("--out", "out_path", required=True)
 def depth(flow_path, motion_path, out_path):
     """Dense depth map (PFM) from a dense flow field and a motion file."""
-    flow = _read_flow_or_die(flow_path)
+    flow = _read_or_die(iof.read_flow, flow_path, "flow")
     if not flow.is_dense:
         _input_error("depth recovery needs a dense flow layout")
-    motion = iof.read_motion(motion_path)
+    motion = _read_or_die(iof.read_motion, motion_path, "motion")
     try:
         depth_map, valid = dense_depth(flow.dense, motion, flow.config)
     except InvalidScanlinePair as exc:
@@ -123,9 +126,9 @@ def depth(flow_path, motion_path, out_path):
 @click.option("--out", "out_path", required=True)
 def rectify(image_path, depth_path, motion_path, out_path):
     """Remove rolling-shutter distortion from an image."""
-    img = iof.read_pnm(image_path)
-    depth_map = iof.read_pfm(depth_path)
-    motion = iof.read_motion(motion_path)
+    img = _read_or_die(iof.read_pnm, image_path, "image")
+    depth_map = _read_or_die(iof.read_pfm, depth_path, "depth")
+    motion = _read_or_die(iof.read_motion, motion_path, "motion")
     if img.shape[:2] != depth_map.shape:
         _input_error(f"image shape {img.shape[:2]} does not match depth {depth_map.shape}")
     kv = iof.read_keyvalues(motion_path)
@@ -205,10 +208,7 @@ def sweep(config_path, out_path):
 @click.option("--out", "out_path", required=True)
 def convert(flo_path, gamma, fx, fy, cx, cy, out_path):
     """Convert a plain 2-channel .flo field into the RSFLOW1 container."""
-    try:
-        data = iof.read_flo(flo_path)
-    except (FileNotFoundError, ValueError) as exc:
-        _input_error(exc)
+    data = _read_or_die(iof.read_flo, flo_path, "flow")
     H, W = data.shape[:2]
     cfg = CameraConfig(gamma=gamma, h=H, fx=fx, fy=fy, cx=cx, cy=cy, width=W)
     iof.write_flow(out_path, iof.FlowFile(config=cfg, width=W, height=H, dense=data))

@@ -105,17 +105,36 @@ def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
+    a, b = _unchecked_ab(y1, y2, config, model)
+    if np.any(a <= 0):
+        raise _invalid_pair(a, y1, y2)
+    return a, b
+
+
+def stacked_scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
+    """`scanline_ab` of each row of (S, m) row arrays, without raising.
+
+    Returns (a, b, failures): failures maps the index of each row that holds
+    an invalid pair to the InvalidScanlinePair `scanline_ab` raises for it.
+    """
+    a, b = _unchecked_ab(y1, y2, config, model)
+    bad = np.flatnonzero(np.any(a <= 0, axis=-1))
+    return a, b, {int(j): _invalid_pair(a[j], y1[j], y2[j]) for j in bad}
+
+
+def _unchecked_ab(y1, y2, config, model):
     if model == GLOBAL_SHUTTER or config is None or config.gamma == 0:
         ones = np.ones_like(y1 + y2)
         return ones, ones
     g = config.gamma / config.h
     t1 = g * y1
     t2 = 1.0 + g * y2
-    a = t2 - t1
-    if np.any(a <= 0):
-        i = np.argmin(a)
-        raise InvalidScanlinePair(f"alpha = {a.flat[i]:.4f} <= 0 for rows ({y1.flat[i]}, {y2.flat[i]})")
-    return a, t2 * t2 - t1 * t1
+    return t2 - t1, t2 * t2 - t1 * t1
+
+
+def _invalid_pair(a, y1, y2):
+    i = np.argmin(a)
+    return InvalidScanlinePair(f"alpha = {a.flat[i]:.4f} <= 0 for rows ({y1.flat[i]}, {y2.flat[i]})")
 
 
 def depth_terms(x, y, ux, uy, v, w, bt):
@@ -262,7 +281,9 @@ class FlowBatch:
 
     Fields are those of `FlowSample`, stacked: x (N, 2), u (N, 2), y1 (N,)
     and y2 (N,).  An integer index gives a `FlowSample`; a slice or an
-    index array gives a sub-batch.
+    index array gives a sub-batch.  An (S, m) index array gives a stack of
+    S subsets, whose fields carry the leading shape (S, m); the row and
+    solver kernels take such stacks, `len` of one is S.
     """
 
     x: np.ndarray
@@ -293,7 +314,7 @@ class FlowBatch:
     def rescaled(self, scales):
         """Each flow divided by its scale; x is shifted so that x + u/2 stays
         at the measured flow midpoint, where the constraint rows are evaluated."""
-        u = self.u / scales[:, None]
+        u = self.u / scales[..., None]
         return FlowBatch(x=self.x + 0.5 * (self.u - u), u=u, y1=self.y1, y2=self.y2)
 
 
@@ -370,13 +391,14 @@ class EpipolarVector:
 
 
 def canonicalize_e(e):
-    """Scale to unit norm with the first nonzero component positive."""
+    """Scale to unit norm with the first nonzero component positive.
+
+    e may be a stack (..., 9); each vector is canonicalized on its own.
+    """
     e = np.asarray(e, dtype=float)
-    n = np.linalg.norm(e)
-    if n == 0:
-        return e
-    e = e / n
-    for c in e:
-        if abs(c) > 1e-12:
-            return e if c > 0 else -e
-    return e
+    n = np.linalg.norm(e, axis=-1, keepdims=True)
+    e = e / np.where(n == 0, 1.0, n)
+    # the first component above 1e-12 in magnitude sets the sign; argmax
+    # gives component 0 when there is none, which then flips nothing
+    first = np.take_along_axis(e, np.argmax(np.abs(e) > 1e-12, axis=-1)[..., None], axis=-1)
+    return np.where(first < -1e-12, -e, e)

@@ -3,9 +3,14 @@
 Each flow measurement gives one linear constraint z . e = 0 on the stacked
 unknown e = [v; vech(s)].  e is solved by SVD and (v, w) recovered from it;
 the sign of v is fixed by positive-depth voting.
+
+The kernels solve a stack of S sample subsets at once (a `FlowBatch` with
+leading shape (S, m)); the single-subset functions are their S = 1 case.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,66 +20,142 @@ from .geometry import (
     FlowBatch,
     FlowSample,
     MotionEstimate,
+    canonicalize_e,
     depth_terms,
     inv_depth,
     matrices_ab,
     midpoint,
-    s_to_vech,
-    skew,
 )
 
 RANK_TOL = 1e-10
 
 
+@dataclass(frozen=True, eq=False)
+class Hypotheses:
+    """Motion hypotheses solved from a stack of S sample subsets.
+
+    Hypothesis i has translation v[i] (H, 3), rotation w[i] (H, 3),
+    acceleration factor k[i], reliability flag v_reliable[i] and the
+    smallest singular value sigma[i] of its constraint system (0 where the
+    solver has none); it was solved from subset `subset[i]`.  Hypotheses
+    come in subset order, those of one subset in ascending k.  `failures`
+    maps each subset that gave no hypothesis to the error it failed with.
+    """
+
+    v: np.ndarray
+    w: np.ndarray
+    k: np.ndarray
+    v_reliable: np.ndarray
+    sigma: np.ndarray
+    subset: np.ndarray
+    failures: dict
+
+    def __len__(self):
+        return len(self.k)
+
+    def motion(self, i) -> MotionEstimate:
+        return MotionEstimate(v=self.v[i], w=self.w[i], k=float(self.k[i]),
+                              v_reliable=bool(self.v_reliable[i]))
+
+    def motions(self):
+        """The hypotheses of a one-subset stack; raises the subset's failure."""
+        if self.failures:
+            raise self.failures[0]
+        return [self.motion(i) for i in range(len(self))]
+
+    @classmethod
+    def merge(cls, parts, failures):
+        """The hypotheses of a stack, in subset order, from parts (index,
+        hyps) with hyps solved from stack[index] for disjoint index arrays;
+        `failures` adds the subsets that none of the parts was given."""
+        subset = np.concatenate([index[h.subset] for index, h in parts])
+        order = np.argsort(subset, kind="stable")
+        merged = dict(failures)
+        for index, h in parts:
+            merged.update({int(index[j]): exc for j, exc in h.failures.items()})
+
+        def cat(name):
+            return np.concatenate([getattr(h, name) for _, h in parts])[order]
+
+        return cls(v=cat("v"), w=cat("w"), k=cat("k"), v_reliable=cat("v_reliable"),
+                   sigma=cat("sigma"), subset=subset[order], failures=merged)
+
+
+def solvable(n, failures):
+    """Indices of the n subsets that have no entry in `failures`."""
+    keep = np.ones(n, dtype=bool)
+    keep[list(failures)] = False
+    return np.flatnonzero(keep)
+
+
 def gs_rows(samples):
-    """Constraint rows (N, 9): coefficients of u^T v^ x~ - x~^T s x~ in e-ordering.
+    """Constraint rows (..., 9): coefficients of u^T v^ x~ - x~^T s x~ in e-ordering.
 
     The constraint is evaluated at the flow midpoint x + u/2.  Off-diagonal
     s coefficients are doubled so that the s-block dot product reproduces
     x~^T s x~ exactly.
     """
     batch = FlowBatch.of(samples)
-    px, py = midpoint(batch).T
-    ux, uy = batch.u.T
+    px, py = np.moveaxis(midpoint(batch), -1, 0)
+    ux, uy = np.moveaxis(batch.u, -1, 0)
     # u^T v^ x~ = v . (x~ x u~) with x~ = (px, py, 1), u~ = (ux, uy, 0)
-    return np.column_stack([
+    return np.stack([
         -uy, ux, px * uy - py * ux,
         -px * px, -2 * px * py, -2 * px, -py * py, -2 * py, -np.ones_like(px),
-    ])
+    ], axis=-1)
 
 
 def unit_rows(Z):
-    """Rows of Z scaled to unit norm; all-zero rows are left as they are."""
-    norms = np.linalg.norm(Z, axis=1)
+    """Rows of Z (..., 9) scaled to unit norm; all-zero rows are left as they are."""
+    norms = np.linalg.norm(Z, axis=-1, keepdims=True)
     norms[norms < 1e-300] = 1.0
-    return Z / norms[:, None]
+    return Z / norms
+
+
+def epipolar_stack(stack):
+    """Least-squares epipolar vectors of a (S, m) stack, m >= 8.
+
+    Returns (E, failures): E (S, 9) canonical unit vectors and failures the
+    DegenerateConfiguration of each subset whose system has rank below 8.
+    """
+    n, m = stack.y1.shape
+    if m < 8:
+        exc = DegenerateConfiguration(f"need at least 8 samples, got {m}")
+        return np.zeros((n, 9)), dict.fromkeys(range(n), exc)
+    _, sv, Vt = np.linalg.svd(unit_rows(gs_rows(stack)), full_matrices=True)
+    failures = {
+        int(j): DegenerateConfiguration(
+            f"stacked system rank below 8 (sigma_8/sigma_1 = {sv[j, 7] / sv[j, 0]:.2e})")
+        for j in np.flatnonzero(sv[:, 7] <= RANK_TOL * sv[:, 0])
+    }
+    return canonicalize_e(Vt[:, 8]), failures
 
 
 def solve_linear(samples) -> EpipolarVector:
     """Least-squares epipolar vector from >= 8 flow samples."""
-    if len(samples) < 8:
-        raise DegenerateConfiguration(f"need at least 8 samples, got {len(samples)}")
-    Z = unit_rows(gs_rows(samples))
-    _, sv, Vt = np.linalg.svd(Z, full_matrices=True)
-    if sv[7] <= RANK_TOL * sv[0]:
-        raise DegenerateConfiguration(
-            f"stacked system rank below 8 (sigma_8/sigma_1 = {sv[7] / sv[0]:.2e})"
-        )
-    return EpipolarVector(Vt[8 if Vt.shape[0] > 8 else -1])
+    E, failures = epipolar_stack(FlowBatch.of(samples)[np.newaxis])
+    if failures:
+        raise failures[0]
+    return EpipolarVector(E[0])
 
 
 def _w_from_s(v, s_vech):
-    """Least squares w solving vech(s(v, w)) = s_vech for fixed v."""
-    basis = np.eye(3)
-    M = np.column_stack([s_to_vech(_s_of(v, basis[i])) for i in range(3)])
-    w, *_ = np.linalg.lstsq(M, s_vech, rcond=None)
-    return w
-
-
-def _s_of(v, w):
-    vh = skew(v)
-    wh = skew(w)
-    return 0.5 * (vh @ wh + wh @ vh)
+    """Least-squares w solving vech(s(v, w)) = s_vech for fixed v, per row of
+    v (H, 3) and s_vech (H, 6)."""
+    v1, v2, v3 = v.T
+    z = np.zeros_like(v1)
+    # s(v, w) = (w v^T + v w^T) / 2 - (v . w) I is linear in w; the rows of
+    # M(v) are its vech entries in e-ordering (s11, s12, s13, s22, s23, s33)
+    M = np.moveaxis(np.array([
+        [z, -v2, -v3],
+        [v2 / 2, v1 / 2, z],
+        [v3 / 2, z, v1 / 2],
+        [-v1, z, -v3],
+        [z, v3 / 2, v2 / 2],
+        [-v1, -v2, z],
+    ]), -1, 0)
+    Mt = np.swapaxes(M, -1, -2)
+    return np.linalg.solve(Mt @ M, Mt @ s_vech[..., None])[..., 0]
 
 
 def closed_form_inv_depth(sample: FlowSample, v, w, beta=1.0):
@@ -84,10 +165,34 @@ def closed_form_inv_depth(sample: FlowSample, v, w, beta=1.0):
 
 
 def cheirality_vote(samples, v, w):
-    """Number of samples whose closed-form depth is positive under (v, w)."""
+    """Number of samples whose closed-form depth is positive under (v, w).
+
+    For a (H, m) stack, v and w are (H, 3) and the result holds H counts.
+    """
     batch = FlowBatch.of(samples)
-    _, valid = inv_depth(*depth_terms(*batch.x.T, *batch.u.T, v, w, 1.0))
-    return int(np.count_nonzero(valid))
+    # motion components first, with an axis to broadcast over the samples
+    v, w = (np.moveaxis(np.asarray(t, dtype=float), -1, 0)[..., None] for t in (v, w))
+    _, valid = inv_depth(*depth_terms(*np.moveaxis(batch.x, -1, 0), *np.moveaxis(batch.u, -1, 0),
+                                      v, w, 1.0))
+    return np.count_nonzero(valid, axis=-1)
+
+
+def recover_stack(E, stack):
+    """(v, w, v_reliable) of epipolar vectors E (H, 9), hypothesis i against
+    subset i of a (H, m) stack; see `recover_motion`."""
+    vnorm = np.linalg.norm(E[:, :3], axis=-1)
+    reliable = vnorm >= 1e-9
+    # near pure rotation the v direction is unreliable: those rows get
+    # v = (1, 0, 0) and, below, a rotation-only fit of w
+    scale = np.where(reliable, vnorm, 1.0)[:, None]
+    v = np.where(reliable[:, None], E[:, :3] / scale, [1.0, 0.0, 0.0])
+    w = _w_from_s(v, E[:, 3:] / scale)
+    # s flips with v; w solved from (-v, -s) is unchanged
+    flip = reliable & (cheirality_vote(stack, v, w) * 2 < stack.y1.shape[-1])
+    v = np.where(flip[:, None], -v, v)
+    if not reliable.all():
+        w[~reliable] = _fit_rotation_only(stack[~reliable])
+    return v, w, reliable
 
 
 def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate:
@@ -97,32 +202,27 @@ def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate
     for fixed v.  The global sign of (v, s) is chosen so that the closed-form
     depths are positive for the majority of samples.
     """
-    samples = FlowBatch.of(samples)
-    v = e.v.copy()
-    s_vech = e.e[3:].copy()
-    vnorm = np.linalg.norm(v)
-    if vnorm < 1e-9:
-        # near pure rotation: v direction is unreliable, fit w directly
-        w = _fit_rotation_only(samples)
-        return MotionEstimate(v=np.array([1.0, 0.0, 0.0]), w=w, k=k, v_reliable=False)
-    v = v / vnorm
-    s_vech = s_vech / vnorm
-    w = _w_from_s(v, s_vech)
-    if cheirality_vote(samples, v, w) * 2 < len(samples):
-        v = -v
-        # s flips with v; w solved from (-v, -s) is unchanged
-    return MotionEstimate(v=v, w=w, k=k)
+    v, w, reliable = recover_stack(e.e[np.newaxis], FlowBatch.of(samples)[np.newaxis])
+    return MotionEstimate(v=v[0], w=w[0], k=k, v_reliable=bool(reliable[0]))
 
 
 def _fit_rotation_only(samples):
-    """Least-squares w assuming zero translation."""
+    """Least-squares w assuming zero translation, per subset of a stack."""
     _, B = matrices_ab(midpoint(samples))
-    w, *_ = np.linalg.lstsq(B.reshape(-1, 3), samples.u.reshape(-1), rcond=None)
-    return w
+    B = B.reshape(*B.shape[:-3], -1, 3)
+    return (np.linalg.pinv(B) @ samples.u.reshape(*B.shape[:-1], 1))[..., 0]
+
+
+def solve_gs_stack(stack) -> Hypotheses:
+    """Global-shutter hypotheses of a (S, m) stack, one per solvable subset."""
+    E, failures = epipolar_stack(stack)
+    ok = solvable(len(stack), failures)
+    v, w, reliable = recover_stack(E[ok], stack[ok])
+    zeros = np.zeros(len(ok))
+    return Hypotheses(v=v, w=w, k=zeros, v_reliable=reliable, sigma=zeros, subset=ok,
+                      failures=failures)
 
 
 def solve_gs(samples) -> MotionEstimate:
     """Full global-shutter pipeline: linear solve plus motion recovery."""
-    samples = FlowBatch.of(samples)
-    e = solve_linear(samples)
-    return recover_motion(e, samples)
+    return solve_gs_stack(FlowBatch.of(samples)[np.newaxis]).motions()[0]

@@ -7,6 +7,7 @@ values.  NaN marks invalid pixels in dense flow layouts.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -74,20 +75,35 @@ def read_flow(path) -> FlowFile:
         magic, width, height, gamma, h, fx, fy, cx, cy, dense_flag = _HEADER.unpack(head)
         if magic != FLOW_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        config = CameraConfig(gamma=gamma, h=h, fx=fx, fy=fy, cx=cx, cy=cy, width=width)
+        try:
+            config = CameraConfig(gamma=gamma, h=h, fx=fx, fy=fy, cx=cx, cy=cy, width=width)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if dense_flag:
-            n = width * height * 2 * 4
-            buf = f.read(n)
-            if len(buf) != n:
-                raise ValueError(f"{path}: dense payload truncated ({len(buf)} of {n} bytes)")
+            buf = _payload(f, path, width * height * 2 * 4, "dense payload")
             dense = np.frombuffer(buf, dtype="<f4").reshape(height, width, 2).copy()
             return FlowFile(config=config, width=width, height=height, dense=dense)
-        (count,) = struct.unpack("<I", f.read(4))
-        buf = f.read(count * 16)
-        if len(buf) != count * 16:
-            raise ValueError(f"{path}: sparse payload truncated")
+        (count,) = struct.unpack("<I", _payload(f, path, 4, "sparse count"))
+        buf = _payload(f, path, count * 16, "sparse payload")
         sparse = np.frombuffer(buf, dtype="<f4").reshape(count, 4).copy()
         return FlowFile(config=config, width=width, height=height, sparse=sparse)
+
+
+def _payload(f, path, n, what="payload"):
+    """The next n bytes of f; ValueError naming the file when fewer remain.
+
+    The size is checked before reading, so a header that claims more data
+    than the file holds is rejected without allocating for it.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(f"{path}: {what} truncated ({left} of {n} bytes)")
+    return f.read(n)
+
+
+def _check_size(path, width, height):
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: bad image size {width} x {height}")
 
 
 def read_flo(path):
@@ -96,8 +112,9 @@ def read_flo(path):
         magic = f.read(4)
         if magic != b"PIEH":
             raise ValueError(f"{path}: not a .flo file (magic {magic!r})")
-        width, height = struct.unpack("<ii", f.read(8))
-        data = np.frombuffer(f.read(width * height * 8), dtype="<f4")
+        width, height = struct.unpack("<ii", _payload(f, path, 8, ".flo header"))
+        _check_size(path, width, height)
+        data = np.frombuffer(_payload(f, path, width * height * 8), dtype="<f4")
     return data.reshape(height, width, 2).copy()
 
 
@@ -118,10 +135,16 @@ def read_pfm(path):
     with open(path, "rb") as f:
         if f.readline().strip() != b"Pf":
             raise ValueError(f"{path}: not a grayscale PFM")
-        width, height = map(int, f.readline().split())
-        scale = float(f.readline())
+        try:
+            width, height = map(int, f.readline().split())
+            scale = float(f.readline())
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed PFM header ({exc})") from exc
+        _check_size(path, width, height)
+        if not np.isfinite(scale) or scale == 0:
+            raise ValueError(f"{path}: bad PFM scale {scale}")
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(f.read(width * height * 4), dtype=dtype)
+        data = np.frombuffer(_payload(f, path, width * height * 4), dtype=dtype)
     return data.reshape(height, width)[::-1].copy()
 
 
@@ -148,12 +171,16 @@ def read_pnm(path):
         line = f.readline()
         while line.startswith(b"#"):
             line = f.readline()
-        width, height = map(int, line.split())
-        maxval = int(f.readline())
+        try:
+            width, height = map(int, line.split())
+            maxval = int(f.readline())
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed PNM header ({exc})") from exc
+        _check_size(path, width, height)
         if maxval != 255:
             raise ValueError(f"{path}: only 8-bit PNM supported, maxval={maxval}")
         channels = 1 if magic == b"P5" else 3
-        data = np.frombuffer(f.read(width * height * channels), dtype=np.uint8)
+        data = np.frombuffer(_payload(f, path, width * height * channels), dtype=np.uint8)
     if channels == 1:
         return data.reshape(height, width).copy()
     return data.reshape(height, width, 3).copy()
@@ -203,12 +230,15 @@ def read_motion(path):
     from .geometry import MotionEstimate
 
     kv = read_keyvalues(path)
-    return MotionEstimate(
-        v=np.array([float(kv["vx"]), float(kv["vy"]), float(kv["vz"])]),
-        w=np.array([float(kv["wx"]), float(kv["wy"]), float(kv["wz"])]),
-        k=float(kv.get("k", "0")),
-        v_reliable=bool(int(kv.get("v_reliable", "1"))),
-    )
+    try:
+        return MotionEstimate(
+            v=np.array([float(kv["vx"]), float(kv["vy"]), float(kv["vz"])]),
+            w=np.array([float(kv["wx"]), float(kv["wy"]), float(kv["wz"])]),
+            k=float(kv.get("k", "0")),
+            v_reliable=bool(int(kv.get("v_reliable", "1"))),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 _FLOAT_LIST_KEYS = {"gammas", "translations", "w_mags", "ks"}

@@ -4,21 +4,20 @@ The inlier criterion is the differential re-projection error: the distance
 between the measured flow and the closest predicted flow over all positive
 depths.  A hypothesis is scored over the full sample set; ties on inlier
 count break on the lower mean inlier residual.
+
+RANSAC draws all its sample subsets first, solves them as one stack with
+the batched minimal solvers and scores the hypotheses in fixed-size chunks.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    EmptySelection,
-    InvalidScanlinePair,
-    NoRealSolution,
-    RobustFailure,
-)
+from .errors import EmptySelection, RobustFailure
 from .geometry import (
     CONST_ACCEL,
     CONST_VELOCITY,
@@ -28,14 +27,22 @@ from .geometry import (
     FlowSample,
     MotionEstimate,
     beta,
-    depth_terms,
     inv_depth,
+    matrices_ab,
+    midpoint,
     scanline_ab,
 )
-from .gs_solver import solve_gs
-from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel, solve_const_velocity
+from .gs_solver import solve_gs_stack
+from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel_stack, solve_const_velocity_stack
+
+logger = logging.getLogger(__name__)
 
 MINIMAL_SIZE = {GLOBAL_SHUTTER: 8, CONST_VELOCITY: 8, CONST_ACCEL: 9}
+# residuals per scoring chunk: scoring memory stays fixed whatever the
+# number of hypotheses.  990 hypotheses x 2000 samples scored as fast in
+# chunks of 2^13 to 2^15 residuals (2^16 was slower); the smallest keeps
+# each temporary under 64 KiB
+SCORE_CHUNK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -60,13 +67,19 @@ class RansacConfig:
 
 @dataclass
 class RansacResult:
-    """Best hypothesis with its inlier set and per-sample residuals."""
+    """Best hypothesis with its inlier set and per-sample residuals.
+
+    n_hypotheses counts the candidates scored; failures counts the subsets
+    that gave none, by the name of the error the solver raised for them.
+    """
 
     motion: MotionEstimate
     inliers: np.ndarray
     residuals: np.ndarray
     n_valid_iterations: int
     n_iterations: int
+    n_hypotheses: int = 0
+    failures: dict = field(default_factory=dict)
 
 
 def residual(sample: FlowSample, motion: MotionEstimate, config: CameraConfig | None,
@@ -87,20 +100,54 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
     Flows are scaled by the model's beta: 1 for the global-shutter model,
     the rolling-shutter scanline factor otherwise.
     """
-    batch = FlowBatch.of(samples)
-    bt = beta(*scanline_ab(batch.y1, batch.y2, config, model), motion.k)
-    q, c = depth_terms(*batch.x.T, *batch.u.T, motion.v, motion.w, bt)
-    rho, valid = inv_depth(q, c)
+    terms = _score_terms(FlowBatch.of(samples), config, model)
+    return _score_rows(terms, motion.v[np.newaxis], motion.w[np.newaxis], np.array([motion.k]))[0]
+
+
+def _score_terms(batch, config, model):
+    """The hypothesis-independent terms of scoring: beta's (a, b), the flows
+    (2, N) and the midpoint A, B as (3, 2N) maps from v and w to A v, B w."""
+    a, b = scanline_ab(batch.y1, batch.y2, config, model)
+    A, B = matrices_ab(midpoint(batch))
+    return a, b, batch.u.T, A.transpose(2, 1, 0).reshape(3, -1), B.transpose(2, 1, 0).reshape(3, -1)
+
+
+def _score_rows(terms, v, w, k):
+    """Residuals (H, N) of hypotheses v (H, 3), w (H, 3), k (H,).
+
+    The `depth_terms` q = beta A v, c = u - beta B w, with A v and B w as
+    one matrix product each over the hypotheses, then the inverse depth of
+    c = rho q; rho is 0 where it is undefined or non-positive.
+    """
+    a, b, u, A, B = terms
+    bt = beta(a, b, k[:, None])
+    av = (v @ A).reshape(len(k), 2, -1)
+    bw = (w @ B).reshape(len(k), 2, -1)
+    qx, qy = bt * av[:, 0], bt * av[:, 1]
+    cx, cy = u[0] - bt * bw[:, 0], u[1] - bt * bw[:, 1]
+    rho, valid = inv_depth((qx, qy), (cx, cy))
     rho = np.where(valid, rho, 0.0)
-    return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
+    dx, dy = cx - rho * qx, cy - rho * qy
+    return np.sqrt(dx * dx + dy * dy)
 
 
-def _minimal_solve(subset, model, config, root_window):
-    if model == GLOBAL_SHUTTER:
-        return [solve_gs(subset)]
-    if model == CONST_VELOCITY:
-        return [solve_const_velocity(subset, config)]
-    return [c.motion for c in solve_const_accel(subset, config, root_window)]
+def _best_hypothesis(samples, hyps, config, model, threshold):
+    """(index, inlier count, residuals) of the best of the hypotheses: the
+    most inliers, then the lowest mean inlier residual, then the first."""
+    terms = _score_terms(samples, config, model)
+    size = max(1, SCORE_CHUNK // len(samples))
+    best, best_count, best_mean, best_errs = -1, -1, np.inf, None
+    for start in range(0, len(hyps), size):
+        chunk = slice(start, start + size)
+        errs = _score_rows(terms, hyps.v[chunk], hyps.w[chunk], hyps.k[chunk])
+        inl = errs <= threshold
+        counts = np.count_nonzero(inl, axis=1)
+        means = np.sum(np.where(inl, errs, 0.0), axis=1) / np.maximum(counts, 1)
+        means[counts == 0] = np.inf
+        i = np.lexsort((means, -counts))[0]  # stable: the first of equals
+        if counts[i] > best_count or (counts[i] == best_count and means[i] < best_mean):
+            best, best_count, best_mean, best_errs = start + i, counts[i], means[i], errs[i].copy()
+    return best, int(best_count), best_errs
 
 
 def ransac(samples, model: str, config: CameraConfig | None, ransac_config: RansacConfig | None = None) -> RansacResult:
@@ -115,35 +162,32 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     if len(samples) < m:
         raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
     rng = np.random.default_rng(rc.seed)
-    best = None
-    best_count = -1
-    best_mean = np.inf
-    n_valid = 0
-    for _ in range(rc.iterations):
-        subset = samples[rng.choice(len(samples), size=m, replace=False)]
-        try:
-            hypotheses = _minimal_solve(subset, model, config, rc.root_window)
-        except (DegenerateConfiguration, NoRealSolution, InvalidScanlinePair):
-            continue
-        n_valid += 1
-        for motion in hypotheses:
-            errs = score_motion(samples, motion, config, model)
-            inl = errs <= rc.threshold
-            count = int(np.count_nonzero(inl))
-            mean = float(np.mean(errs[inl])) if count else np.inf
-            if count > best_count or (count == best_count and mean < best_mean):
-                best = (motion, inl, errs)
-                best_count = count
-                best_mean = mean
-    if best is None or best_count == 0:
+    # one draw per iteration, in order, so the subsets do not depend on
+    # how they are solved
+    subsets = np.array([rng.choice(len(samples), size=m, replace=False)
+                        for _ in range(rc.iterations)])
+    if model == GLOBAL_SHUTTER:
+        hyps = solve_gs_stack(samples[subsets])
+    elif model == CONST_VELOCITY:
+        hyps = solve_const_velocity_stack(samples[subsets], config)
+    else:
+        hyps = solve_const_accel_stack(samples[subsets], config, rc.root_window)
+    failures = dict(Counter(type(exc).__name__ for exc in hyps.failures.values()))
+    best, count, errs = (_best_hypothesis(samples, hyps, config, model, rc.threshold)
+                         if len(hyps) else (-1, 0, None))
+    logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses scored, "
+                "best %d of %d inliers", model, rc.iterations - len(hyps.failures),
+                rc.iterations, failures, len(hyps), count, len(samples))
+    if count == 0:
         raise RobustFailure("no RANSAC iteration produced a valid model")
-    motion, inl, errs = best
     return RansacResult(
-        motion=motion,
-        inliers=np.flatnonzero(inl),
+        motion=hyps.motion(best),
+        inliers=np.flatnonzero(errs <= rc.threshold),
         residuals=errs,
-        n_valid_iterations=n_valid,
+        n_valid_iterations=rc.iterations - len(hyps.failures),
         n_iterations=rc.iterations,
+        n_hypotheses=len(hyps),
+        failures=failures,
     )
 
 

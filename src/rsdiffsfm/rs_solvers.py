@@ -21,30 +21,42 @@ from numpy.polynomial import chebyshev, polynomial as npoly
 from .errors import NoRealSolution
 from .geometry import (
     CameraConfig,
-    EpipolarVector,
     FlowBatch,
     MotionEstimate,
     beta,
+    canonicalize_e,
     scanline_ab,
+    stacked_scanline_ab,
 )
-from .gs_solver import gs_rows, recover_motion, solve_linear, unit_rows
+from .gs_solver import Hypotheses, gs_rows, recover_stack, solvable, solve_gs_stack, unit_rows
 
 DEFLATION_TOL = 1e-8
 DEFAULT_ROOT_WINDOW = (-2.0, 10.0)
+# subsets per call of the batched root solve: up to 6 roots each, so its
+# (hypotheses, 9, 9) arrays stay near 250 KiB whatever the iteration count
+ROOT_CHUNK = 64
+
+# det M(k) is sampled at 9 Chebyshev nodes; this fixed (7, 9) map takes the
+# samples to the power-basis coefficients of their degree-6 Chebyshev fit.
+# At these nodes T_0..T_6 are orthogonal, so the least-squares fit of
+# `chebfit` is T_j(nodes) . samples, scaled by 1/9 for j = 0 and 2/9 else.
+_NODES = chebyshev.chebpts1(9)
+_NODES_TO_COEFFS = np.column_stack(
+    [np.pad(chebyshev.cheb2poly(t), (0, 6 - j)) for j, t in enumerate(np.eye(7))]
+) @ (chebyshev.chebvander(_NODES, 6).T * np.r_[1.0, np.full(6, 2.0)][:, None] / 9)
 
 
-def rectified_samples(samples, config: CameraConfig) -> FlowBatch:
-    """Constant-velocity rectification: scale each flow by 1/alpha."""
-    batch = FlowBatch.of(samples)
-    alpha, _ = scanline_ab(batch.y1, batch.y2, config)
-    return batch.rescaled(alpha)
+def solve_const_velocity_stack(stack, config: CameraConfig) -> Hypotheses:
+    """Constant-velocity hypotheses of a (S, m) stack, one per solvable subset:
+    the global-shutter solution of the flows scaled by 1/alpha."""
+    alpha, _, failures = stacked_scanline_ab(stack.y1, stack.y2, config)
+    ok = solvable(len(stack), failures)
+    return Hypotheses.merge([(ok, solve_gs_stack(stack[ok].rescaled(alpha[ok])))], failures)
 
 
 def solve_const_velocity(samples, config: CameraConfig) -> MotionEstimate:
     """8-point constant-velocity RS solver (alpha-scaled flows)."""
-    rect = rectified_samples(samples, config)
-    e = solve_linear(rect)
-    return recover_motion(e, rect, k=0.0)
+    return solve_const_velocity_stack(FlowBatch.of(samples)[np.newaxis], config).motions()[0]
 
 
 def affine_rows(samples, a, b):
@@ -52,12 +64,12 @@ def affine_rows(samples, a, b):
 
     The cleared constraint is (2+k) u^T v^ x~ - (2a + b k) x~^T s x~ = 0 per
     sample, with (a, b) its beta coefficients; the GS rows already carry the
-    minus sign on their s-block.  Returns two (N, 9) arrays.
+    minus sign on their s-block.  Returns two (..., N, 9) arrays.
     """
     base = gs_rows(samples)
-    v_part, s_part = base[:, :3], base[:, 3:]
-    R0 = np.hstack([2.0 * v_part, 2.0 * a[:, None] * s_part])
-    R1 = np.hstack([v_part, b[:, None] * s_part])
+    v_part, s_part = base[..., :3], base[..., 3:]
+    R0 = np.concatenate([2.0 * v_part, 2.0 * a[..., None] * s_part], axis=-1)
+    R1 = np.concatenate([v_part, b[..., None] * s_part], axis=-1)
     return R0, R1
 
 
@@ -155,6 +167,98 @@ class AccelCandidate:
     smallest_singular_value: float
 
 
+def solve_const_accel_stack(stack, config: CameraConfig,
+                            root_window=DEFAULT_ROOT_WINDOW) -> Hypotheses:
+    """Constant-acceleration hypotheses of a (S, 9) stack: one per admissible
+    root of each subset's determinant polynomial, in ascending k.
+
+    The batched form of `det_polynomial` and `DetPolynomial.real_roots`
+    (which stay as the reference): det M(k) at the Chebyshev nodes, one
+    fixed map to the coefficients, the roots as companion-matrix
+    eigenvalues, and one SVD per root for the null vector.  Subsets on
+    which beta(k) does not depend on k get the constant-velocity solution
+    with k = 0, as in `solve_const_accel`.
+    """
+    n, m = stack.y1.shape
+    a, b, failures = stacked_scanline_ab(stack.y1, stack.y2, config)
+    ok = solvable(n, failures)
+    flat = ok[np.max(np.abs(b[ok] - a[ok]), axis=-1) < 1e-12]
+    curved = np.setdiff1d(ok, flat)
+    parts = [(flat, solve_const_velocity_stack(stack[flat], config))]
+    if len(curved) and m != 9:
+        raise ValueError(f"the 9-point solver needs exactly 9 samples, got {m}")
+    for start in range(0, len(curved), ROOT_CHUNK):
+        idx = curved[start:start + ROOT_CHUNK]
+        parts.append((idx, _accel_roots(stack[idx], a[idx], b[idx], root_window)))
+    return Hypotheses.merge(parts, failures)
+
+
+def _accel_roots(stack, a, b, root_window):
+    R0, R1 = affine_rows(stack, a, b)
+    coeffs = _det_coefficients(R0, R1)
+    roots = _real_roots(coeffs, root_window)
+    owner, slot = np.nonzero(~np.isnan(roots))
+    failures = {
+        int(j): NoRealSolution("determinant polynomial has no admissible real root")
+        for j in np.flatnonzero(np.isnan(roots).all(axis=-1))
+    }
+    k = roots[owner, slot]
+    Z = R1[owner] * k[:, None, None]
+    Z += R0[owner]
+    _, sv, Vt = np.linalg.svd(unit_rows(Z))
+    # recover (v, w) against beta(k)-rectified flows so the closed-form
+    # depth votes use the right per-sample scale
+    rect = stack[owner].rescaled(beta(a[owner], b[owner], k[:, None]))
+    v, w, reliable = recover_stack(canonicalize_e(Vt[:, -1]), rect)
+    return Hypotheses(v=v, w=w, k=k, v_reliable=reliable, sigma=sv[:, -1], subset=owner,
+                      failures=failures)
+
+
+def _det_coefficients(R0, R1):
+    """Power-basis coefficients (S, 7) of det Z(k) / (2+k)^3 for a stack of
+    affine rows Z(k) = R0 + k R1, as `det_polynomial` computes them."""
+    # column equilibration; a pure per-column scale leaves roots unchanged
+    col = np.sqrt(np.linalg.norm(R0, axis=-2) ** 2 + np.linalg.norm(R1, axis=-2) ** 2)
+    col[col < 1e-300] = 1.0
+    R0e = R0 / col[:, None, :]
+    R1e = R1 / col[:, None, :]
+    # M(k) = M0 + k M1: translation columns constant, s columns affine
+    M0 = R0e.copy()
+    M1 = R1e.copy()
+    M0[..., :3] = R1e[..., :3]
+    M1[..., :3] = 0.0
+    # one node at a time: a (S, 9, 9, 9) stack of all nodes would be the
+    # largest array of a RANSAC call
+    vals = np.stack([np.linalg.det(M0 + t * M1) for t in _NODES], axis=-1)
+    return vals @ _NODES_TO_COEFFS.T * np.prod(col, axis=-1)[:, None]
+
+
+def _real_roots(coeffs, window, imag_tol=1e-6):
+    """`DetPolynomial.real_roots` of each row of coeffs (S, 7), ascending powers.
+
+    Returns (S, 6): each row's admissible real roots in ascending order,
+    padded with NaN.  Rows are grouped by degree, so each group shares one
+    batched companion-matrix eigenvalue call.
+    """
+    out = np.full((len(coeffs), coeffs.shape[1] - 1), np.nan)
+    nonzero = coeffs != 0
+    degree = np.where(nonzero.any(axis=1),
+                      coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for d in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == d)
+        c = coeffs[rows, :d + 1]
+        # numpy's companion matrix (`polycompanion`), flipped as `polyroots` does
+        comp = np.zeros((len(rows), d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        r = np.linalg.eigvals(comp[:, ::-1, ::-1])
+        k = np.real(r)
+        ok = ((np.abs(np.imag(r)) < imag_tol * (1.0 + np.abs(k)))
+              & (window[0] < k) & (k <= window[1]) & (np.abs(k + 2.0) > 1e-9))
+        out[rows, :d] = np.where(ok, k, np.nan)
+    return np.sort(out, axis=1)
+
+
 def solve_const_accel(
     samples,
     config: CameraConfig,
@@ -167,24 +271,6 @@ def solve_const_accel(
     the acceleration factor is unobservable; the constant-velocity solution
     is returned as the single candidate with the convention k = 0.
     """
-    batch = FlowBatch.of(samples)
-    a, b = scanline_ab(batch.y1, batch.y2, config)
-    if np.max(np.abs(b - a)) < 1e-12:
-        motion = solve_const_velocity(batch, config)
-        return [AccelCandidate(motion=motion, k=0.0, smallest_singular_value=0.0)]
-    poly = det_polynomial(batch, config)
-    roots = poly.real_roots(window=root_window)
-    if not roots:
-        raise NoRealSolution("determinant polynomial has no admissible real root")
-    R0, R1 = affine_rows(batch, a, b)
-    candidates = []
-    for k in roots:
-        _, sv, Vt = np.linalg.svd(unit_rows(R0 + k * R1))
-        e = EpipolarVector(Vt[-1])
-        # recover (v, w) against beta(k)-rectified flows so the closed-form
-        # depth votes use the right per-sample scale
-        motion = recover_motion(e, batch.rescaled(beta(a, b, k)), k=k)
-        candidates.append(
-            AccelCandidate(motion=motion, k=k, smallest_singular_value=float(sv[-1]))
-        )
-    return candidates
+    hyps = solve_const_accel_stack(FlowBatch.of(samples)[np.newaxis], config, root_window)
+    return [AccelCandidate(motion=motion, k=motion.k, smallest_singular_value=float(sigma))
+            for motion, sigma in zip(hyps.motions(), hyps.sigma)]

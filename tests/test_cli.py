@@ -183,6 +183,46 @@ def test_depth_invalid_scanline_pair_is_input_error(runner, tmp_path):
     assert "error:" in res.output and "alpha" in res.output
 
 
+@pytest.mark.parametrize("content, message", [(None, "not found"), ("vx=1\n", "'vy'")])
+def test_depth_bad_motion_file_is_input_error(runner, tmp_path, content, message):
+    cam = CameraConfig(gamma=0.8, h=12, fx=11.0, fy=11.0, cx=6.0, cy=6.0, width=12)
+    flow, mpath = tmp_path / "d.rsflow", tmp_path / "m.txt"
+    write_flow(flow, FlowFile(config=cam, width=12, height=12,
+                              dense=np.zeros((12, 12, 2), dtype=np.float32)))
+    if content is not None:
+        mpath.write_text(content)
+    res = runner.invoke(main, ["depth", "--flow", str(flow), "--motion", str(mpath),
+                               "--out", str(tmp_path / "depth.pfm")])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and message in res.output
+
+
+def test_rectify_truncated_depth_is_input_error(runner, tmp_path):
+    ipath, dpath, mpath = tmp_path / "img.pgm", tmp_path / "d.pfm", tmp_path / "m.txt"
+    write_pnm(ipath, np.zeros((20, 30), dtype=np.uint8))
+    write_pfm(dpath, np.full((20, 30), 5.0, dtype=np.float32))
+    dpath.write_bytes(dpath.read_bytes()[:-1])
+    write_motion(mpath, MotionEstimate(v=np.zeros(3), w=np.zeros(3), k=0.0))
+    res = runner.invoke(main, ["rectify", "--image", str(ipath), "--depth", str(dpath),
+                               "--motion", str(mpath), "--out", str(tmp_path / "o.pgm")])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and "truncated" in res.output
+
+
+def test_estimate_truncated_sparse_count_is_input_error(runner, tmp_path):
+    cam = CameraConfig(gamma=0.8, h=32, fx=30.0, fy=30.0, cx=16.0, cy=16.0, width=32)
+    flow = tmp_path / "s.rsflow"
+    write_flow(flow, FlowFile(config=cam, width=32, height=32,
+                              sparse=np.zeros((0, 4), dtype=np.float32)))
+    flow.write_bytes(flow.read_bytes()[:-2])  # half of the sample count
+    res = runner.invoke(main, ["estimate", "--flow", str(flow), "--out", str(tmp_path / "m.txt")])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and "count" in res.output
+
+
 def test_estimate_empty_bidirectional_selection_is_input_error(runner, tmp_path):
     cam = CameraConfig(gamma=0.8, h=16, fx=15.0, fy=15.0, cx=8.0, cy=8.0, width=16)
     nan_flow = np.full((16, 16, 2), np.nan, dtype=np.float32)

@@ -1,5 +1,9 @@
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsdiffsfm import CameraConfig, MotionEstimate
 from rsdiffsfm.io_formats import (
@@ -62,6 +66,73 @@ def test_flow_truncated(tmp_path, cam):
         read_flow(path)
 
 
+def test_flow_truncated_sparse_count(tmp_path, cam):
+    path = tmp_path / "f.rsflow"
+    write_flow(path, FlowFile(config=cam, width=64, height=48,
+                              sparse=np.zeros((3, 4), dtype=np.float32)))
+    data = path.read_bytes()
+    path.write_bytes(data[:-3 * 16 - 1])  # the count loses its last byte
+    with pytest.raises(ValueError, match="count truncated"):
+        read_flow(path)
+
+
+@pytest.mark.parametrize("name, content, read", [
+    ("f.rsflow", struct.pack("<7sII dI dddd B", b"RSFLOW1", 2**32 - 1, 2**32 - 1,
+                             0.5, 48, 40.0, 40.0, 24.0, 24.0, 1), read_flow),
+    ("s.rsflow", struct.pack("<7sII dI dddd B I", b"RSFLOW1", 8, 8,
+                             0.5, 48, 40.0, 40.0, 24.0, 24.0, 0, 2**32 - 1), read_flow),
+    ("f.flo", b"PIEH" + struct.pack("<ii", 2**31 - 1, 2**31 - 1), read_flo),
+    ("d.pfm", b"Pf\n99999999999 99999999999\n-1.0\n", read_pfm),
+    ("g.pgm", b"P5\n99999999999 99999999999\n255\n", read_pnm),
+])
+def test_header_claiming_more_than_the_file_is_rejected(tmp_path, name, content, read):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="truncated"):
+        read(path)
+
+
+def _write_flo(path, data):
+    with open(path, "wb") as f:
+        f.write(b"PIEH")
+        f.write(struct.pack("<ii", data.shape[1], data.shape[0]))
+        f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+
+
+FORMATS = {
+    # name: (writer of a random array of shape (h, w) or n rows, reader, payload view)
+    "dense flow": (lambda p, a: write_flow(p, FlowFile(
+        config=CameraConfig(gamma=0.5, h=48, fx=40.0, fy=40.0, cx=24.0, cy=24.0),
+        width=a.shape[1], height=a.shape[0], dense=a)), lambda p: read_flow(p).dense, (2,)),
+    "sparse flow": (lambda p, a: write_flow(p, FlowFile(
+        config=CameraConfig(gamma=0.5, h=48, fx=40.0, fy=40.0, cx=24.0, cy=24.0),
+        width=8, height=8, sparse=a.reshape(-1, 4))), lambda p: read_flow(p).sparse, (4,)),
+    "flo": (_write_flo, read_flo, (2,)),
+    "pfm": (write_pfm, read_pfm, ()),
+    "pgm": (write_pnm, read_pnm, ()),
+    "ppm": (write_pnm, read_pnm, (3,)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(fmt=st.sampled_from(sorted(FORMATS)), h=st.integers(1, 4), w=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_every_strict_prefix_is_rejected(tmp_path_factory, fmt, h, w, seed):
+    """A file cut anywhere short of its end raises ValueError naming it."""
+    write, read, channels = FORMATS[fmt]
+    rng = np.random.default_rng(seed)
+    shape = ((h * w - 1, 4) if fmt == "sparse flow" else (h, w, *channels))
+    data = rng.integers(0, 256, shape).astype(np.uint8 if fmt in ("pgm", "ppm") else np.float32)
+    path = tmp_path_factory.mktemp("prefix") / f"file.{fmt.replace(' ', '_')}"
+    write(path, data)
+    assert np.array_equal(read(path), data)
+    full = path.read_bytes()
+    for n in range(len(full)):
+        path.write_bytes(full[:n])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read(path)
+
+
 def test_flow_shape_mismatch(tmp_path, cam):
     with pytest.raises(ValueError):
         write_flow(tmp_path / "f.rsflow",
@@ -70,8 +141,6 @@ def test_flow_shape_mismatch(tmp_path, cam):
 
 
 def test_flo_import(tmp_path):
-    import struct
-
     rng = np.random.default_rng(2)
     data = rng.normal(size=(5, 7, 2)).astype("<f4")
     path = tmp_path / "x.flo"

@@ -11,10 +11,17 @@ from rsdiffsfm import (
     ransac,
     translation_error,
 )
-from rsdiffsfm.errors import EmptySelection, RobustFailure
+from rsdiffsfm.errors import (
+    DegenerateConfiguration,
+    EmptySelection,
+    InvalidScanlinePair,
+    NoRealSolution,
+    RobustFailure,
+)
 from rsdiffsfm.geometry import FlowBatch, FlowSample
-from rsdiffsfm.robust import refit_trimmed, residual, score_motion
+from rsdiffsfm.robust import MINIMAL_SIZE, refit_trimmed, residual, score_motion
 from rsdiffsfm.gs_solver import solve_gs
+from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
 from conftest import gross_outlier, make_spec
@@ -102,6 +109,61 @@ def test_ransac_same_on_list_and_batch(camera):
         assert np.array_equal(ref_list.v, ref_batch.v)
         assert np.array_equal(ref_list.w, ref_batch.w)
         assert ref_list.k == ref_batch.k
+
+
+def sequential_ransac(samples, model, camera, rc):
+    """Reference RANSAC: per iteration one draw, one single-subset solve and
+    one `score_motion` per hypothesis; returns (inliers, n_valid_iterations)."""
+    batch = FlowBatch.of(samples)
+    rng = np.random.default_rng(rc.seed)
+    best, n_valid = None, 0
+    for _ in range(rc.iterations):
+        subset = batch[rng.choice(len(batch), size=MINIMAL_SIZE[model], replace=False)]
+        try:
+            if model == GLOBAL_SHUTTER:
+                motions = [solve_gs(subset)]
+            elif model == CONST_VELOCITY:
+                motions = [solve_const_velocity(subset, camera)]
+            else:
+                motions = [c.motion for c in solve_const_accel(subset, camera, rc.root_window)]
+        except (DegenerateConfiguration, NoRealSolution, InvalidScanlinePair):
+            continue
+        n_valid += 1
+        for motion in motions:
+            errs = score_motion(batch, motion, camera, model)
+            inl = errs <= rc.threshold
+            count = int(np.count_nonzero(inl))
+            mean = float(np.mean(errs[inl])) if count else np.inf
+            if best is None or count > best[0] or (count == best[0] and mean < best[1]):
+                best = (count, mean, inl)
+    return np.flatnonzero(best[2]), n_valid
+
+
+def duplicated_scene(camera, seed, k=0.1):
+    """A contaminated scene with a third of its samples listed twice, so
+    that some minimal subsets are rank deficient."""
+    mixed, _, _ = contaminated_scene(camera, seed=seed, k=k)
+    return mixed + mixed[::3]
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+def test_ransac_matches_sequential_reference(camera, model):
+    samples = duplicated_scene(camera, seed=8)
+    rc = RansacConfig(iterations=60, seed=8)
+    r = ransac(samples, model, camera, rc)
+    inliers, n_valid = sequential_ransac(samples, model, camera, rc)
+    assert np.array_equal(r.inliers, inliers)
+    assert r.n_valid_iterations == n_valid
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+def test_ransac_counts_failures(camera, model):
+    samples = duplicated_scene(camera, seed=9)
+    r = ransac(samples, model, camera, RansacConfig(iterations=200, seed=9))
+    assert set(r.failures) <= {"DegenerateConfiguration", "NoRealSolution"}
+    assert sum(r.failures.values()) > 0
+    assert sum(r.failures.values()) + r.n_valid_iterations == r.n_iterations
+    assert r.n_hypotheses >= r.n_valid_iterations
 
 
 def test_ransac_too_few_samples(camera):

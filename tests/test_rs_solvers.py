@@ -11,9 +11,9 @@ from rsdiffsfm import (
 from rsdiffsfm.errors import InvalidScanlinePair
 from rsdiffsfm.geometry import FlowBatch, beta, scanline_ab
 from rsdiffsfm.gs_solver import gs_rows, solve_gs
-from rsdiffsfm.rs_solvers import affine_rows, det_polynomial
+from rsdiffsfm.rs_solvers import affine_rows, det_polynomial, solve_const_accel_stack
 
-from conftest import make_spec
+from conftest import gross_outlier, make_spec
 
 
 def test_scanline_factors_basic(camera):
@@ -135,3 +135,24 @@ def test_ca_needs_nine_samples(camera):
     samples, _ = generate_linearized(spec)
     with pytest.raises(ValueError):
         solve_const_accel(samples, camera)
+
+
+def test_batched_ca_roots_match_det_polynomial(camera):
+    """The stacked solver's roots are those of the `det_polynomial` oracle."""
+    spec = make_spec(camera, n_points=120, k=0.1, seed=21)
+    samples, _ = generate_linearized(spec)
+    rng = np.random.default_rng(21)
+    samples = [gross_outlier(s, rng) if i % 3 == 0 else s for i, s in enumerate(samples)]
+    batch = FlowBatch.of(samples)
+    subsets = np.array([rng.choice(len(batch), size=9, replace=False) for _ in range(100)])
+    hyps = solve_const_accel_stack(batch[subsets], camera)
+    n_roots = 0
+    for j, subset in enumerate(subsets):
+        want = det_polynomial(batch[subset], camera).real_roots()
+        got = hyps.k[hyps.subset == j]
+        assert len(got) == len(want)
+        assert (j in hyps.failures) == (not want)
+        if want:
+            assert np.max(np.abs(got - want)) <= 1e-8
+        n_roots += len(want)
+    assert len(hyps) == n_roots
