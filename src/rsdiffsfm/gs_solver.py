@@ -64,6 +64,13 @@ class Hypotheses:
         return [self.motion(i) for i in range(len(self))]
 
     @classmethod
+    def none(cls):
+        """No hypotheses and no failures: the solve of an empty stack."""
+        z = np.zeros((0, 3))
+        return cls(v=z, w=z, k=np.zeros(0), v_reliable=np.zeros(0, dtype=bool), sigma=np.zeros(0),
+                   subset=np.zeros(0, dtype=int), failures={})
+
+    @classmethod
     def merge(cls, parts, failures):
         """The hypotheses of a stack, in subset order, from parts (index,
         hyps) with hyps solved from stack[index] for disjoint index arrays;

@@ -8,6 +8,7 @@ values.  NaN marks invalid pixels in dense flow layouts.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -92,13 +93,19 @@ def read_flow(path) -> FlowFile:
 def _payload(f, path, n, what="payload"):
     """The next n bytes of f; ValueError naming the file when fewer remain.
 
-    The size is checked before reading, so a header that claims more data
-    than the file holds is rejected without allocating for it.
+    For a regular file the size is checked before reading, so a header that
+    claims more data than the file holds is rejected without allocating for
+    it; a pipe or other stream is read and its length compared.
     """
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n > left:
-        raise ValueError(f"{path}: {what} truncated ({left} of {n} bytes)")
-    return f.read(n)
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = st.st_size - f.tell()
+        if n > left:
+            raise ValueError(f"{path}: {what} truncated ({left} of {n} bytes)")
+    buf = f.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: {what} truncated ({len(buf)} of {n} bytes)")
+    return buf
 
 
 def _check_size(path, width, height):

@@ -5,8 +5,9 @@ between the measured flow and the closest predicted flow over all positive
 depths.  A hypothesis is scored over the full sample set; ties on inlier
 count break on the lower mean inlier residual.
 
-RANSAC draws all its sample subsets first, solves them as one stack with
-the batched minimal solvers and scores the hypotheses in fixed-size chunks.
+RANSAC draws its sample subsets in blocks, solves each block as one stack
+with the batched minimal solvers and scores the block's hypotheses as one
+array, keeping the best hypothesis across blocks.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .geometry import (
     FlowSample,
     MotionEstimate,
     beta,
+    depth_terms,
     inv_depth,
-    matrices_ab,
-    midpoint,
     scanline_ab,
 )
 from .gs_solver import solve_gs_stack
@@ -38,11 +38,10 @@ from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel_stack, solve_cons
 logger = logging.getLogger(__name__)
 
 MINIMAL_SIZE = {GLOBAL_SHUTTER: 8, CONST_VELOCITY: 8, CONST_ACCEL: 9}
-# residuals per scoring chunk: scoring memory stays fixed whatever the
-# number of hypotheses.  990 hypotheses x 2000 samples scored as fast in
-# chunks of 2^13 to 2^15 residuals (2^16 was slower); the smallest keeps
-# each temporary under 64 KiB
-SCORE_CHUNK = 2 ** 13
+# RANSAC draws, solves and scores its subsets in blocks of
+# BLOCK_RESIDUALS // N subsets for N samples, so its memory stays fixed
+# whatever the iteration count
+BLOCK_RESIDUALS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -100,54 +99,22 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
     Flows are scaled by the model's beta: 1 for the global-shutter model,
     the rolling-shutter scanline factor otherwise.
     """
-    terms = _score_terms(FlowBatch.of(samples), config, model)
-    return _score_rows(terms, motion.v[np.newaxis], motion.w[np.newaxis], np.array([motion.k]))[0]
+    batch = FlowBatch.of(samples)
+    ab = scanline_ab(batch.y1, batch.y2, config, model)
+    return _residuals(batch, ab, motion.v[np.newaxis], motion.w[np.newaxis],
+                      np.array([motion.k]))[0]
 
 
-def _score_terms(batch, config, model):
-    """The hypothesis-independent terms of scoring: beta's (a, b), the flows
-    (2, N) and the midpoint A, B as (3, 2N) maps from v and w to A v, B w."""
-    a, b = scanline_ab(batch.y1, batch.y2, config, model)
-    A, B = matrices_ab(midpoint(batch))
-    return a, b, batch.u.T, A.transpose(2, 1, 0).reshape(3, -1), B.transpose(2, 1, 0).reshape(3, -1)
-
-
-def _score_rows(terms, v, w, k):
-    """Residuals (H, N) of hypotheses v (H, 3), w (H, 3), k (H,).
-
-    The `depth_terms` q = beta A v, c = u - beta B w, with A v and B w as
-    one matrix product each over the hypotheses, then the inverse depth of
-    c = rho q; rho is 0 where it is undefined or non-positive.
-    """
-    a, b, u, A, B = terms
-    bt = beta(a, b, k[:, None])
-    av = (v @ A).reshape(len(k), 2, -1)
-    bw = (w @ B).reshape(len(k), 2, -1)
-    qx, qy = bt * av[:, 0], bt * av[:, 1]
-    cx, cy = u[0] - bt * bw[:, 0], u[1] - bt * bw[:, 1]
-    rho, valid = inv_depth((qx, qy), (cx, cy))
+def _residuals(batch, ab, v, w, k):
+    """Residuals (H, N) of hypotheses v (H, 3), w (H, 3), k (H,) over a batch
+    of N samples with beta coefficients ab = (a, b); rho is 0 where the
+    optimal inverse depth is undefined or non-positive."""
+    # motion components first, with an axis to broadcast over the samples
+    q, c = depth_terms(*batch.x.T, *batch.u.T, v.T[..., None], w.T[..., None],
+                       beta(*ab, k[:, None]))
+    rho, valid = inv_depth(q, c)
     rho = np.where(valid, rho, 0.0)
-    dx, dy = cx - rho * qx, cy - rho * qy
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def _best_hypothesis(samples, hyps, config, model, threshold):
-    """(index, inlier count, residuals) of the best of the hypotheses: the
-    most inliers, then the lowest mean inlier residual, then the first."""
-    terms = _score_terms(samples, config, model)
-    size = max(1, SCORE_CHUNK // len(samples))
-    best, best_count, best_mean, best_errs = -1, -1, np.inf, None
-    for start in range(0, len(hyps), size):
-        chunk = slice(start, start + size)
-        errs = _score_rows(terms, hyps.v[chunk], hyps.w[chunk], hyps.k[chunk])
-        inl = errs <= threshold
-        counts = np.count_nonzero(inl, axis=1)
-        means = np.sum(np.where(inl, errs, 0.0), axis=1) / np.maximum(counts, 1)
-        means[counts == 0] = np.inf
-        i = np.lexsort((means, -counts))[0]  # stable: the first of equals
-        if counts[i] > best_count or (counts[i] == best_count and means[i] < best_mean):
-            best, best_count, best_mean, best_errs = start + i, counts[i], means[i], errs[i].copy()
-    return best, int(best_count), best_errs
+    return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
 
 
 def ransac(samples, model: str, config: CameraConfig | None, ransac_config: RansacConfig | None = None) -> RansacResult:
@@ -155,6 +122,8 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
 
     Deterministic under a fixed seed.  For the constant-acceleration model
     every real root of the minimal solver is scored as its own hypothesis.
+    The best hypothesis has the most inliers, then the lowest mean inlier
+    residual, then the earliest subset.
     """
     rc = ransac_config or RansacConfig()
     samples = FlowBatch.of(samples)
@@ -162,32 +131,47 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     if len(samples) < m:
         raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
     rng = np.random.default_rng(rc.seed)
-    # one draw per iteration, in order, so the subsets do not depend on
-    # how they are solved
-    subsets = np.array([rng.choice(len(samples), size=m, replace=False)
-                        for _ in range(rc.iterations)])
-    if model == GLOBAL_SHUTTER:
-        hyps = solve_gs_stack(samples[subsets])
-    elif model == CONST_VELOCITY:
-        hyps = solve_const_velocity_stack(samples[subsets], config)
-    else:
-        hyps = solve_const_accel_stack(samples[subsets], config, rc.root_window)
-    failures = dict(Counter(type(exc).__name__ for exc in hyps.failures.values()))
-    best, count, errs = (_best_hypothesis(samples, hyps, config, model, rc.threshold)
-                         if len(hyps) else (-1, 0, None))
+    ab = scanline_ab(samples.y1, samples.y2, config, model)
+    block = max(1, BLOCK_RESIDUALS // len(samples))
+    failures = Counter()
+    n_hypotheses = 0
+    best_count, best_mean, best_motion, best_errs = 0, np.inf, None, None
+    for start in range(0, rc.iterations, block):
+        # one draw per iteration, in order, so the subsets do not depend on
+        # the block size
+        subsets = np.array([rng.choice(len(samples), size=m, replace=False)
+                            for _ in range(min(block, rc.iterations - start))])
+        if model == GLOBAL_SHUTTER:
+            hyps = solve_gs_stack(samples[subsets])
+        elif model == CONST_VELOCITY:
+            hyps = solve_const_velocity_stack(samples[subsets], config)
+        else:
+            hyps = solve_const_accel_stack(samples[subsets], config, rc.root_window)
+        failures.update(type(exc).__name__ for exc in hyps.failures.values())
+        n_hypotheses += len(hyps)
+        if not len(hyps):
+            continue
+        errs = _residuals(samples, ab, hyps.v, hyps.w, hyps.k)
+        inl = errs <= rc.threshold
+        counts = np.count_nonzero(inl, axis=1)
+        means = np.sum(np.where(inl, errs, 0.0), axis=1) / np.maximum(counts, 1)
+        i = np.lexsort((means, -counts))[0]  # stable: the first of equals
+        if counts[i] > best_count or (counts[i] == best_count > 0 and means[i] < best_mean):
+            best_count, best_mean, best_motion, best_errs = counts[i], means[i], hyps.motion(i), errs[i].copy()
+    n_valid = rc.iterations - sum(failures.values())
     logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses scored, "
-                "best %d of %d inliers", model, rc.iterations - len(hyps.failures),
-                rc.iterations, failures, len(hyps), count, len(samples))
-    if count == 0:
+                "best %d of %d inliers", model, n_valid, rc.iterations, dict(failures),
+                n_hypotheses, best_count, len(samples))
+    if best_count == 0:
         raise RobustFailure("no RANSAC iteration produced a valid model")
     return RansacResult(
-        motion=hyps.motion(best),
-        inliers=np.flatnonzero(errs <= rc.threshold),
-        residuals=errs,
-        n_valid_iterations=rc.iterations - len(hyps.failures),
+        motion=best_motion,
+        inliers=np.flatnonzero(best_errs <= rc.threshold),
+        residuals=best_errs,
+        n_valid_iterations=n_valid,
         n_iterations=rc.iterations,
-        n_hypotheses=len(hyps),
-        failures=failures,
+        n_hypotheses=n_hypotheses,
+        failures=dict(failures),
     )
 
 

@@ -32,9 +32,6 @@ from .gs_solver import Hypotheses, gs_rows, recover_stack, solvable, solve_gs_st
 
 DEFLATION_TOL = 1e-8
 DEFAULT_ROOT_WINDOW = (-2.0, 10.0)
-# subsets per call of the batched root solve: up to 6 roots each, so its
-# (hypotheses, 9, 9) arrays stay near 250 KiB whatever the iteration count
-ROOT_CHUNK = 64
 
 # det M(k) is sampled at 9 Chebyshev nodes; this fixed (7, 9) map takes the
 # samples to the power-basis coefficients of their degree-6 Chebyshev fit.
@@ -184,13 +181,12 @@ def solve_const_accel_stack(stack, config: CameraConfig,
     ok = solvable(n, failures)
     flat = ok[np.max(np.abs(b[ok] - a[ok]), axis=-1) < 1e-12]
     curved = np.setdiff1d(ok, flat)
-    parts = [(flat, solve_const_velocity_stack(stack[flat], config))]
     if len(curved) and m != 9:
         raise ValueError(f"the 9-point solver needs exactly 9 samples, got {m}")
-    for start in range(0, len(curved), ROOT_CHUNK):
-        idx = curved[start:start + ROOT_CHUNK]
-        parts.append((idx, _accel_roots(stack[idx], a[idx], b[idx], root_window)))
-    return Hypotheses.merge(parts, failures)
+    # a RANSAC block usually has subsets of one kind only: skip the other solver
+    cv = solve_const_velocity_stack(stack[flat], config) if len(flat) else Hypotheses.none()
+    ca = _accel_roots(stack[curved], a[curved], b[curved], root_window) if len(curved) else Hypotheses.none()
+    return Hypotheses.merge([(flat, cv), (curved, ca)], failures)
 
 
 def _accel_roots(stack, a, b, root_window):

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -114,15 +115,20 @@ FORMATS = {
 }
 
 
+def _random_payload(fmt, h, w, seed):
+    """Random data of the array shape `fmt` writes for an h x w image."""
+    rng = np.random.default_rng(seed)
+    shape = ((h * w - 1, 4) if fmt == "sparse flow" else (h, w, *FORMATS[fmt][2]))
+    return rng.integers(0, 256, shape).astype(np.uint8 if fmt in ("pgm", "ppm") else np.float32)
+
+
 @settings(max_examples=30, deadline=None)
 @given(fmt=st.sampled_from(sorted(FORMATS)), h=st.integers(1, 4), w=st.integers(1, 4),
        seed=st.integers(0, 2**16))
 def test_every_strict_prefix_is_rejected(tmp_path_factory, fmt, h, w, seed):
     """A file cut anywhere short of its end raises ValueError naming it."""
-    write, read, channels = FORMATS[fmt]
-    rng = np.random.default_rng(seed)
-    shape = ((h * w - 1, 4) if fmt == "sparse flow" else (h, w, *channels))
-    data = rng.integers(0, 256, shape).astype(np.uint8 if fmt in ("pgm", "ppm") else np.float32)
+    write, read, _ = FORMATS[fmt]
+    data = _random_payload(fmt, h, w, seed)
     path = tmp_path_factory.mktemp("prefix") / f"file.{fmt.replace(' ', '_')}"
     write(path, data)
     assert np.array_equal(read(path), data)
@@ -131,6 +137,26 @@ def test_every_strict_prefix_is_rejected(tmp_path_factory, fmt, h, w, seed):
         path.write_bytes(full[:n])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_read_from_a_pipe(tmp_path, fmt):
+    """A stream has no size to check ahead (process substitution, stdin):
+    a whole one reads back, a short one raises ValueError."""
+    write, read, _ = FORMATS[fmt]
+    data = _random_payload(fmt, 3, 4, seed=0)
+    path = tmp_path / "file"
+    write(path, data)
+    full = path.read_bytes()
+    for content in (full, full[:-1]):
+        r, w = os.pipe()
+        os.write(w, content)
+        os.close(w)
+        if content is full:
+            assert np.array_equal(read(r), data)
+        else:
+            with pytest.raises(ValueError, match="truncated"):
+                read(r)
 
 
 def test_flow_shape_mismatch(tmp_path, cam):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rsdiffsfm.errors import (
     RobustFailure,
 )
 from rsdiffsfm.geometry import FlowBatch, FlowSample
-from rsdiffsfm.robust import MINIMAL_SIZE, refit_trimmed, residual, score_motion
+from rsdiffsfm.robust import BLOCK_RESIDUALS, MINIMAL_SIZE, refit_trimmed, residual, score_motion
 from rsdiffsfm.gs_solver import solve_gs
 from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
@@ -164,6 +165,24 @@ def test_ransac_counts_failures(camera, model):
     assert sum(r.failures.values()) > 0
     assert sum(r.failures.values()) + r.n_valid_iterations == r.n_iterations
     assert r.n_hypotheses >= r.n_valid_iterations
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_ACCEL])
+def test_ransac_memory_does_not_grow_with_iterations(camera, model):
+    """Subsets are drawn, solved and scored in blocks: ten times the
+    iterations leave the peak of traced allocations where it was."""
+    samples, _, _ = contaminated_scene(camera, seed=5, n_points=400, n_out=120, k=0.1)
+    block = BLOCK_RESIDUALS // len(samples)
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            ransac(samples, model, camera, RansacConfig(iterations=iterations, seed=5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(30 * block) < 1.2 * peak(3 * block)
 
 
 def test_ransac_too_few_samples(camera):
