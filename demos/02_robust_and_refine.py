@@ -43,3 +43,5 @@ print(f"after trimmed refit: v err "
       f"{translation_error(state.motion.v, gt.motion.v):.2e} deg, "
       f"objective {state.objective:.2e}")
 print("descent trace:", ", ".join(f"{t:.2e}" for t in state.trace))
+print(f"descent stopped on {state.stop_reason} after {state.n_cycles} cycles; "
+      f"LM step {'accepted' if state.polished else 'rejected'}")

@@ -1,13 +1,16 @@
-"""Block-coordinate refinement of (k, v, w, depths) and dense depth recovery.
+"""Refinement of (k, v, w, depths) and dense depth recovery.
 
 The objective is the differential re-projection error
 
     sum_i || u_i - beta_i(k) (A_i v / Z_i + B_i w) ||^2
 
-cycled over closed-form blocks: depths, v, w and (for the constant
-acceleration model) k.  Samples whose optimal inverse depth is undefined
-(translation epipole) or non-positive are excluded from the current cycle
-and re-tested on the next one.
+A few cycles of block-coordinate descent over closed-form blocks (depths,
+v, w and, for the constant acceleration model, k) start the refinement.
+Samples whose optimal inverse depth is undefined (translation epipole) or
+non-positive are excluded from the current cycle and re-tested on the next
+one.  Levenberg-Marquardt with the depths eliminated in closed form then
+minimizes the objective over (v, w[, k]) alone: variable projection (Golub
+and Pereyra, 2003) with an analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -60,10 +63,26 @@ def objective(blocks: SampleBlocks, motion: MotionEstimate, inv_depths, mask=Non
     return float(np.sum(errs))
 
 
+def _terms(blocks: SampleBlocks, motion: MotionEstimate):
+    """(beta, q, c) = (beta, beta A v, u - beta B w) per sample: (N,), (N, 2), (N, 2).
+
+    The flow model u = beta (A v rho + B w) reads c = rho q in the inverse
+    depth rho.
+    """
+    bt = blocks.beta(motion.k)
+    q = bt[:, None] * _apply(blocks.A, motion.v)
+    return bt, q, blocks.u - bt[:, None] * _apply(blocks.B, motion.w)
+
+
+def _apply(M, x):
+    """M @ x for a stack M of (2, 3) matrices, as one matrix-vector product."""
+    return (M.reshape(-1, 3) @ x).reshape(M.shape[:-1])
+
+
 def _flow_errors(blocks: SampleBlocks, motion: MotionEstimate, inv_depths):
     """Per-sample flow minus its prediction beta (A v rho + B w), (N, 2)."""
-    bt = blocks.beta(motion.k)[:, None]
-    return blocks.u - bt * ((blocks.A @ motion.v) * inv_depths[:, None] + blocks.B @ motion.w)
+    _, q, c = _terms(blocks, motion)
+    return c - inv_depths[:, None] * q
 
 
 def update_depths(blocks: SampleBlocks, motion: MotionEstimate):
@@ -72,8 +91,8 @@ def update_depths(blocks: SampleBlocks, motion: MotionEstimate):
     Returns (inv_depths, valid) where invalid entries sit at the translation
     epipole or have non-positive optimal depth.
     """
-    bt = blocks.beta(motion.k)[:, None]
-    return inv_depth((bt * (blocks.A @ motion.v)).T, (blocks.u - bt * (blocks.B @ motion.w)).T)
+    _, q, c = _terms(blocks, motion)
+    return inv_depth(q.T, c.T)
 
 
 def update_v(blocks: SampleBlocks, k, w, inv_depths, mask):
@@ -129,7 +148,14 @@ def update_k(blocks: SampleBlocks, v, w, inv_depths, mask, k_current):
 
 @dataclass
 class RefineState:
-    """Refinement output: motion, per-sample inverse depths, diagnostics."""
+    """Refinement output: motion, per-sample inverse depths, diagnostics.
+
+    stop_reason says why coordinate descent stopped: "tolerance" (the
+    objective stalled), "cycle_cap" (max_cycles ran), "mask_flip" (a cycle
+    raised the objective by changing the cheirality mask and was reverted)
+    or "singular_block" (a block had too few usable samples).  polished
+    says whether the Levenberg-Marquardt step was accepted.
+    """
 
     motion: MotionEstimate
     inv_depths: np.ndarray
@@ -137,6 +163,8 @@ class RefineState:
     objective: float
     n_cycles: int
     converged: bool
+    stop_reason: str
+    polished: bool
     trace: np.ndarray | None = None  # objective after init, each cycle, polish
 
 
@@ -145,18 +173,19 @@ def refine(
     initial: MotionEstimate,
     config: CameraConfig | None = None,
     model: str = CONST_ACCEL,
-    max_cycles: int = 100,
+    max_cycles: int = 3,
     rel_tol: float = 1e-10,
     polish: bool = True,
 ) -> RefineState:
-    """Cycle the closed-form blocks until the objective stalls.
+    """A few coordinate-descent cycles, then Levenberg-Marquardt with the
+    depths eliminated.
 
     The gauge freedom (v, Z) -> (cv, cZ) is fixed by renormalizing v to unit
     norm after each cycle and rescaling the depths to match.  Coordinate
     descent crawls along the translation/rotation valley of this objective,
-    so by default the result is polished with a depth-eliminated
-    Levenberg-Marquardt pass; the polish is only accepted when it lowers
-    the objective, preserving monotone descent.
+    so it only starts the refinement: by default the depth-eliminated
+    Levenberg-Marquardt pass (`_polish_lm`) finishes it, and its result is
+    only accepted when it lowers the objective, preserving monotone descent.
     """
     blocks = SampleBlocks.build(samples, config, model)
     v = np.asarray(initial.v, float).copy()
@@ -171,6 +200,7 @@ def refine(
     prev = objective(blocks, motion, rho_f, valid)
     trace = [prev]
     converged = False
+    stop_reason = "cycle_cap"
     cycle = 0
     for cycle in range(1, max_cycles + 1):
         v_old, w_old, k_old = v, w, k
@@ -184,6 +214,7 @@ def refine(
                 ):
                     k = k_new
         except SingularBlock:
+            stop_reason = "singular_block"
             break
         # gauge: unit translation direction, depths absorb the scale
         n = np.linalg.norm(v)
@@ -201,15 +232,18 @@ def refine(
             motion = MotionEstimate(v=v, w=w, k=k)
             rho, valid = update_depths(blocks, motion)
             rho_f = np.where(valid, rho, 0.0)
+            stop_reason = "mask_flip"
             break
         trace.append(cur)
         if prev - cur <= rel_tol * max(prev, 1e-300):
             prev = min(prev, cur)
             converged = True
+            stop_reason = "tolerance"
             break
         prev = cur
+    polished = False
     if polish and prev > 0:
-        v, w, k, rho, valid, prev = _polish_lm(blocks, v, w, k, prev, model)
+        v, w, k, rho, valid, prev, polished = _polish_lm(blocks, v, w, k, prev, model)
         trace.append(prev)
     return RefineState(
         motion=MotionEstimate(v=v, w=w, k=k).normalized(),
@@ -218,45 +252,108 @@ def refine(
         objective=prev,
         n_cycles=cycle,
         converged=converged,
+        stop_reason=stop_reason,
+        polished=polished,
         trace=np.array(trace),
     )
 
 
-def _polish_lm(blocks, v, w, k, obj_current, model):
-    """Levenberg-Marquardt on (v, w, k) with depths eliminated in closed form.
+def _motion(theta):
+    """Motion of a parameter vector (v, w), or (v, w, k) for the constant
+    acceleration model; k is kept above -2."""
+    k = max(float(theta[6]), -1.99) if len(theta) == 7 else 0.0
+    return MotionEstimate(v=theta[:3], w=theta[3:6], k=k)
 
-    Minimizes the same objective; the step is discarded unless it improves
-    on the coordinate-descent result.
+
+def reduced_residuals(theta, blocks: SampleBlocks):
+    """Flow errors (2N,) at the optimal inverse depths of motion `theta`.
+
+    This is the objective with the depths eliminated in closed form; a
+    sample without a valid depth contributes its error at rho = 0.
+    """
+    _, q, c = _terms(blocks, _motion(theta))
+    rho, valid = inv_depth(q.T, c.T)
+    return (c - np.where(valid, rho, 0.0)[:, None] * q).ravel()
+
+
+def reduced_jacobian(theta, blocks: SampleBlocks):
+    """Analytic Jacobian (2N, len(theta)) of `reduced_residuals`.
+
+    With q = beta A v, c = u - beta B w, r = c - rho q and the projection
+    P = I - q q^T / (q . q), a valid sample has
+    dr = P dc - rho P dq - q (r . dq) / (q . q); an invalid one has rho = 0,
+    so dr = dc.  dq/dv = beta A, dc/dw = -beta B, and k enters through
+    dbeta/dk = 2 (b - a) / (2 + k)^2.
+    """
+    motion = _motion(theta)
+    bt, q, c = _terms(blocks, motion)
+    rho, valid = inv_depth(q.T, c.T)
+    # per-sample arrays carry a trailing parameter axis: (N, 2, 1)
+    rho = np.where(valid, rho, 0.0)[:, None, None]
+    q = q[..., None]
+    r = c[..., None] - rho * q
+
+    def dot(x, y):  # per-sample dot product over the two flow components
+        return x[:, :1] * y[:, :1] + x[:, 1:] * y[:, 1:]
+
+    valid = valid[:, None, None]
+    inv_qq = valid / np.where(valid, dot(q, q), 1.0)
+
+    def columns(dq, dc):
+        """dr for derivatives dq, dc of shape (N, 2, m)."""
+        g = dc - rho * dq
+        return g - q * (inv_qq * (dot(q, g) + dot(r, dq)))
+
+    bt = bt[:, None, None]
+    zero = np.zeros_like(blocks.A)
+    jac = [columns(bt * blocks.A, zero), columns(zero, -bt * blocks.B)]
+    if len(theta) == 7:
+        # dbeta/dk, zero where `_motion` clamps k to -1.99
+        dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + motion.k) ** 2 * (theta[6] > -1.99)
+        dbt = dbt[:, None, None]
+        jac.append(columns(dbt * _apply(blocks.A, motion.v)[..., None],
+                           -dbt * _apply(blocks.B, motion.w)[..., None]))
+    return np.concatenate(jac, axis=2).reshape(-1, len(theta))
+
+
+def _polish_lm(blocks, v, w, k, obj_current, model):
+    """Levenberg-Marquardt on (v, w[, k]) with depths eliminated in closed form.
+
+    Minimizes the same objective with `reduced_jacobian`; the step is
+    discarded unless it improves on the coordinate-descent result.  Returns
+    (v, w, k, inv_depths, valid, objective, accepted).
     """
     from scipy.optimize import least_squares
 
-    free_k = model == CONST_ACCEL
-
-    def unpack(theta):
-        kk = float(theta[6]) if free_k else k
-        return MotionEstimate(v=theta[:3], w=theta[3:6], k=max(kk, -1.99) if free_k else kk)
-
-    def resid(theta):
-        m = unpack(theta)
-        rho, valid = update_depths(blocks, m)
-        return _flow_errors(blocks, m, np.where(valid, rho, 0.0)).ravel()
-
-    theta0 = np.concatenate([v, w, [k]]) if free_k else np.concatenate([v, w])
+    theta0 = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
     try:
-        sol = least_squares(resid, theta0, method="lm", xtol=1e-15, ftol=1e-15, max_nfev=400)
+        sol = least_squares(reduced_residuals, theta0, jac=reduced_jacobian, args=(blocks,),
+                            method="lm", xtol=1e-15, ftol=1e-15, max_nfev=400)
     except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
         sol = None
     if sol is not None:
-        m = unpack(sol.x)
+        theta = sol.x
+        if sol.success:
+            # LM stops once the cost decrease it predicts falls to ftol, and it
+            # takes a step only on a decrease the rounded cost resolves, so the
+            # flat translation/rotation direction is left settled to only
+            # about 1e-9.  Gauss-Newton steps compare no costs: two of them
+            # reach the stationary point to about 1e-12, so that refits of
+            # nearly equal flows agree.
+            for _ in range(2):
+                step = np.linalg.lstsq(reduced_jacobian(theta, blocks),
+                                       reduced_residuals(theta, blocks), rcond=None)[0]
+                theta = theta - step
+        m = _motion(theta)
         rho, valid = update_depths(blocks, m)
         obj_new = objective(blocks, m, np.where(valid, rho, 0.0), valid)
         if obj_new < obj_current:
             vn = np.linalg.norm(m.v)
             v_new = m.v / vn if vn > 1e-15 else m.v
             rho = rho * vn  # keep the unit-v gauge: depths absorb the scale
-            return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new
+            return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new, True
     rho, valid = update_depths(blocks, MotionEstimate(v=v, w=w, k=k))
-    return v, w, k, rho, valid, obj_current
+    return v, w, k, rho, valid, obj_current, False
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):

@@ -98,40 +98,36 @@ def generate_linearized(spec: SceneSpec):
 
     The flow and destination row are solved jointly by fixed-point iteration
     of u = beta(k; y1, y2) (A v / Z + B w) with the model matrices evaluated
-    at the flow midpoint x + u/2, matching the solvers' convention.
+    at the flow midpoint x + u/2, matching the solvers' convention.  All
+    points iterate together; each stops on its own convergence test.
     """
     rng = np.random.default_rng(spec.seed)
     cfg = spec.config
     motion = spec.motion()
     xs, Zs = _sample_positions(spec, rng)
     g = cfg.gamma / cfg.h
-    samples, depths, discarded = [], [], 0
-    for x, Z in zip(xs, Zs):
-        y1 = cfg.row_of(x[1])
-        y2 = y1
-        u = np.zeros(2)
-        converged = False
-        for _ in range(50):
-            A, B = matrices_ab(x + 0.5 * u)
-            base = A @ motion.v / Z + B @ motion.w
-            t1 = g * y1
-            t2 = 1.0 + g * y2
-            beta = beta_timestamp(t2, motion.k) - beta_timestamp(t1, motion.k)
-            u_new = beta * base
-            y2_new = cfg.row_of(x[1] + u_new[1])
-            if np.max(np.abs(u_new - u)) < 1e-15 and abs(y2_new - y2) < 1e-12:
-                u = u_new
-                y2 = y2_new
-                converged = True
-                break
-            u = u_new
-            y2 = y2_new
-        if not converged or not (0 <= y2 < cfg.h):
-            discarded += 1
-            continue
-        samples.append(FlowSample(x=x, u=u, y1=y1, y2=y2))
-        depths.append(Z)
-    return samples, GroundTruth(motion=motion, depths=np.array(depths), n_discarded=discarded)
+    y1 = xs[:, 1] * cfg.fy + cfg.cy
+    y2 = y1.copy()
+    u = np.zeros_like(xs)
+    converged = np.zeros(len(xs), dtype=bool)
+    active = np.arange(len(xs))
+    for _ in range(50):
+        if not active.size:
+            break
+        xa, ua, y2a = xs[active], u[active], y2[active]
+        A, B = matrices_ab(xa + 0.5 * ua)
+        base = A @ motion.v / Zs[active, None] + B @ motion.w
+        bt = beta_timestamp(1.0 + g * y2a, motion.k) - beta_timestamp(g * y1[active], motion.k)
+        u_new = bt[:, None] * base
+        y2_new = (xa[:, 1] + u_new[:, 1]) * cfg.fy + cfg.cy
+        done = (np.max(np.abs(u_new - ua), axis=1) < 1e-15) & (np.abs(y2_new - y2a) < 1e-12)
+        u[active] = u_new
+        y2[active] = y2_new
+        converged[active[done]] = True
+        active = active[~done]
+    keep = np.flatnonzero(converged & (0 <= y2) & (y2 < cfg.h))
+    samples = [FlowSample(x=xs[i], u=u[i], y1=float(y1[i]), y2=float(y2[i])) for i in keep]
+    return samples, GroundTruth(motion=motion, depths=Zs[keep], n_discarded=len(xs) - len(keep))
 
 
 def _project(point_world, t, motion, model):

@@ -3,13 +3,23 @@ import pytest
 import scipy.optimize
 from scipy.optimize import minimize_scalar
 
-from rsdiffsfm import generate_linearized, refine, translation_error
+from rsdiffsfm import (
+    RansacConfig,
+    generate_discrete,
+    generate_linearized,
+    ransac,
+    refine,
+    refit_trimmed,
+    translation_error,
+)
 from rsdiffsfm.errors import SingularBlock
-from rsdiffsfm.geometry import MotionEstimate
+from rsdiffsfm.geometry import FlowBatch, MotionEstimate
 from rsdiffsfm.refine import (
     SampleBlocks,
     dense_depth,
     objective,
+    reduced_jacobian,
+    reduced_residuals,
     update_depths,
     update_k,
     update_v,
@@ -17,7 +27,7 @@ from rsdiffsfm.refine import (
 )
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
-from conftest import make_spec
+from conftest import gross_outlier, make_spec
 
 
 def blocks_for(camera, seed=0, k=0.1, n=40):
@@ -171,3 +181,93 @@ def test_dense_depth_invalid_pixels(camera):
     depth, valid = dense_depth(flow, motion, camera)
     assert not valid.any()
     assert np.isnan(depth).all()
+
+
+def test_refine_reports_why_it_stopped(camera):
+    spec = make_spec(camera, n_points=40, k=0.1, seed=5)
+    samples, gt = generate_linearized(spec)
+    start = MotionEstimate(v=gt.motion.v + np.array([0.01, -0.02, 0.01]),
+                           w=gt.motion.w + np.array([0.002, 0.001, -0.001]), k=0.0)
+    capped = refine(samples, start, camera, CONST_ACCEL, max_cycles=2)
+    assert (capped.stop_reason, capped.n_cycles, capped.converged) == ("cycle_cap", 2, False)
+    assert capped.polished and capped.objective < capped.trace[-2]
+    # a loose tolerance stops the descent once a cycle gains less than half
+    loose = refine(samples, start, camera, CONST_ACCEL, rel_tol=0.5)
+    assert (loose.stop_reason, loose.converged) == ("tolerance", True)
+    assert loose.polished
+    unpolished = refine(samples, start, camera, CONST_ACCEL, rel_tol=0.5, polish=False)
+    assert unpolished.stop_reason == "tolerance" and not unpolished.polished
+    assert unpolished.objective == unpolished.trace[-1]
+    # a reversed translation puts every sample behind the camera: no v block
+    flipped = MotionEstimate(v=-gt.motion.v, w=gt.motion.w, k=0.1)
+    singular = refine(samples, flipped, camera, CONST_ACCEL, polish=False)
+    assert (singular.stop_reason, singular.n_cycles) == ("singular_block", 1)
+    assert not singular.converged
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+def test_reduced_jacobian_matches_central_differences(camera, model):
+    spec = make_spec(camera, n_points=60, k=0.2 if model == CONST_ACCEL else 0.0, seed=3)
+    samples, gt = generate_linearized(spec)
+    batch = FlowBatch.of(samples)
+    u = batch.u.copy()
+    # random flows on a fifth of the samples put some behind the camera
+    u[::5] = np.random.default_rng(0).uniform(-0.06, 0.06, u[::5].shape)
+    blocks = SampleBlocks.build(FlowBatch(x=batch.x, u=u, y1=batch.y1, y2=batch.y2), camera, model)
+    start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w - 0.002,
+                           k=0.15 if model == CONST_ACCEL else 0.0)
+    theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
+    _, valid = update_depths(blocks, start)
+    assert 0 < np.count_nonzero(~valid) < len(valid) // 2
+    jac = reduced_jacobian(theta, blocks)
+    assert jac.shape == (2 * len(valid), 7 if model == CONST_ACCEL else 6)
+    numeric = np.empty_like(jac)
+    for j in range(len(theta)):
+        e = np.zeros(len(theta))
+        e[j] = 1e-6 * max(1.0, abs(theta[j]))
+        diff = reduced_residuals(theta + e, blocks) - reduced_residuals(theta - e, blocks)
+        numeric[:, j] = diff / (2 * e[j])
+    # each column, the k column included, on its own scale
+    assert np.all(np.linalg.norm(jac - numeric, axis=0) < 1e-6 * np.linalg.norm(jac, axis=0))
+
+
+def with_noise(samples, camera, noise_px, rng):
+    """The samples as a batch, each flow and its end row moved by Gaussian
+    pixel noise."""
+    batch = FlowBatch.of(samples)
+    e = rng.normal(0.0, noise_px, batch.u.shape)
+    return FlowBatch(x=batch.x, u=batch.u + e / camera.fx, y1=batch.y1, y2=batch.y2 + e[:, 1])
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+def test_few_cycles_reach_the_long_descent_objective(camera, model):
+    """The default few coordinate-descent cycles end, after Levenberg-Marquardt,
+    at the objective that 100 cycles end at."""
+    for seed in range(3):
+        spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=seed)
+        clean, gt = generate_discrete(spec, model)
+        rng = np.random.default_rng(seed)
+        samples = with_noise(clean, camera, 0.5, rng)
+        start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                               w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
+        default = refine(samples, start, camera, model)
+        long = refine(samples, start, camera, model, max_cycles=100)
+        assert default.n_cycles <= 3 and default.polished
+        assert abs(default.objective - long.objective) <= 1e-9 * long.objective
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+def test_refit_stable_under_one_ulp_flow_change(camera, model):
+    """Moving every flow by one ulp moves the refit motion by far less than
+    the refit's own accuracy: it stops at the stationary point, not wherever
+    the optimizer's cost test runs out of resolution."""
+    spec = make_spec(camera, n_points=400, k=0.15 if model == CONST_ACCEL else 0.0, seed=4)
+    clean, _ = generate_discrete(spec, model)
+    rng = np.random.default_rng(4)
+    samples = [gross_outlier(s, rng) if i % 4 == 0 else s for i, s in enumerate(clean)]
+    batch = with_noise(samples, camera, 0.05, rng)
+    moved = FlowBatch(x=batch.x, u=np.nextafter(batch.u, np.inf), y1=batch.y1, y2=batch.y2)
+    result = ransac(batch, model, camera, RansacConfig(iterations=100, seed=4))
+    a = refit_trimmed(batch, result, model, camera).motion
+    b = refit_trimmed(moved, result, model, camera).motion
+    assert max(np.max(np.abs(a.v - b.v)), np.max(np.abs(a.w - b.w)), abs(a.k - b.k)) < 1e-10

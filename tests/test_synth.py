@@ -12,7 +12,7 @@ from rsdiffsfm import (
     translation_error,
 )
 from rsdiffsfm.geometry import matrices_ab
-from rsdiffsfm.synth import beta_timestamp, scanline_pose
+from rsdiffsfm.synth import _sample_positions, beta_timestamp, scanline_pose
 
 from conftest import make_spec
 
@@ -54,6 +54,59 @@ def test_linearized_samples_satisfy_model(camera):
         # the recorded scanlines agree with the image rows
         assert np.isclose(s.y1, camera.row_of(s.x[1]))
         assert np.isclose(s.y2, camera.row_of(s.x[1] + s.u[1]))
+
+
+
+def per_point_linearized(spec):
+    """Reference for `generate_linearized`: each point's fixed point solved
+    in its own scalar loop."""
+    rng = np.random.default_rng(spec.seed)
+    cfg = spec.config
+    motion = spec.motion()
+    xs, Zs = _sample_positions(spec, rng)
+    g = cfg.gamma / cfg.h
+    samples, depths, discarded = [], [], 0
+    for x, Z in zip(xs, Zs):
+        y1 = cfg.row_of(x[1])
+        y2 = y1
+        u = np.zeros(2)
+        converged = False
+        for _ in range(50):
+            A, B = matrices_ab(x + 0.5 * u)
+            base = A @ motion.v / Z + B @ motion.w
+            beta = beta_timestamp(1.0 + g * y2, motion.k) - beta_timestamp(g * y1, motion.k)
+            u_new = beta * base
+            y2_new = cfg.row_of(x[1] + u_new[1])
+            done = np.max(np.abs(u_new - u)) < 1e-15 and abs(y2_new - y2) < 1e-12
+            u, y2 = u_new, y2_new
+            if done:
+                converged = True
+                break
+        if not converged or not (0 <= y2 < cfg.h):
+            discarded += 1
+            continue
+        samples.append((x, u, y1, y2))
+        depths.append(Z)
+    return samples, np.array(depths), discarded
+
+
+@pytest.mark.parametrize("kw", [
+    dict(k=0.1, seed=9),
+    dict(k=-0.4, seed=3, n_points=200),
+    # points near the image border whose flow leaves the image are discarded
+    dict(k=0.3, seed=5, n_points=200, margin=0.0, norm_translation=0.1, w_mag_deg=8.0),
+])
+def test_linearized_matches_per_point_loop(camera, kw):
+    spec = make_spec(camera, **kw)
+    samples, gt = generate_linearized(spec)
+    ref, depths, discarded = per_point_linearized(spec)
+    # the arithmetic of each point is unchanged, so the results are equal
+    assert gt.n_discarded == discarded
+    assert len(samples) == len(ref)
+    assert np.array_equal(gt.depths, depths)
+    for s, (x, u, y1, y2) in zip(samples, ref):
+        assert np.array_equal(s.x, x) and np.array_equal(s.u, u)
+        assert (s.y1, s.y2) == (y1, y2)
 
 
 def test_discrete_rows_self_consistent(camera):
