@@ -29,7 +29,7 @@ n_out = int(0.3 * len(samples))
 mixed = [
     FlowSample(x=s.x, u=rng.uniform(-0.06, 0.06, 2), y1=s.y1, y2=s.y2)
     for s in samples[:n_out]
-] + samples[n_out:]
+] + list(samples[n_out:])
 print(f"{len(mixed)} samples, {n_out} gross outliers")
 
 result = ransac(mixed, CONST_VELOCITY, camera,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import io_formats as iof
 from .errors import EmptySelection, InvalidScanlinePair, RsSfmError
-from .geometry import CameraConfig, FlowBatch
+from .geometry import CameraConfig
 from .experiment import run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
@@ -165,10 +165,9 @@ def synth(config_path, flow_path, truth_path):
         seed=cfg.seed,
     )
     samples, gt = generate_discrete(spec)
-    batch = FlowBatch.of(samples)
-    px, py = camera.normalized_to_pixel(*batch.x.T)
-    sparse = np.column_stack([px, py, batch.u[:, 0] * camera.fx,
-                              batch.u[:, 1] * camera.fy]).astype(np.float32)
+    px, py = camera.normalized_to_pixel(*samples.x.T)
+    sparse = np.column_stack([px, py, samples.u[:, 0] * camera.fx,
+                              samples.u[:, 1] * camera.fy]).astype(np.float32)
     iof.write_flow(flow_path, iof.FlowFile(
         config=camera, width=camera.width, height=camera.h, sparse=sparse))
     iof.write_motion(truth_path, gt.motion, extra={

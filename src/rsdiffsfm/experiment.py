@@ -3,6 +3,8 @@ the trend experiments (readout-ratio and acceleration sweeps)."""
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -23,6 +25,8 @@ from .synth import (
 
 CSV_HEADER = "gamma,norm_translation,w_mag_deg,k,model,trans_err_deg,rot_err_deg,trials"
 
+logger = logging.getLogger(__name__)
+
 
 def _camera(cfg: ExperimentConfig, gamma):
     n = cfg.image_size
@@ -41,10 +45,15 @@ def estimate_motion(samples, model, camera, ransac_iters, threshold, seed, use_r
     return motion
 
 
-def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model):
-    """Mean errors of one sweep cell over cfg.trials seeded trials."""
+def _cell_scenes(cfg: ExperimentConfig, gamma, trans, w_mag, k):
+    """The seeded trial scenes at one (gamma, trans, w_mag, k) of a sweep,
+    one (seed, samples, truth) per trial.
+
+    The scenes do not depend on the model, so a sweep estimates every model
+    on the same ones.
+    """
     camera = _camera(cfg, gamma)
-    t_errs, r_errs = [], []
+    scenes = []
     for trial in range(cfg.trials):
         seed = hash((cfg.seed, round(gamma, 9), round(trans, 9), round(w_mag, 9),
                      round(k, 9), trial)) % (2**31)
@@ -57,27 +66,54 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model):
             k=k,
             seed=seed,
         )
-        samples, gt = generate_discrete(spec)
+        scenes.append((seed, *generate_discrete(spec)))
+    return scenes
+
+
+def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
+    """Mean errors of one sweep cell over cfg.trials seeded trials.
+
+    scenes holds the cell's trial scenes, one (seed, samples, truth) per
+    trial; they are synthesized here when not given.  A trial is dropped
+    when its scene has fewer than 9 samples or its estimation raises a
+    library error; one log line per cell counts the drops by reason.
+    """
+    camera = _camera(cfg, gamma)
+    if scenes is None:
+        scenes = _cell_scenes(cfg, gamma, trans, w_mag, k)
+    t_errs, r_errs, dropped = [], [], Counter()
+    for seed, samples, gt in scenes:
         if len(samples) < 9:
+            dropped["too_few_samples"] += 1
             continue
         try:
             motion = estimate_motion(
                 samples, model, camera, cfg.ransac_iters, cfg.threshold,
                 seed=seed + 1, use_refine=cfg.use_refine,
             )
-        except RsSfmError:
+        except RsSfmError as exc:
+            dropped[type(exc).__name__] += 1
             continue
         t_errs.append(translation_error(motion.v, gt.motion.v))
         r_errs.append(rotation_error(motion.w, gt.motion.w))
+    logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
+                "dropped %s", gamma, trans, w_mag, k, model, len(t_errs), len(scenes),
+                dict(dropped))
     if not t_errs:
         return np.nan, np.nan, 0
     return float(np.mean(t_errs)), float(np.mean(r_errs)), len(t_errs)
 
 
 def run_sweep(cfg: ExperimentConfig):
-    """All cells of the sweep; rows in deterministic axis order."""
-    cells = product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks, cfg.models)
-    return [(*cell, *run_cell(cfg, *cell)) for cell in cells]
+    """All cells of the sweep; rows in deterministic axis order.
+
+    Each trial scene is synthesized once and estimated with every model.
+    """
+    rows = []
+    for axes in product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks):
+        scenes = _cell_scenes(cfg, *axes)
+        rows += [(*axes, model, *run_cell(cfg, *axes, model, scenes)) for model in cfg.models]
+    return rows
 
 
 def sweep_csv(rows):

@@ -20,28 +20,35 @@ GLOBAL_SHUTTER = "gs"
 
 
 def skew(v):
-    """Skew-symmetric matrix: skew(v) @ x == cross(v, x)."""
+    """Skew-symmetric matrix: skew(v) @ x == cross(v, x).
+
+    v may be a stack (..., 3); the result is then (..., 3, 3).
+    """
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    K = np.zeros(v.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -v[..., 2], v[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = v[..., 2], -v[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -v[..., 1], v[..., 0]
+    return K
 
 
 def exp_so3(w):
-    """Rotation matrix from a rotation vector (Rodrigues formula)."""
+    """Rotation matrix from a rotation vector (Rodrigues formula).
+
+    w may be a stack (..., 3); the result is then (..., 3, 3), each matrix
+    bit-identical to that of its own vector.  The angle is the square root
+    of a dot product and theta^2 comes from `float_power`: both round as
+    `np.linalg.norm` and `theta**2` of a single vector do.
+    """
     w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w)
+    theta = np.sqrt(np.vecdot(w, w))[..., None, None]
     K = skew(w)
-    if theta < 1e-10:
-        # second-order Taylor; exact to machine precision at this scale
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return (
-        np.eye(3)
-        + (np.sin(theta) / theta) * K
-        + ((1.0 - np.cos(theta)) / theta**2) * (K @ K)
-    )
+    small = theta < 1e-10
+    # second-order Taylor below 1e-10: exact to machine precision at that scale
+    t = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(t) / t)
+    b = np.where(small, 0.5, (1.0 - np.cos(t)) / np.float_power(t, 2))
+    return np.eye(3) + a * K + b * (K @ K)
 
 
 def log_so3(R):
@@ -280,10 +287,11 @@ class FlowBatch:
     """N flow measurements as arrays: the library's multi-sample type.
 
     Fields are those of `FlowSample`, stacked: x (N, 2), u (N, 2), y1 (N,)
-    and y2 (N,).  An integer index gives a `FlowSample`; a slice or an
-    index array gives a sub-batch.  An (S, m) index array gives a stack of
-    S subsets, whose fields carry the leading shape (S, m); the row and
-    solver kernels take such stacks, `len` of one is S.
+    and y2 (N,).  An integer index gives a `FlowSample`, and so does
+    iteration; a slice or an index array gives a sub-batch.  An (S, m)
+    index array gives a stack of S subsets, whose fields carry the leading
+    shape (S, m); the row and solver kernels take such stacks, `len` of one
+    is S.
     """
 
     x: np.ndarray

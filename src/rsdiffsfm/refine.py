@@ -265,18 +265,27 @@ def _motion(theta):
     return MotionEstimate(v=theta[:3], w=theta[3:6], k=k)
 
 
-def reduced_residuals(theta, blocks: SampleBlocks):
+def _reduced_terms(theta, blocks: SampleBlocks):
+    """(motion, beta, q, c, rho, valid) at motion `theta`: what both
+    `reduced_residuals` and `reduced_jacobian` evaluate."""
+    motion = _motion(theta)
+    bt, q, c = _terms(blocks, motion)
+    rho, valid = inv_depth(q.T, c.T)
+    return motion, bt, q, c, rho, valid
+
+
+def reduced_residuals(theta, blocks: SampleBlocks, terms=_reduced_terms):
     """Flow errors (2N,) at the optimal inverse depths of motion `theta`.
 
     This is the objective with the depths eliminated in closed form; a
-    sample without a valid depth contributes its error at rho = 0.
+    sample without a valid depth contributes its error at rho = 0.  terms
+    computes `_reduced_terms`; `_polish_lm` passes a cached one.
     """
-    _, q, c = _terms(blocks, _motion(theta))
-    rho, valid = inv_depth(q.T, c.T)
+    _, _, q, c, rho, valid = terms(theta, blocks)
     return (c - np.where(valid, rho, 0.0)[:, None] * q).ravel()
 
 
-def reduced_jacobian(theta, blocks: SampleBlocks):
+def reduced_jacobian(theta, blocks: SampleBlocks, terms=_reduced_terms):
     """Analytic Jacobian (2N, len(theta)) of `reduced_residuals`.
 
     With q = beta A v, c = u - beta B w, r = c - rho q and the projection
@@ -285,9 +294,7 @@ def reduced_jacobian(theta, blocks: SampleBlocks):
     so dr = dc.  dq/dv = beta A, dc/dw = -beta B, and k enters through
     dbeta/dk = 2 (b - a) / (2 + k)^2.
     """
-    motion = _motion(theta)
-    bt, q, c = _terms(blocks, motion)
-    rho, valid = inv_depth(q.T, c.T)
+    motion, bt, q, c, rho, valid = terms(theta, blocks)
     # per-sample arrays carry a trailing parameter axis: (N, 2, 1)
     rho = np.where(valid, rho, 0.0)[:, None, None]
     q = q[..., None]
@@ -326,9 +333,23 @@ def _polish_lm(blocks, v, w, k, obj_current, model):
     from scipy.optimize import least_squares
 
     theta0 = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
+    cache = {}
+
+    def terms(theta, blocks):
+        # least_squares asks for the Jacobian at the theta of the residuals
+        # it just evaluated: one entry keyed on the bytes of theta serves
+        # both; the copy keeps the entry's motion from aliasing a buffer
+        # the optimizer reuses
+        key = theta.tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = _reduced_terms(theta.copy(), blocks)
+        return cache[key]
+
     try:
-        sol = least_squares(reduced_residuals, theta0, jac=reduced_jacobian, args=(blocks,),
-                            method="lm", xtol=1e-15, ftol=1e-15, max_nfev=400)
+        sol = least_squares(reduced_residuals, theta0, jac=reduced_jacobian,
+                            args=(blocks, terms), method="lm", xtol=1e-15, ftol=1e-15,
+                            max_nfev=400)
     except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
         sol = None
     if sol is not None:
@@ -341,8 +362,8 @@ def _polish_lm(blocks, v, w, k, obj_current, model):
             # reach the stationary point to about 1e-12, so that refits of
             # nearly equal flows agree.
             for _ in range(2):
-                step = np.linalg.lstsq(reduced_jacobian(theta, blocks),
-                                       reduced_residuals(theta, blocks), rcond=None)[0]
+                step = np.linalg.lstsq(reduced_jacobian(theta, blocks, terms),
+                                       reduced_residuals(theta, blocks, terms), rcond=None)[0]
                 theta = theta - step
         m = _motion(theta)
         rho, valid = update_depths(blocks, m)

@@ -6,6 +6,12 @@ recover the truth to machine precision on them.  `generate_discrete`
 projects 3D points through full per-scanline camera poses with finite
 rotations, matching the linearized model only to second order in the motion
 magnitude; it is the independent oracle for the small-motion approximation.
+
+Both return (samples, truth): the samples as one `FlowBatch`, whose integer
+indexing and iteration give `FlowSample`s, and a `GroundTruth` with the
+motion and the depth of each sample.  Both iterate all points of a scene
+together, each point on its own convergence test, so a scene of a few
+thousand points takes milliseconds.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .geometry import (  # the model names are re-exported from here
     CONST_VELOCITY,
     GLOBAL_SHUTTER,
     CameraConfig,
-    FlowSample,
+    FlowBatch,
     MotionEstimate,
     beta,
     exp_so3,
@@ -76,9 +82,12 @@ def beta_timestamp(t, k):
 
 
 def scanline_pose(t, motion: MotionEstimate, model=CONST_ACCEL):
-    """Translation and rotation vector of the scanline at timestamp t."""
+    """Translation and rotation vector of the scanline at timestamp t.
+
+    An array of timestamps gives (..., 3) stacks of both.
+    """
     k = motion.k if model == CONST_ACCEL else 0.0
-    b = beta_timestamp(t, k)
+    b = np.asarray(beta_timestamp(t, k))[..., None]
     return b * motion.v, b * motion.w
 
 
@@ -126,74 +135,77 @@ def generate_linearized(spec: SceneSpec):
         converged[active[done]] = True
         active = active[~done]
     keep = np.flatnonzero(converged & (0 <= y2) & (y2 < cfg.h))
-    samples = [FlowSample(x=xs[i], u=u[i], y1=float(y1[i]), y2=float(y2[i])) for i in keep]
+    samples = FlowBatch(x=xs[keep], u=u[keep], y1=y1[keep], y2=y2[keep])
     return samples, GroundTruth(motion=motion, depths=Zs[keep], n_discarded=len(xs) - len(keep))
 
 
-def _project(point_world, t, motion, model):
-    """Normalized projection of a world point at scanline timestamp t."""
+def _camera_points(points, t, motion, model):
+    """Camera-frame coordinates (N, 3) of world points at scanline timestamps t (N,)."""
     p, r = scanline_pose(t, motion, model)
-    Xc = exp_so3(r).T @ (point_world - p)
-    if Xc[2] <= 1e-9:
-        return None, None
-    return Xc[:2] / Xc[2], Xc[2]
+    return (np.swapaxes(exp_so3(r), -1, -2) @ (points - p)[..., None])[..., 0]
+
+
+def _row_fixed_point(points, rows, t0, motion, model, cfg):
+    """Rows at which each world point is seen by the scanline exposing it.
+
+    Iterates row <- row of the projection at timestamp t0 + g row, for all
+    points together, each until its own row changes by less than 1e-12 or
+    for 50 steps.  Returns (x, rows, ok): x is each point's projection at
+    the row before its last update, and ok is False for a point that fell
+    behind the camera, which stops iterating there.
+    """
+    g = cfg.gamma / cfg.h
+    rows = rows.copy()
+    x = np.zeros((len(rows), 2))
+    ok = np.ones(len(rows), dtype=bool)
+    active = np.arange(len(rows))
+    for _ in range(50):
+        if not active.size:
+            break
+        Xc = _camera_points(points[active], t0 + g * rows[active], motion, model)
+        behind = Xc[:, 2] <= 1e-9
+        ok[active[behind]] = False
+        active, Xc = active[~behind], Xc[~behind]
+        xa = Xc[:, :2] / Xc[:, 2:]
+        rows_new = xa[:, 1] * cfg.fy + cfg.cy
+        done = np.abs(rows_new - rows[active]) < 1e-12
+        x[active] = xa
+        rows[active] = rows_new
+        active = active[~done]
+    return x, rows, ok
 
 
 def generate_discrete(spec: SceneSpec, model=CONST_ACCEL):
     """Exact two-view projections through per-scanline finite poses.
 
     For each 3D point, both observed rows are solved by fixed-point
-    iteration so the projection row matches the scanline that captured it.
-    The ground-truth motion is reported in the mid-exposure camera frame:
-    with finite rotation the per-scanline relative translation direction is
-    rotated by each scanline's own attitude, and the mid-exposure frame is
-    the one a single-frame differential estimate corresponds to.  At
-    gamma = 0 this coincides with the frame-start pose.
+    iteration so the projection row matches the scanline that captured it;
+    all points iterate together, each stopping on its own convergence test.
+    A point is discarded when it falls behind the camera or either row
+    leaves the image.  The ground-truth motion is reported in the
+    mid-exposure camera frame: with finite rotation the per-scanline
+    relative translation direction is rotated by each scanline's own
+    attitude, and the mid-exposure frame is the one a single-frame
+    differential estimate corresponds to.  At gamma = 0 this coincides with
+    the frame-start pose.
     """
     rng = np.random.default_rng(spec.seed)
     cfg = spec.config
     motion = spec.motion()
     xs, Zs = _sample_positions(spec, rng)
     g = cfg.gamma / cfg.h
-    samples, depths, discarded = [], [], 0
-    for x0, Z0 in zip(xs, Zs):
-        point = Z0 * np.array([x0[0], x0[1], 1.0])
-        ok = True
-        # frame i observation: row consistent with its own scanline pose
-        y1 = cfg.row_of(x0[1])
-        x1 = x0
-        for _ in range(50):
-            x1, _ = _project(point, g * y1, motion, model)
-            if x1 is None:
-                ok = False
-                break
-            y1_new = cfg.row_of(x1[1])
-            if abs(y1_new - y1) < 1e-12:
-                y1 = y1_new
-                break
-            y1 = y1_new
-        if not ok or not (0 <= y1 < cfg.h):
-            discarded += 1
-            continue
-        x1, Z1 = _project(point, g * y1, motion, model)
-        # frame i+1 observation
-        y2 = y1
-        x2 = None
-        for _ in range(50):
-            x2, _ = _project(point, 1.0 + g * y2, motion, model)
-            if x2 is None:
-                ok = False
-                break
-            y2_new = cfg.row_of(x2[1])
-            if abs(y2_new - y2) < 1e-12:
-                y2 = y2_new
-                break
-            y2 = y2_new
-        if not ok or x2 is None or not (0 <= y2 < cfg.h):
-            discarded += 1
-            continue
-        samples.append(FlowSample(x=x1, u=x2 - x1, y1=y1, y2=y2))
-        depths.append(Z1)
+    points = Zs[:, None] * np.column_stack([xs, np.ones(len(xs))])
+    # frame i: the row consistent with its own scanline pose, then the
+    # projection at that row
+    _, y1, ok = _row_fixed_point(points, xs[:, 1] * cfg.fy + cfg.cy, 0.0, motion, model, cfg)
+    keep = np.flatnonzero(ok & (0 <= y1) & (y1 < cfg.h))
+    X1 = _camera_points(points[keep], g * y1[keep], motion, model)
+    # frame i+1, starting from the frame-i row
+    x2, y2, ok = _row_fixed_point(points[keep], y1[keep], 1.0, motion, model, cfg)
+    kept = ok & (X1[:, 2] > 1e-9) & (0 <= y2) & (y2 < cfg.h)
+    X1, x2 = X1[kept], x2[kept]
+    x1 = X1[:, :2] / X1[:, 2:]
+    samples = FlowBatch(x=x1, u=x2 - x1, y1=y1[keep[kept]], y2=y2[kept])
     k_eff = motion.k if model == CONST_ACCEL else 0.0
     b_mid = beta_timestamp(0.5 * cfg.gamma, k_eff)
     gt_motion = MotionEstimate(
@@ -202,7 +214,7 @@ def generate_discrete(spec: SceneSpec, model=CONST_ACCEL):
         k=motion.k,
         v_reliable=True,
     )
-    return samples, GroundTruth(motion=gt_motion, depths=np.array(depths), n_discarded=discarded)
+    return samples, GroundTruth(motion=gt_motion, depths=X1[:, 2], n_discarded=len(xs) - len(x1))
 
 
 def translation_error(v_est, v_true):

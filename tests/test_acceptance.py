@@ -260,7 +260,7 @@ def test_outlier_robustness():
         samples, gt = generate_linearized(spec)
         n_out = int(round(0.3 * len(samples)))
         rng = np.random.default_rng(seed + 50_000)
-        mixed = [gross_outlier(s, rng) for s in samples[:n_out]] + samples[n_out:]
+        mixed = [gross_outlier(s, rng) for s in samples[:n_out]] + list(samples[n_out:])
         true_inl = set(range(n_out, len(mixed)))
         try:
             result = ransac(mixed, CONST_VELOCITY, CAMERA,

@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,13 +14,26 @@ def small_config():
                             image_size=200, focal=180.0)
 
 
-def test_run_cell_drops_library_failures(monkeypatch):
+def test_run_cell_drops_library_failures(monkeypatch, caplog):
     def no_model(*args, **kwargs):
         raise RobustFailure("no RANSAC iteration produced a valid model")
 
     monkeypatch.setattr(experiment, "estimate_motion", no_model)
-    t_err, r_err, n = experiment.run_cell(small_config(), 0.8, 0.025, 3.0, 0.0, "cv")
+    with caplog.at_level(logging.INFO, logger=experiment.logger.name):
+        t_err, r_err, n = experiment.run_cell(small_config(), 0.8, 0.025, 3.0, 0.0, "cv")
     assert n == 0 and np.isnan(t_err) and np.isnan(r_err)
+    [record] = [r for r in caplog.records if r.name == experiment.logger.name]
+    assert "0 of 2 trials kept" in record.getMessage()
+    assert "{'RobustFailure': 2}" in record.getMessage()
+
+
+def test_run_cell_counts_scenes_with_too_few_samples(caplog):
+    cfg = dataclasses.replace(small_config(), n_points=8)
+    with caplog.at_level(logging.INFO, logger=experiment.logger.name):
+        t_err, _, n = experiment.run_cell(cfg, 0.8, 0.025, 3.0, 0.0, "cv")
+    assert n == 0 and np.isnan(t_err)
+    [record] = [r for r in caplog.records if r.name == experiment.logger.name]
+    assert "{'too_few_samples': 2}" in record.getMessage()
 
 
 def test_run_cell_propagates_program_errors(monkeypatch):
@@ -27,3 +43,24 @@ def test_run_cell_propagates_program_errors(monkeypatch):
     monkeypatch.setattr(experiment, "estimate_motion", broken)
     with pytest.raises(TypeError):
         experiment.run_cell(small_config(), 0.8, 0.025, 3.0, 0.0, "cv")
+
+
+def test_sweep_synthesizes_each_trial_once(monkeypatch):
+    cfg = dataclasses.replace(small_config(), gammas=[0.4, 0.8], models=["gs", "cv"])
+    single = [experiment.run_sweep(dataclasses.replace(cfg, models=[m])) for m in cfg.models]
+    generate = experiment.generate_discrete
+    specs = []
+
+    def counting(spec, *args, **kwargs):
+        specs.append(spec)
+        return generate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "generate_discrete", counting)
+    rows = experiment.run_sweep(cfg)
+    assert len(specs) == len(cfg.gammas) * cfg.trials
+    assert len({s.seed for s in specs}) == len(specs)
+    # each cell's rows are those of the single-model sweeps, bit for bit
+    expected = [row for pair in zip(*single) for row in pair]
+    assert [r[:5] for r in rows] == [r[:5] for r in expected]
+    assert experiment.sweep_csv(rows) == experiment.sweep_csv(expected)
+    assert all(r[7] == cfg.trials for r in rows)

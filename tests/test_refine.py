@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -271,3 +273,49 @@ def test_refit_stable_under_one_ulp_flow_change(camera, model):
     a = refit_trimmed(batch, result, model, camera).motion
     b = refit_trimmed(moved, result, model, camera).motion
     assert max(np.max(np.abs(a.v - b.v)), np.max(np.abs(a.w - b.w)), abs(a.k - b.k)) < 1e-10
+
+
+@pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
+def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
+    """Levenberg-Marquardt asks for the residuals and the Jacobian at the same
+    theta; `_terms` runs once for both."""
+    refine_module = importlib.import_module("rsdiffsfm.refine")
+    spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=1)
+    clean, gt = generate_discrete(spec, model)
+    rng = np.random.default_rng(1)
+    samples = with_noise(clean, camera, 0.5, rng)
+    start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                           w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
+    expected = refine(samples, start, camera, model)
+    motions, evaluations = [], {"residuals": 0, "jacobian": 0}
+    terms = refine_module._terms
+
+    def counting_terms(blocks, motion):
+        motions.append(np.concatenate([motion.v, motion.w, [motion.k]]).tobytes())
+        return terms(blocks, motion)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            evaluations[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(refine_module, "_terms", counting_terms)
+    monkeypatch.setattr(refine_module, "reduced_residuals",
+                        counting("residuals", refine_module.reduced_residuals))
+    monkeypatch.setattr(refine_module, "reduced_jacobian",
+                        counting("jacobian", refine_module.reduced_jacobian))
+    state = refine(samples, start, camera, model)
+    # the cache changes no bit of the result
+    assert state.polished and state.objective == expected.objective
+    assert np.array_equal(state.motion.v, expected.motion.v)
+    assert np.array_equal(state.motion.w, expected.motion.w) and state.motion.k == expected.motion.k
+    # every Jacobian comes from the residuals' entry: no two successive
+    # `_terms` calls at one motion, except where the descent's depth update
+    # and objective meet (at the start, after each cycle and at the end) and
+    # where the first residuals of Levenberg-Marquardt follow the descent's
+    # last objective
+    repeats = sum(a == b for a, b in zip(motions, motions[1:]))
+    assert repeats == state.n_cycles + 3
+    assert evaluations["jacobian"] > 10
+    assert len(motions) < evaluations["residuals"] + evaluations["jacobian"]

@@ -32,7 +32,7 @@ def contaminated_scene(camera, seed, n_points=60, n_out=18, k=0.0):
     spec = make_spec(camera, n_points=n_points, k=k, seed=seed)
     samples, gt = generate_linearized(spec)
     rng = np.random.default_rng(seed + 10_000)
-    mixed = [gross_outlier(s, rng) for s in samples[:n_out]] + samples[n_out:]
+    mixed = [gross_outlier(s, rng) for s in samples[:n_out]] + list(samples[n_out:])
     return mixed, gt, set(range(n_out, len(mixed)))
 
 

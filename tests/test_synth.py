@@ -11,8 +11,8 @@ from rsdiffsfm import (
     rotation_error,
     translation_error,
 )
-from rsdiffsfm.geometry import matrices_ab
-from rsdiffsfm.synth import _sample_positions, beta_timestamp, scanline_pose
+from rsdiffsfm.geometry import FlowBatch, matrices_ab
+from rsdiffsfm.synth import CONST_VELOCITY, _sample_positions, beta_timestamp, scanline_pose
 
 from conftest import make_spec
 
@@ -107,6 +107,92 @@ def test_linearized_matches_per_point_loop(camera, kw):
     for s, (x, u, y1, y2) in zip(samples, ref):
         assert np.array_equal(s.x, x) and np.array_equal(s.u, u)
         assert (s.y1, s.y2) == (y1, y2)
+
+
+def per_point_discrete(spec, model="ca"):
+    """Reference for `generate_discrete`: each point's two row fixed points
+    solved in its own scalar loop, one rotation per step."""
+    rng = np.random.default_rng(spec.seed)
+    cfg = spec.config
+    motion = spec.motion()
+    xs, Zs = _sample_positions(spec, rng)
+    g = cfg.gamma / cfg.h
+
+    def project(point, t):
+        p, r = scanline_pose(t, motion, model)
+        Xc = exp_so3(r).T @ (point - p)
+        if Xc[2] <= 1e-9:
+            return None, None
+        return Xc[:2] / Xc[2], Xc[2]
+
+    def fixed_row(point, y, t0):
+        """(projection at the row before the last update, row) or None."""
+        x = None
+        for _ in range(50):
+            x, _ = project(point, t0 + g * y)
+            if x is None:
+                return None
+            y_new = cfg.row_of(x[1])
+            if abs(y_new - y) < 1e-12:
+                return x, y_new
+            y = y_new
+        return x, y
+
+    samples, depths, discarded = [], [], 0
+    for x0, Z0 in zip(xs, Zs):
+        point = Z0 * np.array([x0[0], x0[1], 1.0])
+        first = fixed_row(point, cfg.row_of(x0[1]), 0.0)
+        if first is None or not (0 <= first[1] < cfg.h):
+            discarded += 1
+            continue
+        y1 = first[1]
+        x1, Z1 = project(point, g * y1)
+        second = fixed_row(point, y1, 1.0)
+        if x1 is None or second is None or not (0 <= second[1] < cfg.h):
+            discarded += 1
+            continue
+        x2, y2 = second
+        samples.append((x1, x2 - x1, y1, y2))
+        depths.append(Z1)
+    return samples, np.array(depths), discarded
+
+
+@pytest.mark.parametrize("model", ["ca", CONST_VELOCITY])
+@pytest.mark.parametrize("kw", [
+    dict(k=0.1, seed=9),
+    dict(k=-0.4, seed=3, n_points=200),
+    # points near the image border whose rows leave the image are discarded
+    dict(k=0.3, seed=5, n_points=200, margin=0.0, norm_translation=0.1, w_mag_deg=8.0),
+])
+def test_discrete_matches_per_point_loop(camera, kw, model):
+    spec = make_spec(camera, **kw)
+    samples, gt = generate_discrete(spec, model)
+    ref, depths, discarded = per_point_discrete(spec, model)
+    assert isinstance(samples, FlowBatch)
+    if kw.get("margin") == 0.0:
+        assert discarded > 0
+    # each point runs the same arithmetic as in its own loop, and the
+    # stacked rotations equal the per-vector ones bit for bit
+    assert gt.n_discarded == discarded
+    assert len(samples) == len(ref)
+    assert np.array_equal(gt.depths, depths)
+    for s, (x, u, y1, y2) in zip(samples, ref):
+        assert np.array_equal(s.x, x) and np.array_equal(s.u, u)
+        assert (s.y1, s.y2) == (y1, y2)
+
+
+def test_exp_so3_stack_matches_each_vector():
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-14, 0.5, (500, 1))
+    w[0] = 0.0  # zero vector
+    w[1] = [3e-11, -2e-11, 0.0]  # below the 1e-10 Taylor switch
+    w[2] = [1e-10, 0.0, 0.0]  # at the switch: Rodrigues
+    stack = exp_so3(w)
+    assert stack.shape == (500, 3, 3)
+    for R, wi in zip(stack, w):
+        assert np.array_equal(R, exp_so3(wi))
+    assert np.array_equal(exp_so3(w.reshape(20, 25, 3)), stack.reshape(20, 25, 3, 3))
+    assert np.array_equal(stack[0], np.eye(3))
 
 
 def test_discrete_rows_self_consistent(camera):
