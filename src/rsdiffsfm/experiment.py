@@ -74,7 +74,8 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
     """Mean errors of one sweep cell over cfg.trials seeded trials.
 
     scenes holds the cell's trial scenes, one (seed, samples, truth) per
-    trial; they are synthesized here when not given.  A trial is dropped
+    trial, as `run_sweep` passes them.  The None default, which synthesizes
+    them here, keeps the public single-cell call working.  A trial is dropped
     when its scene has fewer than 9 samples or its estimation raises a
     library error; one log line per cell counts the drops by reason.
     """

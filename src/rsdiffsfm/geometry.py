@@ -37,8 +37,9 @@ def exp_so3(w):
 
     w may be a stack (..., 3); the result is then (..., 3, 3), each matrix
     bit-identical to that of its own vector.  The angle is the square root
-    of a dot product and theta^2 comes from `float_power`: both round as
-    `np.linalg.norm` and `theta**2` of a single vector do.
+    of `np.vecdot` (NumPy 2.0 and later) and theta^2 comes from
+    `float_power`: both round as `np.linalg.norm` and `theta**2` of a
+    single vector do.
     """
     w = np.asarray(w, dtype=float)
     theta = np.sqrt(np.vecdot(w, w))[..., None, None]

@@ -69,13 +69,12 @@ def warp_field_backprojection(depth, motion: MotionEstimate, config: CameraConfi
     Z = np.where(valid, depth, 1.0)
     du = np.zeros((H, W))
     dv = np.zeros((H, W))
-    betas = beta_first_scanline(np.arange(H), motion.k, config.gamma, config.h)
+    betas = beta_first_scanline(np.arange(H), motion.k, config.gamma, config.h)[:, None]
+    Rs = exp_so3(betas * motion.w)  # (H, 3, 3): one scanline pose per row
+    ps = betas * motion.v
     for r in range(H):
-        b = betas[r]
-        R = exp_so3(b * motion.w)
-        p = b * motion.v
         Xc = np.stack([x[r] * Z[r], y[r] * Z[r], Z[r]])  # (3, W)
-        Xw = R @ Xc + p[:, None]
+        Xw = Rs[r] @ Xc + ps[r][:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             xg = Xw[0] / Xw[2]
             yg = Xw[1] / Xw[2]

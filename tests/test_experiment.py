@@ -14,13 +14,21 @@ def small_config():
                             image_size=200, focal=180.0)
 
 
+AXES = (0.8, 0.025, 3.0, 0.0)
+
+
+def run_cell(cfg):
+    """One cv cell, with its scenes synthesized as `run_sweep` does."""
+    return experiment.run_cell(cfg, *AXES, "cv", experiment._cell_scenes(cfg, *AXES))
+
+
 def test_run_cell_drops_library_failures(monkeypatch, caplog):
     def no_model(*args, **kwargs):
         raise RobustFailure("no RANSAC iteration produced a valid model")
 
     monkeypatch.setattr(experiment, "estimate_motion", no_model)
     with caplog.at_level(logging.INFO, logger=experiment.logger.name):
-        t_err, r_err, n = experiment.run_cell(small_config(), 0.8, 0.025, 3.0, 0.0, "cv")
+        t_err, r_err, n = run_cell(small_config())
     assert n == 0 and np.isnan(t_err) and np.isnan(r_err)
     [record] = [r for r in caplog.records if r.name == experiment.logger.name]
     assert "0 of 2 trials kept" in record.getMessage()
@@ -30,7 +38,7 @@ def test_run_cell_drops_library_failures(monkeypatch, caplog):
 def test_run_cell_counts_scenes_with_too_few_samples(caplog):
     cfg = dataclasses.replace(small_config(), n_points=8)
     with caplog.at_level(logging.INFO, logger=experiment.logger.name):
-        t_err, _, n = experiment.run_cell(cfg, 0.8, 0.025, 3.0, 0.0, "cv")
+        t_err, _, n = run_cell(cfg)
     assert n == 0 and np.isnan(t_err)
     [record] = [r for r in caplog.records if r.name == experiment.logger.name]
     assert "{'too_few_samples': 2}" in record.getMessage()
@@ -42,7 +50,12 @@ def test_run_cell_propagates_program_errors(monkeypatch):
 
     monkeypatch.setattr(experiment, "estimate_motion", broken)
     with pytest.raises(TypeError):
-        experiment.run_cell(small_config(), 0.8, 0.025, 3.0, 0.0, "cv")
+        run_cell(small_config())
+
+
+def test_run_cell_synthesizes_its_scenes_when_not_given():
+    cfg = small_config()
+    assert experiment.run_cell(cfg, *AXES, "cv") == run_cell(cfg)
 
 
 def test_sweep_synthesizes_each_trial_once(monkeypatch):

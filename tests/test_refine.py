@@ -287,35 +287,36 @@ def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
     start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                            w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
     expected = refine(samples, start, camera, model)
-    motions, evaluations = [], {"residuals": 0, "jacobian": 0}
+    n_terms = 0
+    calls = []  # (theta bytes, `_terms` calls made inside) per reduced evaluation
     terms = refine_module._terms
 
     def counting_terms(blocks, motion):
-        motions.append(np.concatenate([motion.v, motion.w, [motion.k]]).tobytes())
+        nonlocal n_terms
+        n_terms += 1
         return terms(blocks, motion)
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            evaluations[name] += 1
-            return fn(*args, **kwargs)
+    def counting(fn):
+        def wrapper(theta, *args, **kwargs):
+            key, before = np.asarray(theta).tobytes(), n_terms
+            out = fn(theta, *args, **kwargs)
+            calls.append((key, n_terms - before))
+            return out
         return wrapper
 
     monkeypatch.setattr(refine_module, "_terms", counting_terms)
     monkeypatch.setattr(refine_module, "reduced_residuals",
-                        counting("residuals", refine_module.reduced_residuals))
+                        counting(refine_module.reduced_residuals))
     monkeypatch.setattr(refine_module, "reduced_jacobian",
-                        counting("jacobian", refine_module.reduced_jacobian))
+                        counting(refine_module.reduced_jacobian))
     state = refine(samples, start, camera, model)
     # the cache changes no bit of the result
     assert state.polished and state.objective == expected.objective
     assert np.array_equal(state.motion.v, expected.motion.v)
     assert np.array_equal(state.motion.w, expected.motion.w) and state.motion.k == expected.motion.k
-    # every Jacobian comes from the residuals' entry: no two successive
-    # `_terms` calls at one motion, except where the descent's depth update
-    # and objective meet (at the start, after each cycle and at the end) and
-    # where the first residuals of Levenberg-Marquardt follow the descent's
-    # last objective
-    repeats = sum(a == b for a, b in zip(motions, motions[1:]))
-    assert repeats == state.n_cycles + 3
-    assert evaluations["jacobian"] > 10
-    assert len(motions) < evaluations["residuals"] + evaluations["jacobian"]
+    # a residual or Jacobian evaluation at the theta of the one before it
+    # reuses that one's terms; every other one computes them once
+    repeats = [n for (prev, _), (key, n) in zip(calls, calls[1:]) if key == prev]
+    assert len(repeats) > 10 and not any(repeats)
+    assert calls[0][1] == 1
+    assert all(n == 1 for (prev, _), (key, n) in zip(calls, calls[1:]) if key != prev)
