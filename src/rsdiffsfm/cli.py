@@ -67,15 +67,23 @@ def _camera_fields(values):
 @click.option("--flow", "flow_path", required=True, help="RSFLOW1 forward flow file.")
 @click.option("--flow-bwd", "bwd_path", default=None, help="Optional backward flow for filtering.")
 @click.option("--model", type=click.Choice(["gs", "cv", "ca"]), default="cv")
-@click.option("--ransac-iters", default=300, show_default=True)
+@click.option("--ransac-iters", default=300, show_default=True, type=click.IntRange(min=1))
 @click.option("--threshold", default=0.001, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--max-samples", default=2000, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--max-samples", default=2000, show_default=True, type=click.IntRange(min=0))
 @click.option("--no-refine", is_flag=True, help="Skip nonlinear refinement.")
 @click.option("--out", "out_path", required=True)
 def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samples,
              no_refine, out_path):
-    """Estimate relative motion from a flow file."""
+    """Estimate relative motion from a flow file.
+
+    The motion file also records the RANSAC counts and, after refinement,
+    why the refit stopped and whether its polish step was accepted.
+    """
+    try:
+        rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
+    except ValueError as exc:
+        _input_error(exc)
     flow = _read_or_die(iof.read_flow, flow_path, "flow")
     bwd = _read_or_die(iof.read_flow, bwd_path, "flow") if bwd_path else None
     try:
@@ -83,11 +91,12 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
     except EmptySelection as exc:
         _input_error(exc)
     try:
-        rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
         result = ransac(samples, MODELS[model], flow.config, rc)
-        motion = result.motion
+        motion, refit = result.motion, {}
         if not no_refine:
-            motion = refit_trimmed(samples, result, MODELS[model], flow.config).motion
+            state = refit_trimmed(samples, result, MODELS[model], flow.config)
+            motion, refit = state.motion, {"stop_reason": state.stop_reason,
+                                           "polished": int(state.polished)}
     except RsSfmError as exc:
         click.echo(f"estimation failed: {exc}", err=True)
         sys.exit(1)
@@ -98,6 +107,9 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
         "n_inliers": len(result.inliers),
         "residual_mean": float(np.mean(res)),
         "residual_median": float(np.median(res)),
+        "n_hypotheses": result.n_hypotheses,
+        "n_scored_full": result.n_scored_full,
+        **refit,
         **_camera_fields(vars(flow.config)),
     })
 

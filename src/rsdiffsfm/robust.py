@@ -2,17 +2,22 @@
 
 The inlier criterion is the differential re-projection error: the distance
 between the measured flow and the closest predicted flow over all positive
-depths.  A hypothesis is scored over the full sample set; ties on inlier
-count break on the lower mean inlier residual.
+depths.  The best hypothesis has the most inliers over the full sample set;
+ties on inlier count break on the lower mean inlier residual.
 
-RANSAC draws its sample subsets in blocks, solves each block as one stack
-with the batched minimal solvers and scores the block's hypotheses as one
-array, keeping the best hypothesis across blocks.
+RANSAC draws its sample subsets in blocks of SOLVE_BLOCK and solves each
+block as one stack with the batched minimal solvers.  It scores the block's
+hypotheses over the samples in chunks, and after each chunk drops every
+hypothesis whose inlier count plus the samples still unscored cannot reach
+the best count of the earlier blocks.  This bail-out is exact: a dropped
+hypothesis could not have won, and only hypotheses scored on every sample
+compete.  RansacResult.n_scored_full counts them.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -38,9 +43,12 @@ from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel_stack, solve_cons
 logger = logging.getLogger(__name__)
 
 MINIMAL_SIZE = {GLOBAL_SHUTTER: 8, CONST_VELOCITY: 8, CONST_ACCEL: 9}
-# RANSAC draws, solves and scores its subsets in blocks of
-# BLOCK_RESIDUALS // N subsets for N samples, so its memory stays fixed
-# whatever the iteration count
+# RANSAC draws and solves its subsets in blocks of SOLVE_BLOCK subsets, and
+# scores H live hypotheses over chunks of BLOCK_RESIDUALS // H samples, so
+# its memory stays fixed whatever the iteration count.  The solvers' cost
+# per call dominates on small stacks; a 256-subset stack already holds
+# several times the memory of a 60-subset one
+SOLVE_BLOCK = 64
 BLOCK_RESIDUALS = 2 ** 13
 
 
@@ -58,18 +66,21 @@ class RansacConfig:
     root_window: tuple = DEFAULT_ROOT_WINDOW
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not (np.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
 @dataclass
 class RansacResult:
     """Best hypothesis with its inlier set and per-sample residuals.
 
-    n_hypotheses counts the candidates scored; failures counts the subsets
-    that gave none, by the name of the error the solver raised for them.
+    n_hypotheses counts the candidates solved, n_scored_full those scored
+    on every sample (the others were dropped by the bail-out); failures
+    counts the subsets that gave none, by the name of the error the solver
+    raised for them.  draw_s, solve_s and score_s are the seconds (wall
+    clock) spent drawing subsets, solving them and scoring hypotheses.
     """
 
     motion: MotionEstimate
@@ -78,7 +89,11 @@ class RansacResult:
     n_valid_iterations: int
     n_iterations: int
     n_hypotheses: int = 0
+    n_scored_full: int = 0
     failures: dict = field(default_factory=dict)
+    draw_s: float = 0.0
+    solve_s: float = 0.0
+    score_s: float = 0.0
 
 
 def residual(sample: FlowSample, motion: MotionEstimate, config: CameraConfig | None,
@@ -117,6 +132,32 @@ def _residuals(batch, ab, v, w, k):
     return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
 
 
+def _score_block(samples, ab, hyps, threshold, best_count):
+    """Inlier counts and inlier-residual sums of a block of hypotheses.
+
+    The samples are scored in chunks of BLOCK_RESIDUALS // (live hypotheses).
+    After each chunk a hypothesis whose count plus the samples left is below
+    best_count is dropped; its count reads -1.
+    """
+    n = len(samples)
+    counts = np.zeros(len(hyps), dtype=np.intp)
+    sums = np.zeros(len(hyps))
+    live = np.arange(len(hyps))
+    start = 0
+    while start < n and live.size:
+        stop = min(n, start + max(1, BLOCK_RESIDUALS // live.size))
+        errs = _residuals(samples[start:stop], (ab[0][start:stop], ab[1][start:stop]),
+                          hyps.v[live], hyps.w[live], hyps.k[live])
+        inl = errs <= threshold
+        counts[live] += np.count_nonzero(inl, axis=1)
+        sums[live] += np.sum(np.where(inl, errs, 0.0), axis=1)
+        start = stop
+        reachable = counts[live] + (n - stop) >= best_count
+        counts[live[~reachable]] = -1
+        live = live[reachable]
+    return counts, sums
+
+
 def ransac(samples, model: str, config: CameraConfig | None, ransac_config: RansacConfig | None = None) -> RansacResult:
     """Robust motion estimate from contaminated flow samples.
 
@@ -132,36 +173,42 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
         raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
     rng = np.random.default_rng(rc.seed)
     ab = scanline_ab(samples.y1, samples.y2, config, model)
-    block = max(1, BLOCK_RESIDUALS // len(samples))
     failures = Counter()
-    n_hypotheses = 0
+    n_hypotheses = n_scored_full = 0
+    seconds = np.zeros(3)  # drawing, solving, scoring
     best_count, best_mean, best_motion, best_errs = 0, np.inf, None, None
-    for start in range(0, rc.iterations, block):
+    for start in range(0, rc.iterations, SOLVE_BLOCK):
+        t0 = time.perf_counter()
         # one draw per iteration, in order, so the subsets do not depend on
         # the block size
         subsets = np.array([rng.choice(len(samples), size=m, replace=False)
-                            for _ in range(min(block, rc.iterations - start))])
+                            for _ in range(min(SOLVE_BLOCK, rc.iterations - start))])
+        t1 = time.perf_counter()
         if model == GLOBAL_SHUTTER:
             hyps = solve_gs_stack(samples[subsets])
         elif model == CONST_VELOCITY:
             hyps = solve_const_velocity_stack(samples[subsets], config)
         else:
             hyps = solve_const_accel_stack(samples[subsets], config, rc.root_window)
+        t2 = time.perf_counter()
         failures.update(type(exc).__name__ for exc in hyps.failures.values())
         n_hypotheses += len(hyps)
-        if not len(hyps):
-            continue
-        errs = _residuals(samples, ab, hyps.v, hyps.w, hyps.k)
-        inl = errs <= rc.threshold
-        counts = np.count_nonzero(inl, axis=1)
-        means = np.sum(np.where(inl, errs, 0.0), axis=1) / np.maximum(counts, 1)
-        i = np.lexsort((means, -counts))[0]  # stable: the first of equals
-        if counts[i] > best_count or (counts[i] == best_count > 0 and means[i] < best_mean):
-            best_count, best_mean, best_motion, best_errs = counts[i], means[i], hyps.motion(i), errs[i].copy()
+        if len(hyps):
+            counts, sums = _score_block(samples, ab, hyps, rc.threshold, best_count)
+            n_scored_full += np.count_nonzero(counts >= 0)
+            means = sums / np.maximum(counts, 1)
+            i = np.lexsort((means, -counts))[0]  # stable: the first of equals
+            if counts[i] > best_count or (counts[i] == best_count > 0 and means[i] < best_mean):
+                best_count, best_mean, best_motion = counts[i], means[i], hyps.motion(i)
+                # element-wise in the samples, so equal to the chunks' residuals
+                best_errs = _residuals(samples, ab, hyps.v[i:i + 1], hyps.w[i:i + 1],
+                                       hyps.k[i:i + 1])[0]
+        seconds += (t1 - t0, t2 - t1, time.perf_counter() - t2)
     n_valid = rc.iterations - sum(failures.values())
-    logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses scored, "
-                "best %d of %d inliers", model, n_valid, rc.iterations, dict(failures),
-                n_hypotheses, best_count, len(samples))
+    logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses, %d scored "
+                "in full, best %d of %d inliers; draw %.4f s, solve %.4f s, score %.4f s",
+                model, n_valid, rc.iterations, dict(failures), n_hypotheses, n_scored_full,
+                best_count, len(samples), *seconds)
     if best_count == 0:
         raise RobustFailure("no RANSAC iteration produced a valid model")
     return RansacResult(
@@ -171,7 +218,11 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
         n_valid_iterations=n_valid,
         n_iterations=rc.iterations,
         n_hypotheses=n_hypotheses,
+        n_scored_full=n_scored_full,
         failures=dict(failures),
+        draw_s=float(seconds[0]),
+        solve_s=float(seconds[1]),
+        score_s=float(seconds[2]),
     )
 
 

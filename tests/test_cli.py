@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rsdiffsfm import CameraConfig, MotionEstimate, dense_depth, rectify_image, warp_field
+from rsdiffsfm import (
+    CameraConfig,
+    MotionEstimate,
+    RansacConfig,
+    dense_depth,
+    ransac,
+    rectify_image,
+    refit_trimmed,
+    warp_field,
+)
 from rsdiffsfm.cli import _samples_from_flow, main
 from rsdiffsfm.io_formats import (
     FlowFile,
@@ -66,6 +75,15 @@ def test_synth_then_estimate(runner, tmp_path):
     assert translation_error(est.v, gt.v) < 3.0  # degrees
     assert rotation_error(est.w, gt.w) < 0.05
     assert est.k == 0.0
+    # the RANSAC counts and the refit's diagnostics are those of the library
+    samples = _samples_from_flow(read_flow(flow), seed=3)
+    result = ransac(samples, "cv", read_flow(flow).config, RansacConfig(iterations=100, seed=3))
+    state = refit_trimmed(samples, result, "cv", read_flow(flow).config)
+    kv = read_keyvalues(out_cv)
+    assert (int(kv["n_hypotheses"]), int(kv["n_scored_full"])) == (
+        result.n_hypotheses, result.n_scored_full)
+    assert 0 < result.n_scored_full <= result.n_hypotheses
+    assert (kv["stop_reason"], int(kv["polished"])) == (state.stop_reason, state.polished)
 
     # a global-shutter fit on the same rolling-shutter flow is worse
     out_gs = tmp_path / "m_gs.txt"
@@ -74,12 +92,34 @@ def test_synth_then_estimate(runner, tmp_path):
     est_gs = read_motion(out_gs)
     assert translation_error(est_gs.v, gt.v) > translation_error(est.v, gt.v)
 
+    # without refinement there is no refit to report on
+    out_raw = tmp_path / "m_raw.txt"
+    run_ok(runner, ["estimate", "--flow", str(flow), "--ransac-iters", "100", "--seed", "3",
+                    "--no-refine", "--out", str(out_raw)])
+    kv = read_keyvalues(out_raw)
+    assert "n_scored_full" in kv and "stop_reason" not in kv and "polished" not in kv
+
 
 def test_estimate_missing_flow(runner, tmp_path):
     res = runner.invoke(main, ["estimate", "--flow", str(tmp_path / "nope.rsflow"),
                                "--out", str(tmp_path / "m.txt")])
     assert res.exit_code == 2
     assert "not found" in res.output
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--threshold", "0"), ("--threshold", "-1"), ("--threshold", "nan"),
+    ("--ransac-iters", "0"), ("--max-samples", "-1"), ("--seed", "-1")])
+def test_estimate_invalid_option_is_input_error(runner, tmp_path, option, value):
+    cam = CameraConfig(gamma=0.8, h=32, fx=30.0, fy=30.0, cx=16.0, cy=16.0, width=32)
+    flow, out = tmp_path / "s.rsflow", tmp_path / "m.txt"
+    sparse = np.random.default_rng(0).uniform(1.0, 30.0, (40, 4)).astype(np.float32)
+    write_flow(flow, FlowFile(config=cam, width=32, height=32, sparse=sparse))
+    res = runner.invoke(main, ["estimate", "--flow", str(flow), option, value, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert option.lstrip("-") in res.output
+    assert not out.exists()
 
 
 def test_depth_rejects_sparse_flow(runner, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -140,21 +141,32 @@ def sequential_ransac(samples, model, camera, rc):
     return np.flatnonzero(best[2]), n_valid
 
 
-def duplicated_scene(camera, seed, k=0.1):
+def duplicated_scene(camera, seed, k=0.1, n_points=60, n_out=18):
     """A contaminated scene with a third of its samples listed twice, so
     that some minimal subsets are rank deficient."""
-    mixed, _, _ = contaminated_scene(camera, seed=seed, k=k)
+    mixed, _, _ = contaminated_scene(camera, seed=seed, n_points=n_points, n_out=n_out, k=k)
     return mixed + mixed[::3]
 
 
-@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
-def test_ransac_matches_sequential_reference(camera, model):
-    samples = duplicated_scene(camera, seed=8)
-    rc = RansacConfig(iterations=60, seed=8)
+MODELS = (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL)
+
+
+# 80 samples are scored in one chunk; at 2000 samples the bail-out drops
+# hypotheses between chunks
+@pytest.mark.parametrize("model, n_points, iterations, chunked", [
+    *[pytest.param(model, 60, 60, False, id=model) for model in MODELS],
+    *[pytest.param(model, 1500, 150, True, id=f"{model}-chunked") for model in MODELS],
+])
+def test_ransac_matches_sequential_reference(camera, model, n_points, iterations, chunked):
+    samples = duplicated_scene(camera, seed=8, n_points=n_points, n_out=int(0.3 * n_points))
+    rc = RansacConfig(iterations=iterations, seed=8)
     r = ransac(samples, model, camera, rc)
     inliers, n_valid = sequential_ransac(samples, model, camera, rc)
     assert np.array_equal(r.inliers, inliers)
     assert r.n_valid_iterations == n_valid
+    assert np.array_equal(r.residuals, score_motion(samples, r.motion, camera, model))
+    if chunked:
+        assert r.n_scored_full < r.n_hypotheses
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
@@ -165,6 +177,19 @@ def test_ransac_counts_failures(camera, model):
     assert sum(r.failures.values()) > 0
     assert sum(r.failures.values()) + r.n_valid_iterations == r.n_iterations
     assert r.n_hypotheses >= r.n_valid_iterations
+
+
+def test_ransac_reports_counts_and_stage_times(camera, caplog):
+    samples, _, _ = contaminated_scene(camera, seed=3, n_points=1000, n_out=300)
+    with caplog.at_level(logging.INFO, logger="rsdiffsfm.robust"):
+        r = ransac(samples, CONST_VELOCITY, camera, RansacConfig(iterations=200, seed=3))
+    assert 0 < r.n_scored_full < r.n_hypotheses
+    assert min(r.draw_s, r.solve_s, r.score_s) > 0
+    [record] = [rec for rec in caplog.records if rec.name == "rsdiffsfm.robust"]
+    message = record.getMessage()
+    assert f"{r.n_hypotheses} hypotheses, {r.n_scored_full} scored in full" in message
+    assert all(f"{stage} {t:.4f} s" in message
+               for stage, t in (("draw", r.draw_s), ("solve", r.solve_s), ("score", r.score_s)))
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_ACCEL])
@@ -201,8 +226,9 @@ def test_refit_trimmed_exact_on_clean_consensus(camera):
 
 
 def test_ransac_config_validation():
-    with pytest.raises(ValueError):
-        RansacConfig(threshold=0.0)
+    for threshold in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            RansacConfig(threshold=threshold)
     with pytest.raises(ValueError):
         RansacConfig(iterations=0)
 
