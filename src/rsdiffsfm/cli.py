@@ -109,6 +109,9 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
         "residual_median": float(np.median(res)),
         "n_hypotheses": result.n_hypotheses,
         "n_scored_full": result.n_scored_full,
+        "draw_s": result.draw_s,
+        "solve_s": result.solve_s,
+        "score_s": result.score_s,
         **refit,
         **_camera_fields(vars(flow.config)),
     })
@@ -153,7 +156,7 @@ def rectify(image_path, depth_path, motion_path, out_path):
         warp = warp_field(depth_map, motion, camera)
     except ValueError as exc:  # a malformed camera, or one that does not fit the depth map
         _input_error(f"{motion_path}: {exc}")
-    out, _ = rectify_image(img, warp)
+    out, _ = rectify_image(img, warp)  # logs its gap fraction
     iof.write_pnm(out_path, out)
 
 

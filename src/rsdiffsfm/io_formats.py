@@ -238,14 +238,18 @@ def read_motion(path):
 
     kv = read_keyvalues(path)
     try:
-        return MotionEstimate(
-            v=np.array([float(kv["vx"]), float(kv["vy"]), float(kv["vz"])]),
-            w=np.array([float(kv["wx"]), float(kv["wy"]), float(kv["wz"])]),
-            k=float(kv.get("k", "0")),
-            v_reliable=bool(int(kv.get("v_reliable", "1"))),
-        )
+        v = np.array([float(kv["vx"]), float(kv["vy"]), float(kv["vz"])])
+        w = np.array([float(kv["wx"]), float(kv["wy"]), float(kv["wz"])])
+        k = float(kv.get("k", "0"))
+        v_reliable = bool(int(kv.get("v_reliable", "1")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    # a NaN or infinite motion would pass through depth and rectification
+    # as an all-NaN depth map and a meaningless image
+    for key, val in zip(("vx", "vy", "vz", "wx", "wy", "wz", "k"), (*v, *w, k)):
+        if not np.isfinite(val):
+            raise ValueError(f"{path}: motion entry {key}={val} is not finite")
+    return MotionEstimate(v=v, w=w, k=k, v_reliable=v_reliable)
 
 
 _FLOAT_LIST_KEYS = {"gammas", "translations", "w_mags", "ks"}

@@ -6,16 +6,26 @@ pixel to where the first-scanline (global-shutter) camera would have seen
 it.  Two paths are provided: the small-motion displacement field (default)
 and exact back-projection through the scanline pose; they agree to
 sub-pixel accuracy at the motion scales the model is valid for.
+
+`rectify_image` forward-splats with one `np.bincount` per bilinear corner
+and accumulator, added in corner order.  `np.add.at` gives the same sums
+in about twice the time; the two differ only in the order in which the
+contributions of one corner to one pixel are summed.  The four corners are
+not joined into one bincount, which would hold four times the index and
+weight arrays at once.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_fill_holes
 
 from .geometry import CameraConfig, MotionEstimate, beta, exp_so3, rotation_flow, translation_flow
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -120,8 +130,11 @@ def rectify_image(image, warp: WarpField, fill_gaps: bool = True):
         xi = x0 + dx
         yi = y0 + dy
         ok = (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H)
-        np.add.at(wgt, (yi[ok], xi[ok]), wq[ok])
-        np.add.at(acc, (yi[ok], xi[ok]), vals[ok] * wq[ok, None])
+        flat = yi[ok] * W + xi[ok]
+        wq = wq[ok]
+        wgt += np.bincount(flat, wq, minlength=H * W).reshape(H, W)
+        for c in range(C):
+            acc[..., c] += np.bincount(flat, vals[ok, c] * wq, minlength=H * W).reshape(H, W)
 
     filled = wgt > 1e-8
     out = np.zeros_like(acc)
@@ -129,6 +142,7 @@ def rectify_image(image, warp: WarpField, fill_gaps: bool = True):
     gap = ~filled
     footprint = binary_fill_holes(filled)
     gap_fraction = float(np.count_nonzero(gap & footprint)) / (H * W)
+    logger.info("rectify_image %dx%d: gap_fraction %.4g", W, H, gap_fraction)
     if fill_gaps and np.any(gap):
         out = _fill_from_neighbors(out, gap)
     # invalid warp entries pass the source through
@@ -143,24 +157,13 @@ def _fill_from_neighbors(img, gap):
     acc = np.zeros_like(img)
     cnt = np.zeros(img.shape[:2])
     known = ~gap
-    for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        src_ok = np.zeros_like(known)
-        shifted = np.zeros_like(img)
-        if dy == -1:
-            src_ok[1:, :] = known[:-1, :]
-            shifted[1:, :] = img[:-1, :]
-        elif dy == 1:
-            src_ok[:-1, :] = known[1:, :]
-            shifted[:-1, :] = img[1:, :]
-        elif dx == -1:
-            src_ok[:, 1:] = known[:, :-1]
-            shifted[:, 1:] = img[:, :-1]
-        else:
-            src_ok[:, :-1] = known[:, 1:]
-            shifted[:, :-1] = img[:, 1:]
-        take = gap & src_ok
-        acc[take] += shifted[take]
-        cnt[take] += 1
+    head, tail, every = slice(None, -1), slice(1, None), slice(None)
+    # (destination, source) slices for the neighbor above, below, left, right
+    for dst, src in (((tail, every), (head, every)), ((head, every), (tail, every)),
+                     ((every, tail), (every, head)), ((every, head), (every, tail))):
+        take = gap[dst] & known[src]
+        acc[dst][take] += img[src][take]
+        cnt[dst][take] += 1
     have = gap & (cnt > 0)
     out[have] = acc[have] / cnt[have, None]
     return out

@@ -10,7 +10,10 @@ Samples whose optimal inverse depth is undefined (translation epipole) or
 non-positive are excluded from the current cycle and re-tested on the next
 one.  Levenberg-Marquardt with the depths eliminated in closed form then
 minimizes the objective over (v, w[, k]) alone: variable projection (Golub
-and Pereyra, 2003) with an analytic Jacobian.
+and Pereyra, 2003) with an analytic Jacobian.  Two Gauss-Newton steps
+finish it; `gauss_newton_step` solves them from normal equations formed
+with `einsum`, so that no BLAS call wakes OpenBLAS threads that would spin
+after it.
 """
 
 from __future__ import annotations
@@ -323,6 +326,25 @@ def reduced_jacobian(theta, blocks: SampleBlocks, terms=_reduced_terms):
     return np.concatenate(jac, axis=2).reshape(-1, len(theta))
 
 
+def gauss_newton_step(J, r):
+    """Least-squares solution s of J s = r, from the normal equations.
+
+    J^T J and J^T r are formed with `einsum`, which without `optimize` never
+    calls BLAS: a BLAS product with a 2N x 7 Jacobian wakes OpenBLAS's worker
+    threads, which then spin for about 0.1 s of CPU after the call.  Forming
+    J^T J squares the condition number, so one round of iterative refinement
+    on the residual r - J s brings s back to the accuracy of `lstsq` on J.  The
+    small systems are solved with `lstsq` and its rank cutoff, not `solve`:
+    the reduced residual does not change under v -> s v, so J^T J is
+    singular along (v, 0, 0), and only the cutoff keeps the step off that
+    gauge direction.
+    """
+    JtJ = np.einsum("ni,nj->ij", J, J)
+    step = np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, r), rcond=None)[0]
+    rest = r - np.einsum("ni,i->n", J, step)
+    return step + np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, rest), rcond=None)[0]
+
+
 def _polish_lm(blocks, v, w, k, obj_current, model):
     """Levenberg-Marquardt on (v, w[, k]) with depths eliminated in closed form.
 
@@ -360,11 +382,11 @@ def _polish_lm(blocks, v, w, k, obj_current, model):
             # flat translation/rotation direction is left settled to only
             # about 1e-9.  Gauss-Newton steps compare no costs: two of them
             # reach the stationary point to about 1e-12, so that refits of
-            # nearly equal flows agree.
+            # nearly equal flows agree.  The steps avoid BLAS, whose idle
+            # threads would spin after a product with the 2N-row Jacobian.
             for _ in range(2):
-                step = np.linalg.lstsq(reduced_jacobian(theta, blocks, terms),
-                                       reduced_residuals(theta, blocks, terms), rcond=None)[0]
-                theta = theta - step
+                theta = theta - gauss_newton_step(reduced_jacobian(theta, blocks, terms),
+                                                  reduced_residuals(theta, blocks, terms))
         m = _motion(theta)
         rho, valid = update_depths(blocks, m)
         obj_new = objective(blocks, m, np.where(valid, rho, 0.0), valid)

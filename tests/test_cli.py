@@ -84,6 +84,9 @@ def test_synth_then_estimate(runner, tmp_path):
         result.n_hypotheses, result.n_scored_full)
     assert 0 < result.n_scored_full <= result.n_hypotheses
     assert (kv["stop_reason"], int(kv["polished"])) == (state.stop_reason, state.polished)
+    # and RANSAC's seconds per stage, which only the run itself can measure
+    seconds = [float(kv[key]) for key in ("draw_s", "solve_s", "score_s")]
+    assert all(np.isfinite(s) and s >= 0.0 for s in seconds) and sum(seconds) > 0.0
 
     # a global-shutter fit on the same rolling-shutter flow is worse
     out_gs = tmp_path / "m_gs.txt"
@@ -236,6 +239,33 @@ def test_depth_bad_motion_file_is_input_error(runner, tmp_path, content, message
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "error:" in res.output and message in res.output
+
+
+@pytest.mark.parametrize("entry", ["vx=nan", "vx=inf", "wz=-inf", "k=nan"])
+@pytest.mark.parametrize("command", ["depth", "rectify"])
+def test_non_finite_motion_is_input_error(runner, tmp_path, command, entry):
+    H = W = 12
+    cam = CameraConfig(gamma=0.8, h=H, fx=11.0, fy=11.0, cx=6.0, cy=6.0, width=W)
+    mpath = tmp_path / "m.txt"
+    write_motion(mpath, MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0),
+                 extra={key: getattr(cam, key) for key in ("gamma", "h", "fx", "fy", "cx", "cy")})
+    key = entry.split("=")[0]
+    mpath.write_text("".join(entry + "\n" if line.startswith(key + "=") else line
+                             for line in mpath.read_text().splitlines(keepends=True)))
+    if command == "depth":
+        inputs = ["--flow", str(tmp_path / "d.rsflow")]
+        write_flow(inputs[1], FlowFile(config=cam, width=W, height=H,
+                                       dense=np.zeros((H, W, 2), dtype=np.float32)))
+    else:
+        inputs = ["--image", str(tmp_path / "img.pgm"), "--depth", str(tmp_path / "d.pfm")]
+        write_pnm(inputs[1], np.zeros((H, W), dtype=np.uint8))
+        write_pfm(inputs[3], np.full((H, W), 5.0, dtype=np.float32))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, *inputs, "--motion", str(mpath), "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and f"{key}=" in res.output and "not finite" in res.output
+    assert not out.exists()
 
 
 def test_rectify_truncated_depth_is_input_error(runner, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import binary_fill_holes
 
 from rsdiffsfm import (
     CameraConfig,
@@ -9,7 +10,7 @@ from rsdiffsfm import (
     warp_field,
     warp_field_backprojection,
 )
-from rsdiffsfm.rectify import beta_first_scanline
+from rsdiffsfm.rectify import WarpField, beta_first_scanline
 
 
 def small_camera(gamma=0.8, H=200):
@@ -157,3 +158,61 @@ def test_rectify_color_image():
     assert out.shape == (60, 60, 3)
     # constant image stays constant wherever the splat covers
     assert np.allclose(out[20:40, 20:40], img[20:40, 20:40])
+
+
+def add_at_splat(image, warp):
+    """Reference bilinear forward splat, one `np.add.at` per corner: the
+    filled mask and the splatted image before gap filling."""
+    img = np.asarray(image, dtype=float)
+    channels = img if img.ndim == 3 else img[..., None]
+    H, W, C = channels.shape
+    acc = np.zeros((H, W, C))
+    wgt = np.zeros((H, W))
+    py, px = np.mgrid[0:H, 0:W].astype(float)
+    tx = (px + warp.du).ravel()
+    ty = (py + warp.dv).ravel()
+    x0 = np.floor(tx).astype(int)
+    y0 = np.floor(ty).astype(int)
+    fx, fy = tx - x0, ty - y0
+    vals = channels.reshape(-1, C)
+    for dx, dy, wq in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
+                       (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
+        xi, yi = x0 + dx, y0 + dy
+        ok = (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H)
+        np.add.at(wgt, (yi[ok], xi[ok]), wq[ok])
+        np.add.at(acc, (yi[ok], xi[ok]), vals[ok] * wq[ok, None])
+    filled = wgt > 1e-8
+    out = np.zeros_like(acc)
+    out[filled] = acc[filled] / wgt[filled, None]
+    return filled, out.reshape(img.shape)
+
+
+@pytest.mark.parametrize("color", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_splat_matches_add_at_reference(color, seed):
+    """Random warps that squeeze several source pixels into one and push
+    others out of the image splat as the `np.add.at` reference does."""
+    rng = np.random.default_rng(seed)
+    H, W = 37, 53
+    py, px = np.mgrid[0:H, 0:W].astype(float)
+    # squeeze the columns, stretch the rows apart (leaving holes), jitter,
+    # and push a band of columns out of the image
+    du = (rng.uniform(0.3, 0.6) - 1.0) * (px - W / 2) + rng.normal(0.0, 1.0, (H, W))
+    dv = (rng.uniform(1.6, 2.0) - 1.0) * (py - H / 2) + rng.normal(0.0, 1.0, (H, W))
+    du += rng.choice([-1, 1]) * 0.4 * W
+    targets = np.floor(px + du).astype(int) * H + np.floor(py + dv).astype(int)
+    inside = (px + du >= 0) & (px + du < W - 1) & (py + dv >= 0) & (py + dv < H - 1)
+    assert np.unique(targets[inside]).size < 0.8 * np.count_nonzero(inside)
+    assert np.count_nonzero(~inside) > 0.1 * H * W
+    warp = WarpField(du=du, dv=dv, valid=np.ones((H, W), dtype=bool))
+    image = rng.uniform(1.0, 255.0, (H, W, 3) if color else (H, W))
+    filled, expected = add_at_splat(image, warp)
+    out, gap_fraction = rectify_image(image, warp, fill_gaps=False)
+    # every source value is positive, so exactly the unfilled pixels read 0
+    assert np.array_equal(out.reshape(H, W, -1)[..., 0] != 0.0, filled)
+    assert gap_fraction == np.count_nonzero(~filled & binary_fill_holes(filled)) / (H * W)
+    assert gap_fraction > 0.0
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
+    filled_out, filled_gap = rectify_image(image, warp)
+    assert filled_gap == gap_fraction
+    np.testing.assert_array_equal(filled_out[filled], out[filled])

@@ -19,6 +19,7 @@ from rsdiffsfm.geometry import FlowBatch, MotionEstimate
 from rsdiffsfm.refine import (
     SampleBlocks,
     dense_depth,
+    gauss_newton_step,
     objective,
     reduced_jacobian,
     reduced_residuals,
@@ -273,6 +274,30 @@ def test_refit_stable_under_one_ulp_flow_change(camera, model):
     a = refit_trimmed(batch, result, model, camera).motion
     b = refit_trimmed(moved, result, model, camera).motion
     assert max(np.max(np.abs(a.v - b.v)), np.max(np.abs(a.w - b.w)), abs(a.k - b.k)) < 1e-10
+
+
+@pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
+def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model):
+    """The BLAS-free normal-equation step equals the least-squares step of
+    the reduced Jacobian, and it takes no step along the scale gauge
+    (v / |v|, 0, 0), where the reduced residual does not change."""
+    for seed in (4, 7):
+        spec = make_spec(camera, n_points=400, k=0.15 if model == CONST_ACCEL else 0.0, seed=seed)
+        clean, _ = generate_discrete(spec, model)
+        rng = np.random.default_rng(seed)
+        samples = [gross_outlier(s, rng) if i % 4 == 0 else s for i, s in enumerate(clean)]
+        batch = with_noise(samples, camera, 0.05, rng)
+        result = ransac(batch, model, camera, RansacConfig(iterations=100, seed=seed))
+        inliers = batch[result.inliers]
+        assert refine(inliers, result.motion, camera, model).polished
+        start = result.motion.normalized()  # the theta the refit starts from
+        theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
+        blocks = SampleBlocks.build(inliers, camera, model)
+        J, r = reduced_jacobian(theta, blocks), reduced_residuals(theta, blocks)
+        step = gauss_newton_step(J, r)
+        expected = np.linalg.lstsq(J, r, rcond=None)[0]
+        assert np.linalg.norm(step - expected) < 1e-12 * np.linalg.norm(expected)
+        assert abs(step[:3] @ start.v) < 1e-12 * np.linalg.norm(step)
 
 
 @pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
