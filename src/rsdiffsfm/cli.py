@@ -77,8 +77,10 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
              no_refine, out_path):
     """Estimate relative motion from a flow file.
 
-    The motion file also records the RANSAC counts and, after refinement,
-    why the refit stopped and whether its polish step was accepted.
+    The motion file also records the RANSAC counts (hypotheses solved,
+    hypotheses scored on every sample, residuals evaluated) and, after
+    refinement, why the refit stopped and whether its polish step was
+    accepted.
     """
     try:
         rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
@@ -109,6 +111,7 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
         "residual_median": float(np.median(res)),
         "n_hypotheses": result.n_hypotheses,
         "n_scored_full": result.n_scored_full,
+        "n_residuals": result.n_residuals,
         "draw_s": result.draw_s,
         "solve_s": result.solve_s,
         "score_s": result.score_s,

@@ -200,22 +200,12 @@ def midpoint(sample):
     return sample.x + 0.5 * sample.u
 
 
-def lift(x):
-    """Homogeneous lifting (x, y) -> (x, y, 1)."""
-    return np.array([float(x[0]), float(x[1]), 1.0])
-
-
-def lift_flow(u):
-    """Flow lifting (u_x, u_y) -> (u_x, u_y, 0)."""
-    return np.array([float(u[0]), float(u[1]), 0.0])
-
-
 def epipolar_residual(x, u, v, w):
-    """Residual of the differential epipolar constraint u^T v^ x~ - x~^T s x~."""
-    xt = lift(x)
-    ut = lift_flow(u)
-    s = symmetric_s(v, w)
-    return float(ut @ skew(v) @ xt - xt @ s @ xt)
+    """Residual of the differential epipolar constraint u~^T v^ x~ - x~^T s x~
+    with the lifted point x~ = (x, y, 1) and flow u~ = (u_x, u_y, 0)."""
+    xt = np.array([float(x[0]), float(x[1]), 1.0])
+    ut = np.array([float(u[0]), float(u[1]), 0.0])
+    return float(ut @ skew(v) @ xt - xt @ symmetric_s(v, w) @ xt)
 
 
 @dataclass(frozen=True)

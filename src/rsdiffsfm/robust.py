@@ -12,11 +12,21 @@ hypothesis whose inlier count plus the samples still unscored cannot reach
 the best count of the earlier blocks.  This bail-out is exact: a dropped
 hypothesis could not have won, and only hypotheses scored on every sample
 compete.  RansacResult.n_scored_full counts them.
+
+Scoring reads a (9, N) table of per-sample terms built once per call and
+evaluates the squared distance (c x P)^2 / |P|^2, with P = A v and
+c = u - beta B w at the flow midpoint.  It is the closed-form depth
+residual |c - rho q| of `geometry.depth_terms` and `geometry.inv_depth`
+(q = beta P) squared: by Lagrange's identity |c|^2 - (c . q)^2 / |q|^2 =
+(c x q)^2 / |q|^2, and beta cancels.  The two forms agree to rounding
+(within 1e-16 on the benchmark scenes), and the inlier test compares the
+square root with the threshold, as before.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,9 +42,7 @@ from .geometry import (
     FlowBatch,
     FlowSample,
     MotionEstimate,
-    beta,
-    depth_terms,
-    inv_depth,
+    midpoint,
     scanline_ab,
 )
 from .gs_solver import solve_gs_stack
@@ -68,8 +76,18 @@ class RansacConfig:
     def __post_init__(self):
         if not (np.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not _is_integer(self.iterations) or self.iterations < 1:
+            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        lo, hi = self.root_window
+        if not lo < hi:
+            raise ValueError(f"root_window must be an interval (lo, hi] with lo < hi, "
+                             f"got {self.root_window}")
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -77,7 +95,9 @@ class RansacResult:
     """Best hypothesis with its inlier set and per-sample residuals.
 
     n_hypotheses counts the candidates solved, n_scored_full those scored
-    on every sample (the others were dropped by the bail-out); failures
+    on every sample (the others were dropped by the bail-out) and
+    n_residuals the residuals evaluated, so n_residuals / (n_hypotheses N)
+    is the share of the full scoring work the bail-out left; failures
     counts the subsets that gave none, by the name of the error the solver
     raised for them.  draw_s, solve_s and score_s are the seconds (wall
     clock) spent drawing subsets, solving them and scoring hypotheses.
@@ -90,6 +110,7 @@ class RansacResult:
     n_iterations: int
     n_hypotheses: int = 0
     n_scored_full: int = 0
+    n_residuals: int = 0
     failures: dict = field(default_factory=dict)
     draw_s: float = 0.0
     solve_s: float = 0.0
@@ -114,40 +135,98 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
     Flows are scaled by the model's beta: 1 for the global-shutter model,
     the rolling-shutter scanline factor otherwise.
     """
-    batch = FlowBatch.of(samples)
-    ab = scanline_ab(batch.y1, batch.y2, config, model)
-    return _residuals(batch, ab, motion.v[np.newaxis], motion.w[np.newaxis],
-                      np.array([motion.k]))[0]
+    return _residuals(_sample_terms(samples, config, model), motion.v[np.newaxis],
+                      motion.w[np.newaxis], np.array([motion.k]))[0]
 
 
-def _residuals(batch, ab, v, w, k):
-    """Residuals (H, N) of hypotheses v (H, 3), w (H, 3), k (H,) over a batch
-    of N samples with beta coefficients ab = (a, b); rho is 0 where the
-    optimal inverse depth is undefined or non-positive."""
-    # motion components first, with an axis to broadcast over the samples
-    q, c = depth_terms(*batch.x.T, *batch.u.T, v.T[..., None], w.T[..., None],
-                       beta(*ab, k[:, None]))
-    rho, valid = inv_depth(q, c)
-    rho = np.where(valid, rho, 0.0)
-    return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
+def _sample_terms(samples, config, model):
+    """(9, N) table of the per-sample terms of the residual kernel.
 
-
-def _score_block(samples, ab, hyps, threshold, best_count):
-    """Inlier counts and inlier-residual sums of a block of hypotheses.
-
-    The samples are scored in chunks of BLOCK_RESIDUALS // (live hypotheses).
-    After each chunk a hypothesis whose count plus the samples left is below
-    best_count is dropped; its count reads -1.
+    Rows: the flow midpoint xm, ym, the flow ux, uy, xm ym, 1 + xm^2,
+    1 + ym^2 and the scanline coefficients a, b of beta.
     """
-    n = len(samples)
+    batch = FlowBatch.of(samples)
+    a, b = scanline_ab(batch.y1, batch.y2, config, model)
+    xm, ym = midpoint(batch).T
+    return np.stack([xm, ym, *batch.u.T, xm * ym, 1.0 + xm * xm, 1.0 + ym * ym, a, b])
+
+
+def _residuals(terms, v, w, k):
+    """Residuals (H, n) of hypotheses v (H, 3), w (H, 3), k (H,) over the
+    columns (9, n) of a `_sample_terms` table.
+
+    With P = A v and c = u - beta B w at the flow midpoint, the optimal
+    inverse depth rho = (c . q) / (q . q) of q = beta P leaves the squared
+    residual |c - rho q|^2 = (c x P)^2 / |P|^2.  Where rho is undefined
+    (beta^2 |P|^2 < 1e-24) or not positive (beta (c . P) <= 0), rho is 0
+    and the squared residual is |c|^2.  A residual above about 1e154
+    overflows to inf, which fails any finite threshold as it did before.
+    """
+    xm, ym, ux, uy, xy, oxx, oyy, a, b = terms
+    vx, vy, vz = v.T[..., None]
+    wx, wy, wz = w.T[..., None]
+    k = k[:, None]
+    # geometry.beta with its factors in k taken out: no (H, n) division
+    bt = a * (2.0 / (2.0 + k))
+    tmp = np.multiply(b, k / (2.0 + k))
+    bt += tmp
+    # c = u - beta B w
+    cx = xy * wx
+    cx -= np.multiply(oxx, wy, out=tmp)
+    cx += np.multiply(ym, wz, out=tmp)
+    cx *= bt
+    np.subtract(ux, cx, out=cx)
+    cy = oyy * wx
+    cy -= np.multiply(xy, wy, out=tmp)
+    cy -= np.multiply(xm, wz, out=tmp)
+    cy *= bt
+    np.subtract(uy, cy, out=cy)
+    # P = A v
+    px = xm * vz
+    px -= vx
+    py = ym * vz
+    py -= vy
+    pp = px * px
+    pp += np.multiply(py, py, out=tmp)
+    # valid: rho defined and positive
+    dot = cx * px
+    dot += np.multiply(cy, py, out=tmp)
+    dot *= bt
+    valid = dot > 0
+    bt *= bt
+    bt *= pp
+    valid &= bt >= 1e-24
+    cross = np.multiply(cx, py, out=dot)
+    cross -= np.multiply(cy, px, out=tmp)
+    cross *= cross
+    # 0 / 0 only where P = 0, which is never valid; a divide with where=
+    # takes several times as long as the whole division and select
+    with np.errstate(invalid="ignore"):
+        cross /= pp
+    err = np.multiply(cx, cx, out=px)
+    err += np.multiply(cy, cy, out=tmp)
+    err = np.where(valid, cross, err)
+    return np.sqrt(err, out=err)
+
+
+def _score_block(terms, hyps, threshold, best_count):
+    """Inlier counts and inlier-residual sums of a block of hypotheses, and
+    the number of residuals evaluated.
+
+    The samples (the columns of the `_sample_terms` table) are scored in
+    chunks of BLOCK_RESIDUALS // (live hypotheses).  After each chunk a
+    hypothesis whose count plus the samples left is below best_count is
+    dropped; its count reads -1.
+    """
+    n = terms.shape[1]
     counts = np.zeros(len(hyps), dtype=np.intp)
     sums = np.zeros(len(hyps))
     live = np.arange(len(hyps))
-    start = 0
+    n_residuals = start = 0
     while start < n and live.size:
         stop = min(n, start + max(1, BLOCK_RESIDUALS // live.size))
-        errs = _residuals(samples[start:stop], (ab[0][start:stop], ab[1][start:stop]),
-                          hyps.v[live], hyps.w[live], hyps.k[live])
+        errs = _residuals(terms[:, start:stop], hyps.v[live], hyps.w[live], hyps.k[live])
+        n_residuals += errs.size
         inl = errs <= threshold
         counts[live] += np.count_nonzero(inl, axis=1)
         sums[live] += np.sum(np.where(inl, errs, 0.0), axis=1)
@@ -155,7 +234,7 @@ def _score_block(samples, ab, hyps, threshold, best_count):
         reachable = counts[live] + (n - stop) >= best_count
         counts[live[~reachable]] = -1
         live = live[reachable]
-    return counts, sums
+    return counts, sums, n_residuals
 
 
 def ransac(samples, model: str, config: CameraConfig | None, ransac_config: RansacConfig | None = None) -> RansacResult:
@@ -172,9 +251,9 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     if len(samples) < m:
         raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
     rng = np.random.default_rng(rc.seed)
-    ab = scanline_ab(samples.y1, samples.y2, config, model)
+    terms = _sample_terms(samples, config, model)
     failures = Counter()
-    n_hypotheses = n_scored_full = 0
+    n_hypotheses = n_scored_full = n_residuals = 0
     seconds = np.zeros(3)  # drawing, solving, scoring
     best_count, best_mean, best_motion, best_errs = 0, np.inf, None, None
     for start in range(0, rc.iterations, SOLVE_BLOCK):
@@ -194,21 +273,22 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
         failures.update(type(exc).__name__ for exc in hyps.failures.values())
         n_hypotheses += len(hyps)
         if len(hyps):
-            counts, sums = _score_block(samples, ab, hyps, rc.threshold, best_count)
+            counts, sums, n_scored = _score_block(terms, hyps, rc.threshold, best_count)
             n_scored_full += np.count_nonzero(counts >= 0)
+            n_residuals += n_scored
             means = sums / np.maximum(counts, 1)
             i = np.lexsort((means, -counts))[0]  # stable: the first of equals
             if counts[i] > best_count or (counts[i] == best_count > 0 and means[i] < best_mean):
                 best_count, best_mean, best_motion = counts[i], means[i], hyps.motion(i)
                 # element-wise in the samples, so equal to the chunks' residuals
-                best_errs = _residuals(samples, ab, hyps.v[i:i + 1], hyps.w[i:i + 1],
+                best_errs = _residuals(terms, hyps.v[i:i + 1], hyps.w[i:i + 1],
                                        hyps.k[i:i + 1])[0]
         seconds += (t1 - t0, t2 - t1, time.perf_counter() - t2)
     n_valid = rc.iterations - sum(failures.values())
     logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses, %d scored "
-                "in full, best %d of %d inliers; draw %.4f s, solve %.4f s, score %.4f s",
-                model, n_valid, rc.iterations, dict(failures), n_hypotheses, n_scored_full,
-                best_count, len(samples), *seconds)
+                "in full, %d residuals, best %d of %d inliers; draw %.4f s, solve %.4f s, "
+                "score %.4f s", model, n_valid, rc.iterations, dict(failures), n_hypotheses,
+                n_scored_full, n_residuals, best_count, len(samples), *seconds)
     if best_count == 0:
         raise RobustFailure("no RANSAC iteration produced a valid model")
     return RansacResult(
@@ -219,6 +299,7 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
         n_iterations=rc.iterations,
         n_hypotheses=n_hypotheses,
         n_scored_full=n_scored_full,
+        n_residuals=n_residuals,
         failures=dict(failures),
         draw_s=float(seconds[0]),
         solve_s=float(seconds[1]),

@@ -80,8 +80,8 @@ def test_synth_then_estimate(runner, tmp_path):
     result = ransac(samples, "cv", read_flow(flow).config, RansacConfig(iterations=100, seed=3))
     state = refit_trimmed(samples, result, "cv", read_flow(flow).config)
     kv = read_keyvalues(out_cv)
-    assert (int(kv["n_hypotheses"]), int(kv["n_scored_full"])) == (
-        result.n_hypotheses, result.n_scored_full)
+    assert (int(kv["n_hypotheses"]), int(kv["n_scored_full"]), int(kv["n_residuals"])) == (
+        result.n_hypotheses, result.n_scored_full, result.n_residuals)
     assert 0 < result.n_scored_full <= result.n_hypotheses
     assert (kv["stop_reason"], int(kv["polished"])) == (state.stop_reason, state.polished)
     # and RANSAC's seconds per stage, which only the run itself can measure

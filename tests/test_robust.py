@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rsdiffsfm import (
     RansacConfig,
@@ -20,7 +22,16 @@ from rsdiffsfm.errors import (
     NoRealSolution,
     RobustFailure,
 )
-from rsdiffsfm.geometry import FlowBatch, FlowSample
+from rsdiffsfm.geometry import (
+    CameraConfig,
+    FlowBatch,
+    FlowSample,
+    MotionEstimate,
+    beta,
+    depth_terms,
+    inv_depth,
+    scanline_ab,
+)
 from rsdiffsfm.robust import BLOCK_RESIDUALS, MINIMAL_SIZE, refit_trimmed, residual, score_motion
 from rsdiffsfm.gs_solver import solve_gs
 from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity
@@ -42,6 +53,68 @@ def test_residual_zero_for_consistent_sample(camera):
     samples, gt = generate_linearized(spec)
     for s in samples:
         assert residual(s, gt.motion, camera) < 1e-14
+
+
+MODELS = (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL)
+
+
+def oracle_residuals(samples, motion, camera, model):
+    """The differential re-projection error written out step by step: the
+    depth terms (q, c), the optimal inverse depth rho of c = rho q (0 where
+    it is undefined or not positive), then |c - rho q|."""
+    batch = FlowBatch.of(samples)
+    bt = beta(*scanline_ab(batch.y1, batch.y2, camera, model), motion.k)
+    q, c = depth_terms(*batch.x.T, *batch.u.T, motion.v, motion.w, bt)
+    rho, valid = inv_depth(q, c)
+    rho = np.where(valid, rho, 0.0)
+    return np.hypot(c[0] - rho * q[0], c[1] - rho * q[1])
+
+
+# h = 1024 makes the row times exact: rows (256, 768) at gamma 1 give
+# t1 + t2 = 2, so beta is exactly 0 at k = -1
+ORACLE_CAMERA = CameraConfig(gamma=1.0, h=1024, fx=800.0, fy=800.0, cx=512.0, cy=512.0)
+BETA_ZERO_ROWS = (256.0, 768.0)
+coord = st.floats(-0.6, 0.6)
+flow = st.one_of(st.just(0.0), st.floats(-0.05, 0.05))
+row = st.floats(0.0, 1023.0)
+oracle_samples = st.lists(st.tuples(coord, coord, flow, flow, row, row), min_size=1, max_size=30)
+
+
+@given(samples=oracle_samples,
+       v=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       w=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+       # -1.9 gives negative beta on almost every row at gamma 1, -1 zero
+       # beta on BETA_ZERO_ROWS
+       k=st.one_of(st.sampled_from([0.0, -1.0, -1.9]), st.floats(-1.9, 10.0)),
+       gamma=st.sampled_from([0.0, 0.8, 1.0]),
+       model=st.sampled_from(MODELS),
+       threshold=st.floats(1e-6, 0.1))
+@example(samples=[(0.1, 0.2, 0.01, -0.02, 100.0, 101.0)], v=(0.25, -0.5, 1.0),
+         w=(0.01, 0.0, -0.02), k=-1.0, gamma=1.0, model=CONST_ACCEL, threshold=0.01)
+@settings(max_examples=200, deadline=None)
+def test_score_motion_matches_oracle(samples, v, w, k, gamma, model, threshold):
+    """score_motion equals the step-by-step residual, and so does the inlier
+    count at a threshold away from every residual.  Each draw also holds a
+    sample with zero flow, one on BETA_ZERO_ROWS and, when the translation
+    epipole is in view, one at it (zero flow there, so q = 0) and one just
+    off it.  The example puts the epipole where q is exactly 0."""
+    camera = dataclasses.replace(ORACLE_CAMERA, gamma=gamma)
+    motion = MotionEstimate(v=v, w=w, k=0.0 if model != CONST_ACCEL else k)
+    rows = list(samples)
+    rows.append((0.3, -0.1, 0.0, 0.0, 500.0, 500.0))
+    rows.append((0.2, 0.1, 0.03, -0.02, *BETA_ZERO_ROWS))
+    if abs(v[2]) >= max(abs(v[0]), abs(v[1]), 1e-3):  # the epipole is in view
+        rows.append((v[0] / v[2], v[1] / v[2], 0.0, 0.0, 500.0, 500.0))
+        # 1e-13 off it, |q|^2 is below 1e-24 while |beta v_z| < 10: rho is
+        # undefined there
+        rows.append((v[0] / v[2] + 1e-13, v[1] / v[2], 0.0, 0.0, 500.0, 500.0))
+    arr = np.array(rows)
+    batch = FlowBatch(x=arr[:, :2], u=arr[:, 2:4], y1=arr[:, 4], y2=arr[:, 5])
+    got = score_motion(batch, motion, camera, model)
+    want = oracle_residuals(batch, motion, camera, model)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assume(np.all(np.abs(want - threshold) > 1e-12))
+    assert np.count_nonzero(got <= threshold) == np.count_nonzero(want <= threshold)
 
 
 def test_gs_hypothesis_scores_under_gs_model(camera):
@@ -148,9 +221,6 @@ def duplicated_scene(camera, seed, k=0.1, n_points=60, n_out=18):
     return mixed + mixed[::3]
 
 
-MODELS = (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL)
-
-
 # 80 samples are scored in one chunk; at 2000 samples the bail-out drops
 # hypotheses between chunks
 @pytest.mark.parametrize("model, n_points, iterations, chunked", [
@@ -167,6 +237,9 @@ def test_ransac_matches_sequential_reference(camera, model, n_points, iterations
     assert np.array_equal(r.residuals, score_motion(samples, r.motion, camera, model))
     if chunked:
         assert r.n_scored_full < r.n_hypotheses
+        assert r.n_residuals < r.n_hypotheses * len(samples)
+    else:
+        assert r.n_residuals == r.n_hypotheses * len(samples)
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
@@ -187,7 +260,9 @@ def test_ransac_reports_counts_and_stage_times(camera, caplog):
     assert min(r.draw_s, r.solve_s, r.score_s) > 0
     [record] = [rec for rec in caplog.records if rec.name == "rsdiffsfm.robust"]
     message = record.getMessage()
-    assert f"{r.n_hypotheses} hypotheses, {r.n_scored_full} scored in full" in message
+    assert (f"{r.n_hypotheses} hypotheses, {r.n_scored_full} scored in full, "
+            f"{r.n_residuals} residuals") in message
+    assert 0 < r.n_residuals < r.n_hypotheses * len(samples)
     assert all(f"{stage} {t:.4f} s" in message
                for stage, t in (("draw", r.draw_s), ("solve", r.solve_s), ("score", r.score_s)))
 
@@ -229,8 +304,16 @@ def test_ransac_config_validation():
     for threshold in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             RansacConfig(threshold=threshold)
-    with pytest.raises(ValueError):
-        RansacConfig(iterations=0)
+    for iterations in (0, -3, 2.5, 300.0, True):
+        with pytest.raises(ValueError):
+            RansacConfig(iterations=iterations)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValueError):
+            RansacConfig(seed=seed)
+    for window in ((10.0, -2.0), (1.0, 1.0), (np.nan, 10.0)):
+        with pytest.raises(ValueError):
+            RansacConfig(root_window=window)
+    RansacConfig(iterations=np.int64(5), seed=np.uint32(7), root_window=(-2.0, np.inf))
 
 
 def test_forward_backward_error_consistent_pair():
