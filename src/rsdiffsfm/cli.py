@@ -79,8 +79,8 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
 
     The motion file also records the RANSAC counts (hypotheses solved,
     hypotheses scored on every sample, residuals evaluated) and, after
-    refinement, why the refit stopped and whether its polish step was
-    accepted.
+    refinement, why the refit stopped, whether its polish was accepted
+    and its Levenberg-Marquardt step count.
     """
     try:
         rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
@@ -98,7 +98,8 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
         if not no_refine:
             state = refit_trimmed(samples, result, MODELS[model], flow.config)
             motion, refit = state.motion, {"stop_reason": state.stop_reason,
-                                           "polished": int(state.polished)}
+                                           "polished": int(state.polished),
+                                           "lm_iterations": state.lm_iterations}
     except RsSfmError as exc:
         click.echo(f"estimation failed: {exc}", err=True)
         sys.exit(1)

@@ -261,17 +261,6 @@ class FlowSample:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
 
-    @classmethod
-    def from_normalized(cls, x, u, config: CameraConfig):
-        """Build a sample deriving the rows from the camera intrinsics."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        y1 = config.row_of(x[1])
-        y2 = config.row_of(x[1] + u[1])
-        if not (0 <= y1 < config.h and 0 <= y2 < config.h):
-            raise ValueError(f"rows ({y1:.2f}, {y2:.2f}) outside [0, {config.h})")
-        return cls(x=x, u=u, y1=y1, y2=y2)
-
 
 @dataclass(frozen=True, eq=False)
 class FlowBatch:
@@ -383,10 +372,6 @@ class EpipolarVector:
     @property
     def s(self):
         return vech_to_s(self.e[3:])
-
-    @classmethod
-    def from_motion(cls, v, w):
-        return cls(np.concatenate([np.asarray(v, float), s_to_vech(symmetric_s(v, w))]))
 
 
 def canonicalize_e(e):

@@ -12,7 +12,8 @@ and accumulator, added in corner order.  `np.add.at` gives the same sums
 in about twice the time; the two differ only in the order in which the
 contributions of one corner to one pixel are summed.  The four corners are
 not joined into one bincount, which would hold four times the index and
-weight arrays at once.
+weight arrays at once.  The splatted footprint, inside which `gap_fraction`
+counts unfilled pixels as holes, comes from `_fill_holes`, in numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_fill_holes
 
 from .geometry import CameraConfig, MotionEstimate, beta, exp_so3, rotation_flow, translation_flow
 
@@ -140,7 +140,7 @@ def rectify_image(image, warp: WarpField, fill_gaps: bool = True):
     out = np.zeros_like(acc)
     out[filled] = acc[filled] / wgt[filled, None]
     gap = ~filled
-    footprint = binary_fill_holes(filled)
+    footprint = _fill_holes(filled)
     gap_fraction = float(np.count_nonzero(gap & footprint)) / (H * W)
     logger.info("rectify_image %dx%d: gap_fraction %.4g", W, H, gap_fraction)
     if fill_gaps and np.any(gap):
@@ -149,6 +149,35 @@ def rectify_image(image, warp: WarpField, fill_gaps: bool = True):
     out[~warp.valid] = channels[~warp.valid]
     out = out[..., 0] if img.ndim == 2 else out
     return out, gap_fraction
+
+
+def _fill_holes(filled):
+    """`filled` with its holes filled, as `scipy.ndimage.binary_fill_holes`
+    fills them with its default 4-connectivity.  From the unfilled border
+    pixels, row and column passes mark each run of unfilled pixels that holds
+    a marked pixel until a round marks nothing new; the rest is the footprint.
+    """
+    gap = ~filled
+    runs = []  # run labels of the unfilled pixels along rows, then along columns
+    for g in (gap, gap.T):
+        starts = g & ~np.pad(g, ((0, 0), (1, 0)))[:, :-1]
+        runs.append(np.cumsum(starts[g]) - 1)  # in the row-major order of g
+    by_column = np.empty(gap.T.shape, dtype=runs[1].dtype)
+    by_column[gap.T] = runs[1]
+    runs[1] = by_column.T[gap]  # the column runs in the row-major order of gap
+    marked = gap.copy()
+    marked[1:-1, 1:-1] = False
+    marked = marked[gap]
+    n_marked = -1
+    while n_marked != np.count_nonzero(marked):
+        n_marked = np.count_nonzero(marked)
+        for run in runs:
+            hit = np.zeros(len(run), dtype=bool)  # a run holds at least one pixel
+            hit[run[marked]] = True
+            marked = hit[run]
+    footprint = np.ones_like(filled)
+    footprint[gap] = ~marked
+    return footprint
 
 
 def _fill_from_neighbors(img, gap):

@@ -10,10 +10,10 @@ Samples whose optimal inverse depth is undefined (translation epipole) or
 non-positive are excluded from the current cycle and re-tested on the next
 one.  Levenberg-Marquardt with the depths eliminated in closed form then
 minimizes the objective over (v, w[, k]) alone: variable projection (Golub
-and Pereyra, 2003) with an analytic Jacobian.  Two Gauss-Newton steps
-finish it; `gauss_newton_step` solves them from normal equations formed
-with `einsum`, so that no BLAS call wakes OpenBLAS threads that would spin
-after it.
+and Pereyra, 2003) with an analytic Jacobian, in Marquardt's loop scaled
+as by More (1978); two Gauss-Newton steps finish it.  `gauss_newton_step`
+solves every step from normal equations formed with `einsum`, so that no
+BLAS call wakes OpenBLAS threads that would spin after it.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ class RefineState:
     objective stalled), "cycle_cap" (max_cycles ran), "mask_flip" (a cycle
     raised the objective by changing the cheirality mask and was reverted)
     or "singular_block" (a block had too few usable samples).  polished
-    says whether the Levenberg-Marquardt step was accepted.
+    says whether the Levenberg-Marquardt result was accepted, lm_iterations
+    how many steps its loop accepted.
     """
 
     motion: MotionEstimate
@@ -168,6 +169,7 @@ class RefineState:
     converged: bool
     stop_reason: str
     polished: bool
+    lm_iterations: int
     trace: np.ndarray | None = None  # objective after init, each cycle, polish
 
 
@@ -244,9 +246,10 @@ def refine(
             stop_reason = "tolerance"
             break
         prev = cur
-    polished = False
+    polished, lm_iterations = False, 0
     if polish and prev > 0:
-        v, w, k, rho, valid, prev, polished = _polish_lm(blocks, v, w, k, prev, model)
+        v, w, k, rho, valid, prev, polished, lm_iterations = _polish_lm(
+            blocks, v, w, k, prev, model)
         trace.append(prev)
     return RefineState(
         motion=MotionEstimate(v=v, w=w, k=k).normalized(),
@@ -257,6 +260,7 @@ def refine(
         converged=converged,
         stop_reason=stop_reason,
         polished=polished,
+        lm_iterations=lm_iterations,
         trace=np.array(trace),
     )
 
@@ -269,26 +273,26 @@ def _motion(theta):
 
 
 def _reduced_terms(theta, blocks: SampleBlocks):
-    """(motion, beta, q, c, rho, valid) at motion `theta`: what both
-    `reduced_residuals` and `reduced_jacobian` evaluate."""
+    """(motion, beta, q, valid, rho, r) at motion `theta`, with rho zeroed
+    where invalid and r = c - rho q: what both `reduced_residuals` and
+    `reduced_jacobian` evaluate."""
     motion = _motion(theta)
     bt, q, c = _terms(blocks, motion)
     rho, valid = inv_depth(q.T, c.T)
-    return motion, bt, q, c, rho, valid
+    rho = np.where(valid, rho, 0.0)
+    return motion, bt, q, valid, rho, c - rho[:, None] * q
 
 
-def reduced_residuals(theta, blocks: SampleBlocks, terms=_reduced_terms):
+def reduced_residuals(theta, blocks: SampleBlocks):
     """Flow errors (2N,) at the optimal inverse depths of motion `theta`.
 
     This is the objective with the depths eliminated in closed form; a
-    sample without a valid depth contributes its error at rho = 0.  terms
-    computes `_reduced_terms`; `_polish_lm` passes a cached one.
+    sample without a valid depth contributes its error at rho = 0.
     """
-    _, _, q, c, rho, valid = terms(theta, blocks)
-    return (c - np.where(valid, rho, 0.0)[:, None] * q).ravel()
+    return _reduced_terms(theta, blocks)[-1].ravel()
 
 
-def reduced_jacobian(theta, blocks: SampleBlocks, terms=_reduced_terms):
+def reduced_jacobian(theta, blocks: SampleBlocks):
     """Analytic Jacobian (2N, len(theta)) of `reduced_residuals`.
 
     With q = beta A v, c = u - beta B w, r = c - rho q and the projection
@@ -297,11 +301,16 @@ def reduced_jacobian(theta, blocks: SampleBlocks, terms=_reduced_terms):
     so dr = dc.  dq/dv = beta A, dc/dw = -beta B, and k enters through
     dbeta/dk = 2 (b - a) / (2 + k)^2.
     """
-    motion, bt, q, c, rho, valid = terms(theta, blocks)
+    return _jacobian(theta, blocks, _reduced_terms(theta, blocks))
+
+
+def _jacobian(theta, blocks: SampleBlocks, terms):
+    """`reduced_jacobian` from the `_reduced_terms` of theta."""
+    motion, bt, q, valid, rho, r = terms
     # per-sample arrays carry a trailing parameter axis: (N, 2, 1)
-    rho = np.where(valid, rho, 0.0)[:, None, None]
+    rho = rho[:, None, None]
     q = q[..., None]
-    r = c[..., None] - rho * q
+    r = r[..., None]
 
     def dot(x, y):  # per-sample dot product over the two flow components
         return x[:, :1] * y[:, :1] + x[:, 1:] * y[:, 1:]
@@ -345,48 +354,65 @@ def gauss_newton_step(J, r):
     return step + np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, rest), rcond=None)[0]
 
 
+def _levenberg_marquardt(theta, blocks):
+    """Marquardt's loop on the reduced objective from `theta`, then two
+    Gauss-Newton steps if it converged; returns (theta, accepted steps).
+
+    A step solves [J; sqrt(lam D)] s = [r; 0], D the running maximum of
+    diag(J^T J) (More, 1978); lam falls tenfold on a step that lowers the
+    cost, else rises tenfold.  A step that lowers the cost by at most 1e-15
+    of it, or that shrinks to 1e-15 |theta|, converges the loop; 400 cost
+    evaluations stop it unconverged.  Raises ValueError for non-finite start
+    residuals or fewer residuals than unknowns.
+    """
+    terms = _reduced_terms(theta, blocks)
+    r = terms[-1].ravel()
+    if r.size < theta.size or not np.all(np.isfinite(r)):
+        raise ValueError(f"{r.size} residuals for {theta.size} unknowns, or non-finite ones")
+    J = _jacobian(theta, blocks, terms)
+    D, cost, lam = np.sum(J * J, axis=0), np.sum(r * r), 1e-3
+    n_evals, n_steps, converged = 1, 0, False
+    while n_evals < 400 and not converged:
+        # D is 0 on a column that never moves the residual, k at gamma = 0:
+        # only the rank cutoff of `gauss_newton_step` keeps that k fixed
+        step = gauss_newton_step(np.vstack([J, np.diag(np.sqrt(lam * D))]),
+                                 np.concatenate([r, np.zeros(theta.size)]))
+        trial_terms = _reduced_terms(theta - step, blocks)
+        trial_r = trial_terms[-1].ravel()
+        trial_cost, n_evals = np.sum(trial_r * trial_r), n_evals + 1
+        if trial_cost < cost:
+            converged = cost - trial_cost <= 1e-15 * cost
+            theta, r, cost = theta - step, trial_r, trial_cost
+            J = _jacobian(theta, blocks, trial_terms)
+            D = np.maximum(D, np.sum(J * J, axis=0))
+            lam, n_steps = lam / 10.0, n_steps + 1
+        else:
+            lam *= 10.0
+        converged |= np.linalg.norm(step) <= 1e-15 * np.linalg.norm(theta)
+    if converged:
+        # steps taken only on a decrease the rounded cost resolves leave the
+        # flat translation/rotation valley settled to about 1e-9; Gauss-Newton
+        # steps compare no costs, and two of them reach the stationary point
+        # to about 1e-12, so that refits of nearly equal flows agree
+        theta = theta - gauss_newton_step(J, r)
+        terms = _reduced_terms(theta, blocks)
+        theta = theta - gauss_newton_step(_jacobian(theta, blocks, terms), terms[-1].ravel())
+    return theta, n_steps
+
+
 def _polish_lm(blocks, v, w, k, obj_current, model):
     """Levenberg-Marquardt on (v, w[, k]) with depths eliminated in closed form.
 
-    Minimizes the same objective with `reduced_jacobian`; the step is
+    Minimizes the same objective with `_levenberg_marquardt`; its result is
     discarded unless it improves on the coordinate-descent result.  Returns
-    (v, w, k, inv_depths, valid, objective, accepted).
+    (v, w, k, inv_depths, valid, objective, accepted, accepted LM steps).
     """
-    from scipy.optimize import least_squares
-
     theta0 = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
-    cache = {}
-
-    def terms(theta, blocks):
-        # least_squares asks for the Jacobian at the theta of the residuals
-        # it just evaluated: one entry keyed on the bytes of theta serves
-        # both; the copy keeps the entry's motion from aliasing a buffer
-        # the optimizer reuses
-        key = theta.tobytes()
-        if key not in cache:
-            cache.clear()
-            cache[key] = _reduced_terms(theta.copy(), blocks)
-        return cache[key]
-
     try:
-        sol = least_squares(reduced_residuals, theta0, jac=reduced_jacobian,
-                            args=(blocks, terms), method="lm", xtol=1e-15, ftol=1e-15,
-                            max_nfev=400)
+        theta, n_steps = _levenberg_marquardt(theta0, blocks)
     except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
-        sol = None
-    if sol is not None:
-        theta = sol.x
-        if sol.success:
-            # LM stops once the cost decrease it predicts falls to ftol, and it
-            # takes a step only on a decrease the rounded cost resolves, so the
-            # flat translation/rotation direction is left settled to only
-            # about 1e-9.  Gauss-Newton steps compare no costs: two of them
-            # reach the stationary point to about 1e-12, so that refits of
-            # nearly equal flows agree.  The steps avoid BLAS, whose idle
-            # threads would spin after a product with the 2N-row Jacobian.
-            for _ in range(2):
-                theta = theta - gauss_newton_step(reduced_jacobian(theta, blocks, terms),
-                                                  reduced_residuals(theta, blocks, terms))
+        n_steps = 0
+    else:
         m = _motion(theta)
         rho, valid = update_depths(blocks, m)
         obj_new = objective(blocks, m, np.where(valid, rho, 0.0), valid)
@@ -394,9 +420,9 @@ def _polish_lm(blocks, v, w, k, obj_current, model):
             vn = np.linalg.norm(m.v)
             v_new = m.v / vn if vn > 1e-15 else m.v
             rho = rho * vn  # keep the unit-v gauge: depths absorb the scale
-            return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new, True
+            return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new, True, n_steps
     rho, valid = update_depths(blocks, MotionEstimate(v=v, w=w, k=k))
-    return v, w, k, rho, valid, obj_current, False
+    return v, w, k, rho, valid, obj_current, False, n_steps
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .geometry import (  # the model names are re-exported from here
     CONST_ACCEL,
@@ -229,7 +228,9 @@ def translation_error(v_est, v_true):
 
 
 def rotation_error(w_est, w_true):
-    """Norm of the intrinsic-XYZ Euler angles of R_est R_true^T, in degrees."""
+    """Norm of the intrinsic-XYZ Euler angles (a, b, c) of R_est R_true^T =
+    Rx(a) Ry(b) Rz(c), in degrees."""
     R = exp_so3(w_est) @ exp_so3(w_true).T
-    angles = Rotation.from_matrix(R).as_euler("XYZ", degrees=True)
-    return float(np.linalg.norm(angles))
+    angles = (np.arctan2(-R[1, 2], R[2, 2]), np.arcsin(np.clip(R[0, 2], -1.0, 1.0)),
+              np.arctan2(-R[0, 1], R[0, 0]))
+    return float(np.degrees(np.linalg.norm(angles)))

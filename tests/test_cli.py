@@ -1,4 +1,6 @@
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,7 +85,9 @@ def test_synth_then_estimate(runner, tmp_path):
     assert (int(kv["n_hypotheses"]), int(kv["n_scored_full"]), int(kv["n_residuals"])) == (
         result.n_hypotheses, result.n_scored_full, result.n_residuals)
     assert 0 < result.n_scored_full <= result.n_hypotheses
-    assert (kv["stop_reason"], int(kv["polished"])) == (state.stop_reason, state.polished)
+    assert (kv["stop_reason"], int(kv["polished"]), int(kv["lm_iterations"])) == (
+        state.stop_reason, state.polished, state.lm_iterations)
+    assert state.lm_iterations > 0
     # and RANSAC's seconds per stage, which only the run itself can measure
     seconds = [float(kv[key]) for key in ("draw_s", "solve_s", "score_s")]
     assert all(np.isfinite(s) and s >= 0.0 for s in seconds) and sum(seconds) > 0.0
@@ -101,6 +105,7 @@ def test_synth_then_estimate(runner, tmp_path):
                     "--no-refine", "--out", str(out_raw)])
     kv = read_keyvalues(out_raw)
     assert "n_scored_full" in kv and "stop_reason" not in kv and "polished" not in kv
+    assert "lm_iterations" not in kv
 
 
 def test_estimate_missing_flow(runner, tmp_path):
@@ -197,6 +202,45 @@ def test_estimate_then_rectify_uses_flow_camera(runner, tmp_path):
                     "--motion", str(mpath), "--out", str(out)])
     expected, _ = rectify_image(img, warp_field(depth_map, read_motion(mpath), cam))
     assert np.array_equal(read_pnm(out), np.clip(np.round(expected), 0, 255).astype(np.uint8))
+
+
+# each scipy import raises ImportError in this process; the library needs
+# numpy and click only
+NO_SCIPY_CHAIN = """
+import sys
+sys.modules["scipy"] = None
+import rsdiffsfm.cli
+from rsdiffsfm.synth import rotation_error
+
+d = sys.argv[1]
+for args in (
+    ["estimate", "--flow", f"{d}/f.rsflow", "--ransac-iters", "30", "--out", f"{d}/m.txt"],
+    ["depth", "--flow", f"{d}/dense.rsflow", "--motion", f"{d}/m.txt", "--out", f"{d}/d.pfm"],
+    ["rectify", "--image", f"{d}/img.pgm", "--depth", f"{d}/d.pfm", "--motion", f"{d}/m.txt",
+     "--out", f"{d}/rect.pgm"],
+):
+    rsdiffsfm.cli.main(args, standalone_mode=False)
+assert rotation_error([0.01, 0.02, 0.03], [0.0, 0.0, 0.0]) > 0
+"""
+
+
+def test_cli_chain_runs_without_scipy(runner, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    write_config(cfg, image_size=60, focal=54.0)
+    flow = tmp_path / "f.rsflow"
+    run_ok(runner, ["synth", "--config", str(cfg), "--out-flow", str(flow),
+                    "--out-truth", str(tmp_path / "truth.txt")])
+    cam = read_flow(flow).config
+    dense = np.random.default_rng(0).normal(scale=0.5, size=(60, 60, 2)).astype(np.float32)
+    write_flow(tmp_path / "dense.rsflow", FlowFile(config=cam, width=60, height=60, dense=dense))
+    write_pnm(tmp_path / "img.pgm",
+              np.random.default_rng(4).integers(0, 256, (60, 60), dtype=np.uint8))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHAIN, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    kv = read_keyvalues(tmp_path / "m.txt")
+    assert int(kv["polished"]) == 1 and int(kv["lm_iterations"]) > 0
+    assert read_pnm(tmp_path / "rect.pgm").shape == (60, 60)
 
 
 def test_rectify_requires_camera(runner, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import binary_fill_holes
 
 from rsdiffsfm import (
@@ -10,7 +12,7 @@ from rsdiffsfm import (
     warp_field,
     warp_field_backprojection,
 )
-from rsdiffsfm.rectify import WarpField, beta_first_scanline
+from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
 
 
 def small_camera(gamma=0.8, H=200):
@@ -216,3 +218,42 @@ def test_splat_matches_add_at_reference(color, seed):
     filled_out, filled_gap = rectify_image(image, warp)
     assert filled_gap == gap_fraction
     np.testing.assert_array_equal(filled_out[filled], out[filled])
+
+
+def spiral(n):
+    """An n x n filled mask with an unfilled corridor that winds clockwise
+    from an opening in the top border to the centre, one pixel wide between
+    one-pixel walls."""
+    mask = np.ones((n, n), dtype=bool)
+    mask[0, 1] = False
+    r, c, dr, dc = 1, 1, 0, 1
+    for length in [n - 3] * 3 + [m for m in range(n - 5, 0, -2) for _ in range(2)]:
+        for _ in range(length):
+            mask[r, c] = False
+            r, c = r + dr, c + dc
+        dr, dc = dc, -dr  # turn clockwise
+    mask[r, c] = False
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 17), density=0.5, seed=0)
+@example(shape=(17, 1), density=0.5, seed=0)
+@example(shape=(9, 9), density=1.0, seed=0)
+@example(shape=(9, 9), density=0.0, seed=0)
+def test_fill_holes_matches_binary_fill_holes(shape, density, seed):
+    filled = np.random.default_rng(seed).random(shape) < density
+    np.testing.assert_array_equal(_fill_holes(filled), binary_fill_holes(filled))
+
+
+@pytest.mark.parametrize("n", [9, 31])
+def test_fill_holes_on_a_spiral(n):
+    """The passes reach the corridor from the border one run at a time, over
+    many rounds; closing its opening makes all of it one hole."""
+    mask = spiral(n)
+    for opening in (False, True):
+        mask[0, 1] = opening
+        np.testing.assert_array_equal(_fill_holes(mask), binary_fill_holes(mask))
+    np.testing.assert_array_equal(_fill_holes(mask), np.ones_like(mask))

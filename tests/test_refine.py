@@ -2,10 +2,10 @@ import importlib
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import minimize_scalar
 
 from rsdiffsfm import (
+    CameraConfig,
     RansacConfig,
     generate_discrete,
     generate_linearized,
@@ -146,6 +146,7 @@ def test_refine_cv_model_keeps_k_zero(camera):
 def test_polish_failure_keeps_descent_result(camera, monkeypatch):
     """A ValueError from the LM polish keeps the coordinate-descent result;
     any other error propagates."""
+    refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=30, k=0.1, seed=11)
     samples, gt = generate_linearized(spec)
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w, k=0.0)
@@ -153,17 +154,17 @@ def test_polish_failure_keeps_descent_result(camera, monkeypatch):
     assert descent.objective > 0
 
     def raising(exc):
-        def least_squares(*args, **kwargs):
+        def levenberg_marquardt(*args, **kwargs):
             raise exc
-        return least_squares
+        return levenberg_marquardt
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", raising(ValueError("non-finite")))
+    monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(ValueError("non-finite")))
     state = refine(samples, start, camera, CONST_ACCEL, max_cycles=3)
     assert state.objective == descent.objective
     for field in ("v", "w", "k"):
         assert np.array_equal(getattr(state.motion, field), getattr(descent.motion, field))
     assert np.array_equal(state.inv_depths, descent.inv_depths, equal_nan=True)
-    monkeypatch.setattr(scipy.optimize, "least_squares", raising(TypeError("bad call")))
+    monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(TypeError("bad call")))
     with pytest.raises(TypeError):
         refine(samples, start, camera, CONST_ACCEL, max_cycles=3)
 
@@ -302,8 +303,8 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
 
 @pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
 def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
-    """Levenberg-Marquardt asks for the residuals and the Jacobian at the same
-    theta; `_terms` runs once for both."""
+    """Levenberg-Marquardt needs the residuals and the Jacobian at the same
+    theta; `_terms` runs once per theta the polish evaluates."""
     refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=1)
     clean, gt = generate_discrete(spec, model)
@@ -313,35 +314,62 @@ def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
                            w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
     expected = refine(samples, start, camera, model)
     n_terms = 0
-    calls = []  # (theta bytes, `_terms` calls made inside) per reduced evaluation
-    terms = refine_module._terms
+    thetas = []  # the bytes of each theta whose terms the polish computes
+    jacobian_thetas = []  # the bytes of each theta it evaluates the Jacobian at
+    loop_terms = []  # `_terms` calls made inside each polish
+    terms, reduced_terms = refine_module._terms, refine_module._reduced_terms
+    jacobian = refine_module._jacobian
+    levenberg_marquardt = refine_module._levenberg_marquardt
 
     def counting_terms(blocks, motion):
         nonlocal n_terms
         n_terms += 1
         return terms(blocks, motion)
 
-    def counting(fn):
-        def wrapper(theta, *args, **kwargs):
-            key, before = np.asarray(theta).tobytes(), n_terms
-            out = fn(theta, *args, **kwargs)
-            calls.append((key, n_terms - before))
-            return out
-        return wrapper
+    def recording_reduced_terms(theta, blocks):
+        thetas.append(np.asarray(theta).tobytes())
+        return reduced_terms(theta, blocks)
+
+    def recording_jacobian(theta, blocks, theta_terms):
+        jacobian_thetas.append(np.asarray(theta).tobytes())
+        return jacobian(theta, blocks, theta_terms)
+
+    def counting_loop(*args, **kwargs):
+        before = n_terms
+        out = levenberg_marquardt(*args, **kwargs)
+        loop_terms.append(n_terms - before)
+        return out
 
     monkeypatch.setattr(refine_module, "_terms", counting_terms)
-    monkeypatch.setattr(refine_module, "reduced_residuals",
-                        counting(refine_module.reduced_residuals))
-    monkeypatch.setattr(refine_module, "reduced_jacobian",
-                        counting(refine_module.reduced_jacobian))
+    monkeypatch.setattr(refine_module, "_reduced_terms", recording_reduced_terms)
+    monkeypatch.setattr(refine_module, "_jacobian", recording_jacobian)
+    monkeypatch.setattr(refine_module, "_levenberg_marquardt", counting_loop)
     state = refine(samples, start, camera, model)
-    # the cache changes no bit of the result
+    # the instrumentation changes no bit of the result
     assert state.polished and state.objective == expected.objective
     assert np.array_equal(state.motion.v, expected.motion.v)
     assert np.array_equal(state.motion.w, expected.motion.w) and state.motion.k == expected.motion.k
-    # a residual or Jacobian evaluation at the theta of the one before it
-    # reuses that one's terms; every other one computes them once
-    repeats = [n for (prev, _), (key, n) in zip(calls, calls[1:]) if key == prev]
-    assert len(repeats) > 10 and not any(repeats)
-    assert calls[0][1] == 1
-    assert all(n == 1 for (prev, _), (key, n) in zip(calls, calls[1:]) if key != prev)
+    # the residuals and the Jacobian at one theta share its terms: each theta
+    # has its terms computed once, with one `_terms` call
+    assert len(thetas) + len(jacobian_thetas) > 10
+    assert len(set(thetas)) == len(thetas) and set(jacobian_thetas) <= set(thetas)
+    assert loop_terms == [len(thetas)]
+
+
+def test_ca_refine_at_zero_readout_keeps_k_and_polishes():
+    """At gamma = 0 the scanline factor does not depend on k, so the k column
+    of the reduced Jacobian is zero and the damped normal equations stay
+    singular there.  The ca refit still polishes, keeps k, and reaches the
+    objective of the cv refit, which has no k."""
+    camera = CameraConfig(gamma=0.0, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0, width=900)
+    for seed in range(3):
+        spec = make_spec(camera, n_points=100, seed=seed)
+        clean, gt = generate_discrete(spec, CONST_ACCEL)
+        rng = np.random.default_rng(seed)
+        samples = with_noise(clean, camera, 0.5, rng)
+        start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                               w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.1)
+        ca = refine(samples, start, camera, CONST_ACCEL)
+        cv = refine(samples, start, camera, CONST_VELOCITY)
+        assert ca.polished and cv.polished and ca.motion.k == 0.1
+        assert abs(ca.objective - cv.objective) <= 1e-12 * cv.objective

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from rsdiffsfm import (
     CameraConfig,
@@ -244,6 +247,20 @@ def test_error_metrics():
     w = np.array([0.01, 0.02, 0.03])
     assert rotation_error(w, w) < 1e-12
     assert rotation_error(w, np.zeros(3)) > 0
+
+
+rotation_vectors = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w_est=rotation_vectors, w_true=rotation_vectors)
+def test_rotation_error_matches_scipy_euler_angles(w_est, w_true):
+    """The closed-form intrinsic-XYZ Euler angles agree with scipy's for
+    rotation differences below 80 degrees, away from gimbal lock."""
+    R = exp_so3(w_est) @ exp_so3(w_true).T
+    assume(np.degrees(np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))) < 80.0)
+    expected = np.linalg.norm(Rotation.from_matrix(R).as_euler("XYZ", degrees=True))
+    assert abs(rotation_error(w_est, w_true) - expected) <= 1e-12 * expected + 1e-12
 
 
 def test_generators_deterministic(camera):
