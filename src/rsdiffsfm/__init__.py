@@ -46,7 +46,7 @@ from .robust import (
     refit_trimmed,
 )
 from .refine import RefineState, dense_depth, refine
-from .rectify import WarpField, rectify_image, warp_field, warp_field_backprojection
+from .rectify import WarpField, rectify_image, warp_field
 from .synth import (
     CONST_ACCEL,
     CONST_VELOCITY,
@@ -135,7 +135,6 @@ __all__ = [
     "symmetric_s",
     "translation_error",
     "warp_field",
-    "warp_field_backprojection",
     "write_flow",
     "write_motion",
     "write_pfm",

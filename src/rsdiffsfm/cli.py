@@ -132,10 +132,10 @@ def depth(flow_path, motion_path, out_path):
         _input_error("depth recovery needs a dense flow layout")
     motion = _read_or_die(iof.read_motion, motion_path, "motion")
     try:
-        depth_map, valid = dense_depth(flow.dense, motion, flow.config)
+        depth_map, _ = dense_depth(flow.dense, motion, flow.config)  # NaN where invalid
     except InvalidScanlinePair as exc:
         _input_error(f"flow moves a pixel too far up for the camera's readout: {exc}")
-    iof.write_pfm(out_path, np.where(valid, depth_map, np.nan))
+    iof.write_pfm(out_path, depth_map)
 
 
 @main.command()

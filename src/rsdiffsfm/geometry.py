@@ -141,6 +141,7 @@ def _unchecked_ab(y1, y2, config, model):
 
 
 def _invalid_pair(a, y1, y2):
+    y1, y2 = np.broadcast_arrays(y1, y2)  # rows may come as an (H, 1) column
     i = np.argmin(a)
     return InvalidScanlinePair(f"alpha = {a.flat[i]:.4f} <= 0 for rows ({y1.flat[i]}, {y2.flat[i]})")
 

@@ -3,17 +3,25 @@
 Each pixel on scanline y was exposed by a camera displaced by the fraction
 beta1(k; y) of the frame motion.  Undoing that per-scanline pose moves the
 pixel to where the first-scanline (global-shutter) camera would have seen
-it.  Two paths are provided: the small-motion displacement field (default)
-and exact back-projection through the scanline pose; they agree to
+it.  `warp_field` gives that move as the small-motion displacement field,
+which agrees with exact back-projection through the scanline pose to
 sub-pixel accuracy at the motion scales the model is valid for.
 
-`rectify_image` forward-splats with one `np.bincount` per bilinear corner
-and accumulator, added in corner order.  `np.add.at` gives the same sums
-in about twice the time; the two differ only in the order in which the
-contributions of one corner to one pixel are summed.  The four corners are
-not joined into one bincount, which would hold four times the index and
-weight arrays at once.  The splatted footprint, inside which `gap_fraction`
-counts unfilled pixels as holes, comes from `_fill_holes`, in numpy.
+`rectify_image` forward-splats into a frame padded by a 2-pixel border.
+With each pixel's top-left corner clamped to [-2, W] x [-2, H], all four
+corners land in the padded frame, so every bincount runs over all pixels
+without a mask; corners outside the image fall in the border, which is
+sliced off.  Each accumulator (the weights, and each channel) takes one
+`np.bincount` per bilinear corner over the top-left corner's index, added
+in corner order at the corner's offset in the padded frame, so each image
+pixel sums the same terms in the same order as a masked splat.  `np.add.at`
+gives the same sums in about twice the time; the two differ only in the
+order in which the contributions of one corner to one pixel are summed.
+The four corners are not joined into one bincount, which would hold four
+times the index and weight arrays at once.  The splatted footprint, inside
+which `gap_fraction` counts unfilled pixels as holes, comes from
+`_fill_holes`, in numpy.  Gaps are filled from their 4-neighbours by
+summing shifted slices of a zero-padded frame, without boolean indexing.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraConfig, MotionEstimate, beta, exp_so3, rotation_flow, translation_flow
+from .geometry import CameraConfig, MotionEstimate, beta, rotation_flow, translation_flow
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +61,8 @@ def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField
     H, W = depth.shape
     if H != config.h:
         raise ValueError(f"depth has {H} rows but the camera has {config.h} scanlines")
-    py, px = np.mgrid[0:H, 0:W].astype(float)
+    py = np.arange(H, dtype=float)[:, None]
+    px = np.arange(W, dtype=float)[None, :]
     x, y = config.pixel_to_normalized(px, py)
     beta1 = beta_first_scanline(py, motion.k, config.gamma, config.h)
     valid = np.isfinite(depth) & (depth > 0)
@@ -62,36 +71,6 @@ def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField
     bx, by = rotation_flow(x, y, motion.w)
     du = -beta1 * (ax * rho + bx) * config.fx
     dv = -beta1 * (ay * rho + by) * config.fy
-    return WarpField(du=np.where(valid, du, 0.0), dv=np.where(valid, dv, 0.0), valid=valid)
-
-
-def warp_field_backprojection(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField:
-    """Exact rectifying displacement via back-projection.
-
-    Back-project each pixel through its scanline pose into the scene, then
-    project in the first-scanline camera; the displacement is the difference
-    of the two image positions.  Cross-check for `warp_field`.
-    """
-    H, W = depth.shape
-    py, px = np.mgrid[0:H, 0:W].astype(float)
-    x, y = config.pixel_to_normalized(px, py)
-    valid = np.isfinite(depth) & (depth > 0)
-    Z = np.where(valid, depth, 1.0)
-    du = np.zeros((H, W))
-    dv = np.zeros((H, W))
-    betas = beta_first_scanline(np.arange(H), motion.k, config.gamma, config.h)[:, None]
-    Rs = exp_so3(betas * motion.w)  # (H, 3, 3): one scanline pose per row
-    ps = betas * motion.v
-    for r in range(H):
-        Xc = np.stack([x[r] * Z[r], y[r] * Z[r], Z[r]])  # (3, W)
-        Xw = Rs[r] @ Xc + ps[r][:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            xg = Xw[0] / Xw[2]
-            yg = Xw[1] / Xw[2]
-        ok = Xw[2] > 1e-9
-        du[r] = np.where(ok, (xg - x[r]) * config.fx, 0.0)
-        dv[r] = np.where(ok, (yg - y[r]) * config.fy, 0.0)
-        valid[r] &= ok
     return WarpField(du=np.where(valid, du, 0.0), dv=np.where(valid, dv, 0.0), valid=valid)
 
 
@@ -109,36 +88,9 @@ def rectify_image(image, warp: WarpField, fill_gaps: bool = True):
         raise ValueError(f"image shape {img.shape[:2]} does not match warp {warp.du.shape}")
     H, W = img.shape[:2]
     channels = img if img.ndim == 3 else img[..., None]
-    C = channels.shape[2]
-    acc = np.zeros((H, W, C))
-    wgt = np.zeros((H, W))
-
-    py, px = np.mgrid[0:H, 0:W].astype(float)
-    tx = (px + warp.du).ravel()
-    ty = (py + warp.dv).ravel()
-    vals = channels.reshape(-1, C)
-    x0 = np.floor(tx).astype(int)
-    y0 = np.floor(ty).astype(int)
-    fx = tx - x0
-    fy = ty - y0
-    for dx, dy, wq in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        ok = (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H)
-        flat = yi[ok] * W + xi[ok]
-        wq = wq[ok]
-        wgt += np.bincount(flat, wq, minlength=H * W).reshape(H, W)
-        for c in range(C):
-            acc[..., c] += np.bincount(flat, vals[ok, c] * wq, minlength=H * W).reshape(H, W)
-
+    wgt, acc = _splat(channels, warp.du, warp.dv)
     filled = wgt > 1e-8
-    out = np.zeros_like(acc)
-    out[filled] = acc[filled] / wgt[filled, None]
+    out = np.where(filled[..., None], acc / np.where(filled, wgt, 1.0)[..., None], 0.0)
     gap = ~filled
     footprint = _fill_holes(filled)
     gap_fraction = float(np.count_nonzero(gap & footprint)) / (H * W)
@@ -146,9 +98,43 @@ def rectify_image(image, warp: WarpField, fill_gaps: bool = True):
     if fill_gaps and np.any(gap):
         out = _fill_from_neighbors(out, gap)
     # invalid warp entries pass the source through
-    out[~warp.valid] = channels[~warp.valid]
+    out = np.where(warp.valid[..., None], out, channels)
     out = out[..., 0] if img.ndim == 2 else out
     return out, gap_fraction
+
+
+def _splat(channels, du, dv):
+    """Bilinear forward splat of (H, W, C) `channels` displaced by (du, dv).
+
+    Returns the summed weights (H, W) and weighted values (H, W, C), as
+    views into the padded frame.
+    """
+    H, W, C = channels.shape
+    Hp, Wp = H + 4, W + 4  # padded by a 2-pixel border
+    n = Hp * Wp
+    # the target position, split in place into its floor and fraction
+    fx = np.arange(W, dtype=float) + du
+    fy = np.arange(H, dtype=float)[:, None] + dv
+    x0 = np.floor(fx).astype(int)
+    y0 = np.floor(fy).astype(int)
+    fx -= x0
+    fy -= y0
+    gx = 1 - fx
+    gy = 1 - fy
+    # each pixel's top-left corner in the padded frame; the other corners
+    # are 1, Wp and Wp + 1 bins on, so their bincounts over `base` are added
+    # that many bins on
+    base = ((np.clip(y0, -2, H) + 2) * Wp + np.clip(x0, -2, W) + 2).ravel()
+    vals = channels.reshape(-1, C)
+    wgt = np.zeros(n)
+    acc = np.zeros((C, n))
+    for offset, a, b in ((0, gx, gy), (1, fx, gy), (Wp, gx, fy), (Wp + 1, fx, fy)):
+        wq = (a * b).ravel()
+        wgt[offset:] += np.bincount(base, wq, minlength=n)[:n - offset]
+        for c in range(C):
+            acc[c, offset:] += np.bincount(base, vals[:, c] * wq, minlength=n)[:n - offset]
+    acc = acc.reshape(C, Hp, Wp)[:, 2:-2, 2:-2]
+    return wgt.reshape(Hp, Wp)[2:-2, 2:-2], np.moveaxis(acc, 0, -1)
 
 
 def _fill_holes(filled):
@@ -181,18 +167,25 @@ def _fill_holes(filled):
 
 
 def _fill_from_neighbors(img, gap):
-    """Single-pass 4-neighborhood average fill of gap pixels."""
-    out = img.copy()
-    acc = np.zeros_like(img)
-    cnt = np.zeros(img.shape[:2])
-    known = ~gap
-    head, tail, every = slice(None, -1), slice(1, None), slice(None)
-    # (destination, source) slices for the neighbor above, below, left, right
-    for dst, src in (((tail, every), (head, every)), ((head, every), (tail, every)),
-                     ((every, tail), (every, head)), ((every, head), (every, tail))):
-        take = gap[dst] & known[src]
-        acc[dst][take] += img[src][take]
-        cnt[dst][take] += 1
-    have = gap & (cnt > 0)
-    out[have] = acc[have] / cnt[have, None]
-    return out
+    """Single-pass 4-neighborhood average fill of gap pixels.
+
+    The known pixels and their count are summed over the neighbour above,
+    below, left and right, in that order, through a frame padded by one
+    pixel of zeros.  The sum starts from 0.0 and unknown or missing
+    neighbours add 0.0, so each gap pixel gets the sum over its known
+    neighbours alone.
+    """
+    H, W = gap.shape
+    known = np.zeros((H + 2, W + 2), dtype=np.uint8)
+    known[1:-1, 1:-1] = ~gap
+    vals = np.zeros((H + 2, W + 2) + img.shape[2:])
+    np.copyto(vals[1:-1, 1:-1], img, where=~gap[..., None])
+    above, below = (slice(None, -2), slice(1, -1)), (slice(2, None), slice(1, -1))
+    left, right = (slice(1, -1), slice(None, -2)), (slice(1, -1), slice(2, None))
+    acc = 0.0 + vals[above]
+    for s in (below, left, right):
+        acc += vals[s]
+    cnt = known[above] + known[below] + known[left] + known[right]
+    acc /= np.maximum(cnt, 1)[..., None]
+    np.copyto(acc, img, where=~(gap & (cnt > 0))[..., None])
+    return acc

@@ -433,7 +433,8 @@ def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):
     units and invalid pixels hold NaN.
     """
     H, W = flow.shape[:2]
-    py, px = np.mgrid[0:H, 0:W].astype(float)
+    py = np.arange(H, dtype=float)[:, None]
+    px = np.arange(W, dtype=float)[None, :]
     x, y = config.pixel_to_normalized(px, py)
     finite = np.isfinite(flow[..., 0]) & np.isfinite(flow[..., 1])
     flow_x = np.where(finite, flow[..., 0], 0.0)

@@ -268,6 +268,7 @@ def test_depth_invalid_scanline_pair_is_input_error(runner, tmp_path):
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "error:" in res.output and "alpha" in res.output
+    assert "rows (20.0, -40.0)" in res.output  # the offending pixel's (y1, y2)
 
 
 @pytest.mark.parametrize("content, message", [(None, "not found"), ("vx=1\n", "'vy'")])

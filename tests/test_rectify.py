@@ -10,9 +10,10 @@ from rsdiffsfm import (
     exp_so3,
     rectify_image,
     warp_field,
-    warp_field_backprojection,
 )
 from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
+
+from oracles import masked_rectify_image, mgrid_warp_field, warp_field_backprojection
 
 
 def small_camera(gamma=0.8, H=200):
@@ -81,6 +82,18 @@ def test_warp_matches_backprojection():
     wb = warp_field_backprojection(depth, motion, cfg)
     diff = np.hypot(wf.du - wb.du, wf.dv - wb.dv)
     assert diff.max() < 0.5
+
+
+@pytest.mark.parametrize("gamma, k", [(0.0, 0.0), (0.8, 0.3)])
+def test_warp_field_matches_full_grid_reference(gamma, k):
+    cfg = small_camera(gamma=gamma, H=30)
+    depth = np.random.default_rng(4).uniform(2.0, 9.0, (30, 30))
+    depth[3, 4], depth[7, 8], depth[9, 1] = np.nan, -1.0, 0.0
+    motion = bench_motion(k=k)
+    wf, ref = warp_field(depth, motion, cfg), mgrid_warp_field(depth, motion, cfg)
+    for name in ("du", "dv", "valid"):
+        assert np.array_equal(getattr(wf, name), getattr(ref, name))
+    assert not wf.valid[3, 4] and wf.valid.sum() == 30 * 30 - 3
 
 
 def test_rectified_vertical_line_is_vertical():
@@ -257,3 +270,43 @@ def test_fill_holes_on_a_spiral(n):
         mask[0, 1] = opening
         np.testing.assert_array_equal(_fill_holes(mask), binary_fill_holes(mask))
     np.testing.assert_array_equal(_fill_holes(mask), np.ones_like(mask))
+
+
+def edge_case_warp(rng, H, W):
+    """A warp that stretches rows apart (leaving holes), jittered, with
+    targets 1e6 px outside the frame, top-left corners exactly at -2, -1,
+    W - 1 and H - 1, and invalid entries."""
+    py = np.arange(H, dtype=float)[:, None]
+    du = rng.normal(0.0, 0.7, (H, W))
+    dv = 0.6 * (py - H / 2) + rng.normal(0.0, 0.7, (H, W))
+    du[0, :4] = [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.25]
+    dv[1, :4] = [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.25]
+    for i, (tx, ty) in enumerate([(-2.0, 5.0), (-1.0, 5.5), (-1.5, 6.0), (W - 1.0, 7.0),
+                                  (W - 0.5, 8.25), (4.0, -2.0), (5.5, -1.0), (6.0, -1.5),
+                                  (7.25, H - 1.0), (8.0, H - 0.5), (-1.0, -1.0),
+                                  (W - 1.0, H - 1.0), (-2.0, H - 1.0), (W - 0.5, -1.5)]):
+        r, c = 2 + i, 3 + i
+        du[r, c], dv[r, c] = tx - c, ty - r
+    valid = rng.random((H, W)) > 0.1
+    return WarpField(du=du, dv=dv, valid=valid)
+
+
+@pytest.mark.parametrize("color", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_splat_matches_masked_reference_exactly(color, seed):
+    """The padded-border splat and the mask-free gap fill give the masked
+    splat's output bit for bit, on warps with targets far outside the
+    frame, corners on the border and invalid entries."""
+    rng = np.random.default_rng(seed)
+    H, W = 29, 41
+    warp = edge_case_warp(rng, H, W)
+    image = rng.uniform(0.0, 255.0, (H, W, 3) if color else (H, W))
+    for fill_gaps in (False, True):
+        out, gap_fraction = rectify_image(image, warp, fill_gaps=fill_gaps)
+        ref, ref_gap_fraction = masked_rectify_image(image, warp, fill_gaps=fill_gaps)
+        assert out.shape == image.shape
+        assert np.array_equal(out, ref)
+        assert gap_fraction == ref_gap_fraction
+    assert gap_fraction > 0.0
+    # the fill changed some pixels, so it is covered too
+    assert not np.array_equal(out, rectify_image(image, warp, fill_gaps=False)[0])

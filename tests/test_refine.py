@@ -31,6 +31,7 @@ from rsdiffsfm.refine import (
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
 from conftest import gross_outlier, make_spec
+from oracles import mgrid_dense_depth
 
 
 def blocks_for(camera, seed=0, k=0.1, n=40):
@@ -185,6 +186,20 @@ def test_dense_depth_invalid_pixels(camera):
     depth, valid = dense_depth(flow, motion, camera)
     assert not valid.any()
     assert np.isnan(depth).all()
+
+
+@pytest.mark.parametrize("gamma, k", [(0.0, 0.0), (0.8, 0.3)])
+def test_dense_depth_matches_full_grid_reference(gamma, k):
+    cam = CameraConfig(gamma=gamma, h=30, fx=27.0, fy=27.0, cx=15.0, cy=15.0, width=30)
+    rng = np.random.default_rng(3)
+    flow = rng.normal(0.0, 1.5, (30, 30, 2))
+    flow[2, 3, 0], flow[5, 6, 1] = np.nan, np.inf
+    motion = MotionEstimate(v=np.array([0.3, -0.2, 1.0]), w=np.array([0.01, -0.02, 0.005]), k=k)
+    depth, valid = dense_depth(flow, motion, cam)
+    ref_depth, ref_valid = mgrid_dense_depth(flow, motion, cam)
+    assert np.array_equal(depth, ref_depth, equal_nan=True)
+    assert np.array_equal(valid, ref_valid)
+    assert 0 < valid.sum() < 30 * 30 - 2
 
 
 def test_refine_reports_why_it_stopped(camera):
