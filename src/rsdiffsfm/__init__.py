@@ -14,7 +14,6 @@ from .errors import (
     NoRealSolution,
     RobustFailure,
     RsSfmError,
-    SingularBlock,
 )
 from .geometry import (
     CameraConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "RobustFailure",
     "RsSfmError",
     "SceneSpec",
-    "SingularBlock",
     "WarpField",
     "dense_depth",
     "det_polynomial",

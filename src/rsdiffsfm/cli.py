@@ -79,8 +79,9 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
 
     The motion file also records the RANSAC counts (hypotheses solved,
     hypotheses scored on every sample, residuals evaluated) and, after
-    refinement, why the refit stopped, whether its polish was accepted
-    and its Levenberg-Marquardt step count.
+    refinement, why the refit's Levenberg-Marquardt loop stopped, whether
+    its result was accepted over the RANSAC motion and how many steps the
+    loop accepted.
     """
     try:
         rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)

@@ -23,7 +23,3 @@ class RobustFailure(RsSfmError):
 
 class EmptySelection(RsSfmError):
     """Flow filtering left no usable samples."""
-
-
-class SingularBlock(RsSfmError):
-    """A least-squares block in the refinement is rank deficient."""

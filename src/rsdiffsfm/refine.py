@@ -4,25 +4,22 @@ The objective is the differential re-projection error
 
     sum_i || u_i - beta_i(k) (A_i v / Z_i + B_i w) ||^2
 
-A few cycles of block-coordinate descent over closed-form blocks (depths,
-v, w and, for the constant acceleration model, k) start the refinement.
-Samples whose optimal inverse depth is undefined (translation epipole) or
-non-positive are excluded from the current cycle and re-tested on the next
-one.  Levenberg-Marquardt with the depths eliminated in closed form then
-minimizes the objective over (v, w[, k]) alone: variable projection (Golub
-and Pereyra, 2003) with an analytic Jacobian, in Marquardt's loop scaled
-as by More (1978); two Gauss-Newton steps finish it.  `gauss_newton_step`
-solves every step from normal equations formed with `einsum`, so that no
-BLAS call wakes OpenBLAS threads that would spin after it.
+over the samples whose optimal inverse depth is defined (off the
+translation epipole) and positive.  `refine` minimizes it with
+Levenberg-Marquardt over (v, w[, k]) alone, the depths eliminated in closed
+form: variable projection (Golub and Pereyra, 2003) with an analytic
+Jacobian, in Marquardt's loop scaled as by More (1978); two Gauss-Newton
+steps finish it.  `gauss_newton_step` solves every step from normal
+equations formed with `einsum`, so that no BLAS call wakes OpenBLAS
+threads that would spin after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularBlock
 from .geometry import (
     CONST_ACCEL,
     CameraConfig,
@@ -98,79 +95,30 @@ def update_depths(blocks: SampleBlocks, motion: MotionEstimate):
     return inv_depth(q.T, c.T)
 
 
-def update_v(blocks: SampleBlocks, k, w, inv_depths, mask):
-    """Least-squares translation direction for fixed (k, w, depths)."""
-    if np.count_nonzero(mask) < 3:
-        raise SingularBlock("fewer than 3 usable samples for the v block")
-    beta = blocks.beta(k)
-    coef = (beta * inv_depths)[mask, None, None] * blocks.A[mask]
-    rhs = blocks.u[mask] - beta[mask, None] * (blocks.B[mask] @ w)
-    M = coef.reshape(-1, 3)
-    r = rhs.reshape(-1)
-    sol, _, rank, _ = np.linalg.lstsq(M, r, rcond=None)
-    if rank < 3:
-        raise SingularBlock("rank-deficient v block")
-    return sol
-
-
-def update_w(blocks: SampleBlocks, k, v, inv_depths, mask):
-    """Least-squares rotation vector for fixed (k, v, depths)."""
-    if np.count_nonzero(mask) < 3:
-        raise SingularBlock("fewer than 3 usable samples for the w block")
-    beta = blocks.beta(k)
-    coef = beta[mask, None, None] * blocks.B[mask]
-    rhs = blocks.u[mask] - (beta * inv_depths)[mask, None] * (blocks.A[mask] @ v)
-    M = coef.reshape(-1, 3)
-    r = rhs.reshape(-1)
-    sol, _, rank, _ = np.linalg.lstsq(M, r, rcond=None)
-    if rank < 3:
-        raise SingularBlock("rank-deficient w block")
-    return sol
-
-
-def update_k(blocks: SampleBlocks, v, w, inv_depths, mask, k_current):
-    """Closed-form acceleration factor from the stationarity condition.
-
-    With p_i = A_i v rho_i + B_i w the stationary point of the objective in
-    k is linear once the common (2+k) denominator is cleared.  The update is
-    only accepted if it does not increase the objective.
-    """
-    p = (blocks.A @ v) * inv_depths[:, None] + blocks.B @ w
-    pp = np.sum(p * p, axis=1)[mask]
-    up = np.sum(blocks.u * p, axis=1)[mask]
-    d = (blocks.b - blocks.a)[mask]
-    num = np.sum(d * (2.0 * up - 2.0 * blocks.a[mask] * pp))
-    den = np.sum(d * (blocks.b[mask] * pp - up))
-    if abs(den) < 1e-12 * max(abs(num), 1.0):
-        return k_current
-    k_new = num / den
-    if k_new <= -2.0:
-        return k_current
-    return float(k_new)
-
-
 @dataclass
 class RefineState:
     """Refinement output: motion, per-sample inverse depths, diagnostics.
 
-    stop_reason says why coordinate descent stopped: "tolerance" (the
-    objective stalled), "cycle_cap" (max_cycles ran), "mask_flip" (a cycle
-    raised the objective by changing the cheirality mask and was reverted)
-    or "singular_block" (a block had too few usable samples).  polished
-    says whether the Levenberg-Marquardt result was accepted, lm_iterations
-    how many steps its loop accepted.
+    stop_reason says why refinement stopped: "converged" or "cycle_cap" (the
+    Levenberg-Marquardt loop converged, or made max_cycles cost evaluations
+    first), "invalid_start" (the start has fewer residuals than unknowns or
+    non-finite ones), "zero_objective" (the start fits exactly) or
+    "no_valid_depth" (no sample has a valid depth at the start; both
+    objectives are then inf).  n_cycles counts the loop's cost evaluations
+    and lm_iterations the steps it accepted; polished says whether its
+    result was accepted over the start, whose objective is start_objective.
     """
 
     motion: MotionEstimate
     inv_depths: np.ndarray
     valid: np.ndarray
     objective: float
+    start_objective: float
     n_cycles: int
     converged: bool
     stop_reason: str
     polished: bool
     lm_iterations: int
-    trace: np.ndarray | None = None  # objective after init, each cycle, polish
 
 
 def refine(
@@ -178,19 +126,14 @@ def refine(
     initial: MotionEstimate,
     config: CameraConfig | None = None,
     model: str = CONST_ACCEL,
-    max_cycles: int = 3,
-    rel_tol: float = 1e-10,
-    polish: bool = True,
+    max_cycles: int = 400,
 ) -> RefineState:
-    """A few coordinate-descent cycles, then Levenberg-Marquardt with the
-    depths eliminated.
+    """Levenberg-Marquardt from `initial` with the depths eliminated.
 
-    The gauge freedom (v, Z) -> (cv, cZ) is fixed by renormalizing v to unit
-    norm after each cycle and rescaling the depths to match.  Coordinate
-    descent crawls along the translation/rotation valley of this objective,
-    so it only starts the refinement: by default the depth-eliminated
-    Levenberg-Marquardt pass (`_polish_lm`) finishes it, and its result is
-    only accepted when it lowers the objective, preserving monotone descent.
+    The gauge freedom (v, Z) -> (cv, cZ) is fixed by a unit-norm v, the
+    depths absorbing the scale.  max_cycles caps the loop's cost
+    evaluations.  Its result is accepted only when it lowers the objective
+    of the start; otherwise the start is returned.
     """
     blocks = SampleBlocks.build(samples, config, model)
     v = np.asarray(initial.v, float).copy()
@@ -201,68 +144,33 @@ def refine(
     k = float(initial.k) if model == CONST_ACCEL else 0.0
     motion = MotionEstimate(v=v, w=w, k=k)
     rho, valid = update_depths(blocks, motion)
-    rho_f = np.where(valid, rho, 0.0)
-    prev = objective(blocks, motion, rho_f, valid)
-    trace = [prev]
-    converged = False
-    stop_reason = "cycle_cap"
-    cycle = 0
-    for cycle in range(1, max_cycles + 1):
-        v_old, w_old, k_old = v, w, k
-        try:
-            v = update_v(blocks, k, w, rho_f, valid)
-            w = update_w(blocks, k, v, rho_f, valid)
-            if model == CONST_ACCEL:
-                k_new = update_k(blocks, v, w, rho_f, valid, k)
-                if objective(blocks, MotionEstimate(v=v, w=w, k=k_new), rho_f, valid) <= objective(
-                    blocks, MotionEstimate(v=v, w=w, k=k), rho_f, valid
-                ):
-                    k = k_new
-        except SingularBlock:
-            stop_reason = "singular_block"
-            break
-        # gauge: unit translation direction, depths absorb the scale
-        n = np.linalg.norm(v)
-        if n > 1e-15:
-            v = v / n
-        motion = MotionEstimate(v=v, w=w, k=k)
-        rho, valid = update_depths(blocks, motion)
-        rho_f = np.where(valid, rho, 0.0)
-        cur = objective(blocks, motion, rho_f, valid)
-        if cur > prev:
-            # each block descends on a fixed cheirality mask, but the depth
-            # update can flip the mask and add terms; revert the cycle and
-            # leave further progress to the polish, keeping descent monotone
-            v, w, k = v_old, w_old, k_old
-            motion = MotionEstimate(v=v, w=w, k=k)
-            rho, valid = update_depths(blocks, motion)
-            rho_f = np.where(valid, rho, 0.0)
-            stop_reason = "mask_flip"
-            break
-        trace.append(cur)
-        if prev - cur <= rel_tol * max(prev, 1e-300):
-            prev = min(prev, cur)
-            converged = True
-            stop_reason = "tolerance"
-            break
-        prev = cur
-    polished, lm_iterations = False, 0
-    if polish and prev > 0:
-        v, w, k, rho, valid, prev, polished, lm_iterations = _polish_lm(
-            blocks, v, w, k, prev, model)
-        trace.append(prev)
-    return RefineState(
-        motion=MotionEstimate(v=v, w=w, k=k).normalized(),
-        inv_depths=rho,
-        valid=valid,
-        objective=prev,
-        n_cycles=cycle,
-        converged=converged,
-        stop_reason=stop_reason,
-        polished=polished,
-        lm_iterations=lm_iterations,
-        trace=np.array(trace),
-    )
+    obj = objective(blocks, motion, np.where(valid, rho, 0.0), valid)
+    start = RefineState(
+        motion=motion, inv_depths=rho, valid=valid, objective=obj, start_objective=obj,
+        n_cycles=0, converged=False, stop_reason="zero_objective", polished=False,
+        lm_iterations=0)
+    if not valid.any():
+        # the objective over no samples would read 0, as if the fit were exact
+        return replace(start, objective=np.inf, start_objective=np.inf,
+                       stop_reason="no_valid_depth")
+    if obj == 0:
+        return start
+    theta = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
+    try:
+        theta, n_steps, n_evals, converged = _levenberg_marquardt(theta, blocks, max_cycles)
+    except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
+        return replace(start, stop_reason="invalid_start")
+    loop = replace(start, n_cycles=n_evals, converged=converged, lm_iterations=n_steps,
+                   stop_reason="converged" if converged else "cycle_cap")
+    m = _motion(theta)
+    rho, valid = update_depths(blocks, m)
+    obj = objective(blocks, m, np.where(valid, rho, 0.0), valid)
+    if not obj < start.objective:  # also rejects a NaN objective
+        return loop
+    vn = np.linalg.norm(m.v)  # back to a unit v: the depths absorb the scale
+    return replace(
+        loop, motion=m.normalized(), inv_depths=rho * vn, valid=valid, objective=obj,
+        polished=True)
 
 
 def _motion(theta):
@@ -354,16 +262,18 @@ def gauss_newton_step(J, r):
     return step + np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, rest), rcond=None)[0]
 
 
-def _levenberg_marquardt(theta, blocks):
+def _levenberg_marquardt(theta, blocks, max_evals):
     """Marquardt's loop on the reduced objective from `theta`, then two
-    Gauss-Newton steps if it converged; returns (theta, accepted steps).
+    Gauss-Newton steps if it converged; returns (theta, accepted steps,
+    cost evaluations, converged).
 
     A step solves [J; sqrt(lam D)] s = [r; 0], D the running maximum of
     diag(J^T J) (More, 1978); lam falls tenfold on a step that lowers the
     cost, else rises tenfold.  A step that lowers the cost by at most 1e-15
-    of it, or that shrinks to 1e-15 |theta|, converges the loop; 400 cost
-    evaluations stop it unconverged.  Raises ValueError for non-finite start
-    residuals or fewer residuals than unknowns.
+    of it, or that shrinks to 1e-15 |theta|, converges the loop; max_evals
+    cost evaluations, the start's included, stop it unconverged.  Raises
+    ValueError for non-finite start residuals or fewer residuals than
+    unknowns.
     """
     terms = _reduced_terms(theta, blocks)
     r = terms[-1].ravel()
@@ -372,7 +282,7 @@ def _levenberg_marquardt(theta, blocks):
     J = _jacobian(theta, blocks, terms)
     D, cost, lam = np.sum(J * J, axis=0), np.sum(r * r), 1e-3
     n_evals, n_steps, converged = 1, 0, False
-    while n_evals < 400 and not converged:
+    while n_evals < max_evals and not converged:
         # D is 0 on a column that never moves the residual, k at gamma = 0:
         # only the rank cutoff of `gauss_newton_step` keeps that k fixed
         step = gauss_newton_step(np.vstack([J, np.diag(np.sqrt(lam * D))]),
@@ -397,32 +307,7 @@ def _levenberg_marquardt(theta, blocks):
         theta = theta - gauss_newton_step(J, r)
         terms = _reduced_terms(theta, blocks)
         theta = theta - gauss_newton_step(_jacobian(theta, blocks, terms), terms[-1].ravel())
-    return theta, n_steps
-
-
-def _polish_lm(blocks, v, w, k, obj_current, model):
-    """Levenberg-Marquardt on (v, w[, k]) with depths eliminated in closed form.
-
-    Minimizes the same objective with `_levenberg_marquardt`; its result is
-    discarded unless it improves on the coordinate-descent result.  Returns
-    (v, w, k, inv_depths, valid, objective, accepted, accepted LM steps).
-    """
-    theta0 = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
-    try:
-        theta, n_steps = _levenberg_marquardt(theta0, blocks)
-    except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
-        n_steps = 0
-    else:
-        m = _motion(theta)
-        rho, valid = update_depths(blocks, m)
-        obj_new = objective(blocks, m, np.where(valid, rho, 0.0), valid)
-        if obj_new < obj_current:
-            vn = np.linalg.norm(m.v)
-            v_new = m.v / vn if vn > 1e-15 else m.v
-            rho = rho * vn  # keep the unit-v gauge: depths absorb the scale
-            return v_new, np.asarray(m.w), float(m.k), rho, valid, obj_new, True, n_steps
-    rho, valid = update_depths(blocks, MotionEstimate(v=v, w=w, k=k))
-    return v, w, k, rho, valid, obj_current, False, n_steps
+    return theta, n_steps, n_evals, bool(converged)
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):

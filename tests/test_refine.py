@@ -2,7 +2,6 @@ import importlib
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from rsdiffsfm import (
     CameraConfig,
@@ -14,7 +13,6 @@ from rsdiffsfm import (
     refit_trimmed,
     translation_error,
 )
-from rsdiffsfm.errors import SingularBlock
 from rsdiffsfm.geometry import FlowBatch, MotionEstimate
 from rsdiffsfm.refine import (
     SampleBlocks,
@@ -24,9 +22,6 @@ from rsdiffsfm.refine import (
     reduced_jacobian,
     reduced_residuals,
     update_depths,
-    update_k,
-    update_v,
-    update_w,
 )
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
@@ -38,6 +33,16 @@ def blocks_for(camera, seed=0, k=0.1, n=40):
     spec = make_spec(camera, n_points=n, k=k, seed=seed)
     samples, gt = generate_linearized(spec)
     return SampleBlocks.build(samples, camera), samples, gt
+
+
+def start_objective(samples, start, camera, model=CONST_ACCEL):
+    """The objective `refine` starts from: over the samples with a valid
+    depth at `start` with a unit v, k dropped for the gs and cv models."""
+    blocks = SampleBlocks.build(samples, camera, model)
+    start = start.normalized()
+    motion = MotionEstimate(v=start.v, w=start.w, k=start.k if model == CONST_ACCEL else 0.0)
+    rho, valid = update_depths(blocks, motion)
+    return objective(blocks, motion, np.where(valid, rho, 0.0), valid)
 
 
 def test_objective_zero_at_truth(camera):
@@ -53,66 +58,16 @@ def test_update_depths_recover_truth(camera):
     assert np.max(np.abs(rho - 1.0 / gt.depths)) < 1e-10
 
 
-def test_update_v_w_closed_forms(camera):
-    blocks, _, gt = blocks_for(camera, seed=3)
-    rho = 1.0 / gt.depths
-    mask = np.ones(len(rho), dtype=bool)
-    v = update_v(blocks, gt.motion.k, gt.motion.w, rho, mask)
-    assert np.max(np.abs(v - gt.motion.v)) < 1e-10
-    w = update_w(blocks, gt.motion.k, gt.motion.v, rho, mask)
-    assert np.max(np.abs(w - gt.motion.w)) < 1e-10
-
-
-def test_update_k_matches_golden_section_oracle(camera):
-    """Closed-form k stationary point vs a derivative-free line search."""
-    rng = np.random.default_rng(0)
-    checked = 0
-    for trial in range(1000):
-        n = 12
-        A = rng.normal(size=(n, 2, 3))
-        B = rng.normal(size=(n, 2, 3))
-        a = rng.uniform(0.9, 1.1, n)
-        b = a + rng.uniform(-0.2, 0.2, n)
-        v = rng.normal(size=3)
-        w = rng.normal(size=3) * 0.1
-        rho = rng.uniform(0.1, 0.3, n)
-        k_true = rng.uniform(-0.3, 0.3)
-        beta = (2 * a + b * k_true) / (2 + k_true)
-        u = beta[:, None] * ((A @ v) * rho[:, None] + B @ w)
-        # noise keeps the minimum away from k_true but small enough that
-        # the golden-section oracle can localize it to well below 1e-8
-        u = u + rng.normal(scale=1e-5, size=u.shape)
-        blocks = SampleBlocks(A=A, B=B, u=u, a=a, b=b)
-        mask = np.ones(n, dtype=bool)
-        k_cf = update_k(blocks, v, w, rho, mask, k_current=k_true)
-
-        def f(k):
-            return objective(blocks, MotionEstimate(v=v, w=w, k=k), rho)
-
-        res = minimize_scalar(f, bracket=(k_true - 0.5, k_true, k_true + 0.5),
-                              method="golden", options={"xtol": 1e-12})
-        if not res.success or abs(res.x - k_true) > 0.45:
-            continue  # oracle left the local basin; not comparable
-        # second golden pass on a tight bracket sharpens the oracle
-        res = minimize_scalar(f, bracket=(res.x - 1e-5, res.x, res.x + 1e-5),
-                              method="golden", options={"xtol": 1e-14})
-        assert abs(k_cf - res.x) < 1e-8
-        checked += 1
-    assert checked > 900
-
-
 def test_refine_monotone_and_converges(camera):
-    blocks, samples, gt = blocks_for(camera, seed=5)
+    _, samples, gt = blocks_for(camera, seed=5)
     start = MotionEstimate(
         v=gt.motion.v + np.array([0.01, -0.02, 0.01]),
         w=gt.motion.w + np.array([0.002, 0.001, -0.001]),
         k=0.0,
     )
     state = refine(samples, start, camera, model=CONST_ACCEL)
-    # BCD portion of the trace never increases (polish entry is the final min)
-    bcd = state.trace[:-1] if len(state.trace) > 1 else state.trace
-    assert np.all(np.diff(bcd) <= 1e-12 * np.maximum(bcd[:-1], 1e-300))
-    assert state.trace[-1] == min(state.trace)
+    assert (state.stop_reason, state.converged, state.polished) == ("converged", True, True)
+    assert state.objective < state.start_objective == start_objective(samples, start, camera)
 
 
 def test_refine_reaches_truth_from_perturbed_start(camera):
@@ -145,14 +100,12 @@ def test_refine_cv_model_keeps_k_zero(camera):
 
 
 def test_polish_failure_keeps_descent_result(camera, monkeypatch):
-    """A ValueError from the LM polish keeps the coordinate-descent result;
-    any other error propagates."""
+    """A ValueError from the Levenberg-Marquardt loop returns the start,
+    reported as an invalid start; any other error propagates."""
     refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=30, k=0.1, seed=11)
     samples, gt = generate_linearized(spec)
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w, k=0.0)
-    descent = refine(samples, start, camera, CONST_ACCEL, max_cycles=3, polish=False)
-    assert descent.objective > 0
 
     def raising(exc):
         def levenberg_marquardt(*args, **kwargs):
@@ -160,24 +113,17 @@ def test_polish_failure_keeps_descent_result(camera, monkeypatch):
         return levenberg_marquardt
 
     monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(ValueError("non-finite")))
-    state = refine(samples, start, camera, CONST_ACCEL, max_cycles=3)
-    assert state.objective == descent.objective
+    state = refine(samples, start, camera, CONST_ACCEL)
+    assert (state.stop_reason, state.polished, state.n_cycles) == ("invalid_start", False, 0)
+    assert state.objective == start_objective(samples, start, camera) > 0
+    normalized = start.normalized()
     for field in ("v", "w", "k"):
-        assert np.array_equal(getattr(state.motion, field), getattr(descent.motion, field))
-    assert np.array_equal(state.inv_depths, descent.inv_depths, equal_nan=True)
+        assert np.array_equal(getattr(state.motion, field), getattr(normalized, field))
+    rho, _ = update_depths(SampleBlocks.build(samples, camera), normalized)
+    assert np.array_equal(state.inv_depths, rho, equal_nan=True)
     monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(TypeError("bad call")))
     with pytest.raises(TypeError):
-        refine(samples, start, camera, CONST_ACCEL, max_cycles=3)
-
-
-def test_update_blocks_raise_on_too_few_samples(camera):
-    blocks, _, gt = blocks_for(camera, seed=9, n=10)
-    mask = np.zeros(len(blocks.u), dtype=bool)
-    mask[:2] = True
-    with pytest.raises(SingularBlock):
-        update_v(blocks, 0.0, gt.motion.w, 1.0 / gt.depths, mask)
-    with pytest.raises(SingularBlock):
-        update_w(blocks, 0.0, gt.motion.v, 1.0 / gt.depths, mask)
+        refine(samples, start, camera, CONST_ACCEL)
 
 
 def test_dense_depth_invalid_pixels(camera):
@@ -207,21 +153,39 @@ def test_refine_reports_why_it_stopped(camera):
     samples, gt = generate_linearized(spec)
     start = MotionEstimate(v=gt.motion.v + np.array([0.01, -0.02, 0.01]),
                            w=gt.motion.w + np.array([0.002, 0.001, -0.001]), k=0.0)
+    initial = start_objective(samples, start, camera)
+    done = refine(samples, start, camera, CONST_ACCEL)
+    assert (done.stop_reason, done.converged) == ("converged", True)
+    assert 2 < done.n_cycles < 400 and 0 < done.lm_iterations < done.n_cycles
+    # two cost evaluations, the start's and one trial step, hit the cap
     capped = refine(samples, start, camera, CONST_ACCEL, max_cycles=2)
     assert (capped.stop_reason, capped.n_cycles, capped.converged) == ("cycle_cap", 2, False)
-    assert capped.polished and capped.objective < capped.trace[-2]
-    # a loose tolerance stops the descent once a cycle gains less than half
-    loose = refine(samples, start, camera, CONST_ACCEL, rel_tol=0.5)
-    assert (loose.stop_reason, loose.converged) == ("tolerance", True)
-    assert loose.polished
-    unpolished = refine(samples, start, camera, CONST_ACCEL, rel_tol=0.5, polish=False)
-    assert unpolished.stop_reason == "tolerance" and not unpolished.polished
-    assert unpolished.objective == unpolished.trace[-1]
-    # a reversed translation puts every sample behind the camera: no v block
+    assert capped.polished and done.objective < capped.objective < initial
+    # 3 samples give 6 residuals for the 7 unknowns of the ca model
+    few = refine(samples[:3], start, camera, CONST_ACCEL)
+    assert (few.stop_reason, few.n_cycles, few.polished) == ("invalid_start", 0, False)
+    # forward motion without rotation from flows u = x at every midpoint x:
+    # the gs flow model fits them with rho = 1 and no rounding error
+    m = np.random.default_rng(0).uniform(-0.3, 0.3, (10, 2))
+    exact = FlowBatch(x=m / 2, u=m, y1=np.zeros(10), y2=np.zeros(10))
+    forward = MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0)
+    fitted = refine(exact, forward, None, GLOBAL_SHUTTER)
+    assert (fitted.stop_reason, fitted.objective, fitted.n_cycles) == ("zero_objective", 0.0, 0)
+    assert fitted.valid.all() and np.all(fitted.inv_depths == 1.0)
+
+
+def test_refine_reports_a_start_without_valid_depth(camera):
+    """A reversed translation puts every sample behind the camera: no
+    sample has a valid depth, so there is no objective to minimize, and the
+    refit says so instead of reporting an exact fit."""
+    spec = make_spec(camera, n_points=40, k=0.1, seed=5)
+    samples, gt = generate_linearized(spec)
     flipped = MotionEstimate(v=-gt.motion.v, w=gt.motion.w, k=0.1)
-    singular = refine(samples, flipped, camera, CONST_ACCEL, polish=False)
-    assert (singular.stop_reason, singular.n_cycles) == ("singular_block", 1)
-    assert not singular.converged
+    state = refine(samples, flipped, camera, CONST_ACCEL)
+    assert (state.stop_reason, state.objective, state.start_objective) == (
+        "no_valid_depth", np.inf, np.inf)
+    assert not (state.valid.any() or state.polished or state.converged)
+    assert state.n_cycles == state.lm_iterations == 0
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
@@ -260,8 +224,8 @@ def with_noise(samples, camera, noise_px, rng):
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
 def test_few_cycles_reach_the_long_descent_objective(camera, model):
-    """The default few coordinate-descent cycles end, after Levenberg-Marquardt,
-    at the objective that 100 cycles end at."""
+    """From a perturbed start the refit ends at the objective that the refit
+    started from the true motion ends at."""
     for seed in range(3):
         spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=seed)
         clean, gt = generate_discrete(spec, model)
@@ -269,10 +233,10 @@ def test_few_cycles_reach_the_long_descent_objective(camera, model):
         samples = with_noise(clean, camera, 0.5, rng)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                                w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
-        default = refine(samples, start, camera, model)
-        long = refine(samples, start, camera, model, max_cycles=100)
-        assert default.n_cycles <= 3 and default.polished
-        assert abs(default.objective - long.objective) <= 1e-9 * long.objective
+        perturbed = refine(samples, start, camera, model)
+        truth = refine(samples, gt.motion, camera, model)
+        assert perturbed.converged and perturbed.polished
+        assert abs(perturbed.objective - truth.objective) <= 1e-9 * truth.objective
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
