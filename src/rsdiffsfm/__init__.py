@@ -17,19 +17,14 @@ from .errors import (
 )
 from .geometry import (
     CameraConfig,
-    EpipolarVector,
     FlowBatch,
     FlowSample,
     MotionEstimate,
-    epipolar_residual,
     exp_so3,
-    log_so3,
     matrices_ab,
-    project_flow,
     skew,
-    symmetric_s,
 )
-from .gs_solver import recover_motion, solve_gs, solve_linear
+from .gs_solver import solve_gs
 from .rs_solvers import (
     DetPolynomial,
     det_polynomial,
@@ -82,7 +77,6 @@ __all__ = [
     "DegenerateConfiguration",
     "DetPolynomial",
     "EmptySelection",
-    "EpipolarVector",
     "ExperimentConfig",
     "FlowBatch",
     "FlowFile",
@@ -101,23 +95,19 @@ __all__ = [
     "WarpField",
     "dense_depth",
     "det_polynomial",
-    "epipolar_residual",
     "exp_so3",
     "filter_flows",
     "forward_backward_error",
     "generate_discrete",
     "generate_linearized",
-    "log_so3",
     "matrices_ab",
     "benchmark_config",
-    "project_flow",
     "ransac",
     "read_flo",
     "read_flow",
     "read_motion",
     "read_pfm",
     "read_pnm",
-    "recover_motion",
     "rectify_image",
     "refine",
     "refit_trimmed",
@@ -128,9 +118,7 @@ __all__ = [
     "solve_const_accel",
     "solve_const_velocity",
     "solve_gs",
-    "solve_linear",
     "sweep_csv",
-    "symmetric_s",
     "translation_error",
     "warp_field",
     "write_flow",

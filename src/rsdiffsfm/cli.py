@@ -13,11 +13,11 @@ import numpy as np
 from . import io_formats as iof
 from .errors import EmptySelection, InvalidScanlinePair, RsSfmError
 from .geometry import CameraConfig
-from .experiment import run_sweep, sweep_csv
+from .experiment import _scene_spec, run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
 from .robust import RansacConfig, ranked_pixels, ransac, refit_trimmed, samples_from_pixels
-from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, SceneSpec, generate_discrete
+from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, generate_discrete
 
 MODELS = {"gs": GLOBAL_SHUTTER, "cv": CONST_VELOCITY, "ca": CONST_ACCEL}
 # the camera record a motion file carries for `rectify`
@@ -172,18 +172,9 @@ def rectify(image_path, depth_path, motion_path, out_path):
 def synth(config_path, flow_path, truth_path):
     """Generate a synthetic sparse flow file with a ground-truth sidecar."""
     cfg = _load_config(config_path)
-    from .experiment import _camera
-
-    camera = _camera(cfg, cfg.gammas[0])
-    spec = SceneSpec(
-        config=camera,
-        n_points=cfg.n_points,
-        depth_range=(cfg.depth_min, cfg.depth_max),
-        norm_translation=cfg.translations[0],
-        w_mag_deg=cfg.w_mags[0],
-        k=cfg.ks[0],
-        seed=cfg.seed,
-    )
+    spec = _scene_spec(cfg, cfg.gammas[0], cfg.translations[0], cfg.w_mags[0], cfg.ks[0],
+                       cfg.seed)
+    camera = spec.config
     samples, gt = generate_discrete(spec)
     px, py = camera.normalized_to_pixel(*samples.x.T)
     sparse = np.column_stack([px, py, samples.u[:, 0] * camera.fx,

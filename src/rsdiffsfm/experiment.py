@@ -35,6 +35,19 @@ def _camera(cfg: ExperimentConfig, gamma):
     )
 
 
+def _scene_spec(cfg: ExperimentConfig, gamma, trans, w_mag, k, seed):
+    """The scene of a sweep's (gamma, trans, w_mag, k) point with the given seed."""
+    return SceneSpec(
+        config=_camera(cfg, gamma),
+        n_points=cfg.n_points,
+        depth_range=(cfg.depth_min, cfg.depth_max),
+        norm_translation=trans,
+        w_mag_deg=w_mag,
+        k=k,
+        seed=seed,
+    )
+
+
 def estimate_motion(samples, model, camera, ransac_iters, threshold, seed, use_refine):
     """One estimation run: RANSAC over the minimal solver, optional refinement."""
     rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
@@ -52,21 +65,11 @@ def _cell_scenes(cfg: ExperimentConfig, gamma, trans, w_mag, k):
     The scenes do not depend on the model, so a sweep estimates every model
     on the same ones.
     """
-    camera = _camera(cfg, gamma)
     scenes = []
     for trial in range(cfg.trials):
         seed = hash((cfg.seed, round(gamma, 9), round(trans, 9), round(w_mag, 9),
                      round(k, 9), trial)) % (2**31)
-        spec = SceneSpec(
-            config=camera,
-            n_points=cfg.n_points,
-            depth_range=(cfg.depth_min, cfg.depth_max),
-            norm_translation=trans,
-            w_mag_deg=w_mag,
-            k=k,
-            seed=seed,
-        )
-        scenes.append((seed, *generate_discrete(spec)))
+        scenes.append((seed, *generate_discrete(_scene_spec(cfg, gamma, trans, w_mag, k, seed))))
     return scenes
 
 

@@ -8,7 +8,7 @@ points are lifted to homogeneous 3-vectors x~ = (x, y, 1) and flows to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,17 +52,6 @@ def exp_so3(w):
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def log_so3(R):
-    """Rotation vector of R for rotation angles below pi."""
-    R = np.asarray(R, dtype=float)
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    if theta < 1e-10:
-        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
-    axis = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return theta / (2.0 * np.sin(theta)) * axis
-
-
 def translation_flow(x, y, v):
     """A v per component: flow at (x, y) of a unit-inverse-depth point under
     translation v.  x and y may be arrays of any common shape."""
@@ -103,6 +92,11 @@ def beta(a, b, k):
     beta(a, b, 0) == a.
     """
     return (2.0 * a + b * k) / (2.0 + k)
+
+
+def beta_timestamp(t, k):
+    """Pose scale at scanline timestamp t (fraction of the frame period)."""
+    return beta(t, t * t, k)
 
 
 def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
@@ -173,24 +167,6 @@ def inv_depth(q, c):
     return rho, ~degenerate & (rho > 0)
 
 
-def project_flow(x, Z, v, w):
-    """Instantaneous image motion at x for depth Z and camera motion (v, w)."""
-    if Z <= 0:
-        raise ValueError(f"depth must be positive, got {Z}")
-    A, B = matrices_ab(x)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return A @ v / Z + B @ w
-
-
-def symmetric_s(v, w):
-    """Symmetric matrix s = (v^ w^ + w^ v^) / 2 of the epipolar constraint."""
-    vh = skew(v)
-    wh = skew(w)
-    s = 0.5 * (vh @ wh + wh @ vh)
-    return 0.5 * (s + s.T)
-
-
 def midpoint(sample):
     """Flow-midpoint evaluation position x + u/2 of a sample or a batch.
 
@@ -199,14 +175,6 @@ def midpoint(sample):
     difference), which matters for flows measured between finite frames.
     """
     return sample.x + 0.5 * sample.u
-
-
-def epipolar_residual(x, u, v, w):
-    """Residual of the differential epipolar constraint u~^T v^ x~ - x~^T s x~
-    with the lifted point x~ = (x, y, 1) and flow u~ = (u_x, u_y, 0)."""
-    xt = np.array([float(x[0]), float(x[1]), 1.0])
-    ut = np.array([float(u[0]), float(u[1]), 0.0])
-    return float(ut @ skew(v) @ xt - xt @ symmetric_s(v, w) @ xt)
 
 
 @dataclass(frozen=True)
@@ -332,47 +300,6 @@ class MotionEstimate:
         if n < 1e-15:
             return self
         return MotionEstimate(self.v / n, self.w, self.k, self.v_reliable)
-
-
-# Ordering of the 6 independent entries of s in the 9-vector e:
-# (s11, s12, s13, s22, s23, s33).
-_S_INDEX = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
-def s_to_vech(s):
-    """Upper-triangular entries of s in e-ordering."""
-    s = np.asarray(s, dtype=float)
-    return np.array([s[i, j] for i, j in _S_INDEX])
-
-
-def vech_to_s(vech):
-    """Symmetric matrix from its 6 upper-triangular entries."""
-    s = np.zeros((3, 3))
-    for val, (i, j) in zip(vech, _S_INDEX):
-        s[i, j] = val
-        s[j, i] = val
-    return s
-
-
-@dataclass(frozen=True)
-class EpipolarVector:
-    """The 9-vector e = [v; vech(s)], canonicalized to unit norm."""
-
-    e: np.ndarray = field()
-
-    def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        if e.shape != (9,):
-            raise ValueError(f"e must have 9 components, got shape {e.shape}")
-        object.__setattr__(self, "e", canonicalize_e(e))
-
-    @property
-    def v(self):
-        return self.e[:3]
-
-    @property
-    def s(self):
-        return vech_to_s(self.e[3:])
 
 
 def canonicalize_e(e):

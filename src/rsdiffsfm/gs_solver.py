@@ -5,7 +5,7 @@ unknown e = [v; vech(s)].  e is solved by SVD and (v, w) recovered from it;
 the sign of v is fixed by positive-depth voting.
 
 The kernels solve a stack of S sample subsets at once (a `FlowBatch` with
-leading shape (S, m)); the single-subset functions are their S = 1 case.
+leading shape (S, m)); `solve_gs` is their S = 1 case.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DegenerateConfiguration
 from .geometry import (
-    EpipolarVector,
     FlowBatch,
-    FlowSample,
     MotionEstimate,
     canonicalize_e,
     depth_terms,
@@ -138,14 +136,6 @@ def epipolar_stack(stack):
     return canonicalize_e(Vt[:, 8]), failures
 
 
-def solve_linear(samples) -> EpipolarVector:
-    """Least-squares epipolar vector from >= 8 flow samples."""
-    E, failures = epipolar_stack(FlowBatch.of(samples)[np.newaxis])
-    if failures:
-        raise failures[0]
-    return EpipolarVector(E[0])
-
-
 def _w_from_s(v, s_vech):
     """Least-squares w solving vech(s(v, w)) = s_vech for fixed v, per row of
     v (H, 3) and s_vech (H, 6)."""
@@ -165,12 +155,6 @@ def _w_from_s(v, s_vech):
     return np.linalg.solve(Mt @ M, Mt @ s_vech[..., None])[..., 0]
 
 
-def closed_form_inv_depth(sample: FlowSample, v, w, beta=1.0):
-    """Per-sample optimal inverse depth for the flow prediction model."""
-    rho, _ = inv_depth(*depth_terms(*sample.x, *sample.u, v, w, beta))
-    return None if np.isnan(rho) else float(rho)
-
-
 def cheirality_vote(samples, v, w):
     """Number of samples whose closed-form depth is positive under (v, w).
 
@@ -186,7 +170,12 @@ def cheirality_vote(samples, v, w):
 
 def recover_stack(E, stack):
     """(v, w, v_reliable) of epipolar vectors E (H, 9), hypothesis i against
-    subset i of a (H, m) stack; see `recover_motion`."""
+    subset i of a (H, m) stack.
+
+    w is the least-squares solution of s(v, w) = s_e, which is linear in w
+    for fixed v.  The global sign of (v, s) is chosen so that the closed-form
+    depths are positive for the majority of the subset's samples.
+    """
     vnorm = np.linalg.norm(E[:, :3], axis=-1)
     reliable = vnorm >= 1e-9
     # near pure rotation the v direction is unreliable: those rows get
@@ -200,17 +189,6 @@ def recover_stack(E, stack):
     if not reliable.all():
         w[~reliable] = _fit_rotation_only(stack[~reliable])
     return v, w, reliable
-
-
-def recover_motion(e: EpipolarVector, samples, k: float = 0.0) -> MotionEstimate:
-    """Extract (v, w) from the epipolar vector, resolving the sign of v.
-
-    w is the least-squares solution of s(v, w) = s_e, which is linear in w
-    for fixed v.  The global sign of (v, s) is chosen so that the closed-form
-    depths are positive for the majority of samples.
-    """
-    v, w, reliable = recover_stack(e.e[np.newaxis], FlowBatch.of(samples)[np.newaxis])
-    return MotionEstimate(v=v[0], w=w[0], k=k, v_reliable=bool(reliable[0]))
 
 
 def _fit_rotation_only(samples):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraConfig, MotionEstimate, beta, rotation_flow, translation_flow
+from .geometry import CameraConfig, MotionEstimate, beta_timestamp, rotation_flow, translation_flow
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +47,7 @@ class WarpField:
 
 def beta_first_scanline(rows, k, gamma, h):
     """Pose fraction beta1 of scanline `rows` relative to the first scanline."""
-    t = gamma * np.asarray(rows, dtype=float) / h
-    return beta(t, t * t, k)
+    return beta_timestamp(gamma * np.asarray(rows, dtype=float) / h, k)
 
 
 def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField:

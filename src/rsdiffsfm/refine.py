@@ -1,17 +1,21 @@
 """Refinement of (k, v, w, depths) and dense depth recovery.
 
-The objective is the differential re-projection error
+The flow model is u_i = beta_i(k) (A_i v rho_i + B_i w) in the inverse
+depths rho_i.  `refine` minimizes its squared error with Levenberg-Marquardt
+over (v, w[, k]) alone, the depths eliminated in closed form: variable
+projection (Golub and Pereyra, 2003) with an analytic Jacobian, in
+Marquardt's loop scaled as by More (1978); two Gauss-Newton steps finish
+it.  Two sums of the same per-sample errors are in play:
 
-    sum_i || u_i - beta_i(k) (A_i v / Z_i + B_i w) ||^2
+- the loop minimizes the error over every sample, a sample whose optimal
+  inverse depth is undefined (at the translation epipole) or not positive
+  taken at rho = 0;
+- the objective that `refine` reports, and compares to accept the loop's
+  result, sums the error over the samples with a valid depth only.
 
-over the samples whose optimal inverse depth is defined (off the
-translation epipole) and positive.  `refine` minimizes it with
-Levenberg-Marquardt over (v, w[, k]) alone, the depths eliminated in closed
-form: variable projection (Golub and Pereyra, 2003) with an analytic
-Jacobian, in Marquardt's loop scaled as by More (1978); two Gauss-Newton
-steps finish it.  `gauss_newton_step` solves every step from normal
-equations formed with `einsum`, so that no BLAS call wakes OpenBLAS
-threads that would spin after it.
+`gauss_newton_step` solves every step from normal equations formed with
+`einsum`, so that no BLAS call wakes OpenBLAS threads that would spin
+after it.
 """
 
 from __future__ import annotations
@@ -51,17 +55,6 @@ class SampleBlocks:
         a, b = scanline_ab(batch.y1, batch.y2, config, model)
         return cls(A=A, B=B, u=batch.u, a=a, b=b)
 
-    def beta(self, k):
-        return beta(self.a, self.b, k)
-
-
-def objective(blocks: SampleBlocks, motion: MotionEstimate, inv_depths, mask=None):
-    """Sum of squared flow prediction errors over unmasked samples."""
-    errs = np.sum(_flow_errors(blocks, motion, inv_depths) ** 2, axis=1)
-    if mask is not None:
-        errs = errs[mask]
-    return float(np.sum(errs))
-
 
 def _terms(blocks: SampleBlocks, motion: MotionEstimate):
     """(beta, q, c) = (beta, beta A v, u - beta B w) per sample: (N,), (N, 2), (N, 2).
@@ -69,7 +62,7 @@ def _terms(blocks: SampleBlocks, motion: MotionEstimate):
     The flow model u = beta (A v rho + B w) reads c = rho q in the inverse
     depth rho.
     """
-    bt = blocks.beta(motion.k)
+    bt = beta(blocks.a, blocks.b, motion.k)
     q = bt[:, None] * _apply(blocks.A, motion.v)
     return bt, q, blocks.u - bt[:, None] * _apply(blocks.B, motion.w)
 
@@ -79,25 +72,15 @@ def _apply(M, x):
     return (M.reshape(-1, 3) @ x).reshape(M.shape[:-1])
 
 
-def _flow_errors(blocks: SampleBlocks, motion: MotionEstimate, inv_depths):
-    """Per-sample flow minus its prediction beta (A v rho + B w), (N, 2)."""
-    _, q, c = _terms(blocks, motion)
-    return c - inv_depths[:, None] * q
-
-
-def update_depths(blocks: SampleBlocks, motion: MotionEstimate):
-    """Closed-form per-sample optimal inverse depths.
-
-    Returns (inv_depths, valid) where invalid entries sit at the translation
-    epipole or have non-positive optimal depth.
-    """
-    _, q, c = _terms(blocks, motion)
-    return inv_depth(q.T, c.T)
-
-
 @dataclass
 class RefineState:
     """Refinement output: motion, per-sample inverse depths, diagnostics.
+
+    inv_depths holds each sample's optimal inverse depth under `motion`,
+    NaN at the translation epipole and negative behind the camera; valid
+    marks the defined, positive ones.  objective and start_objective sum
+    the squared flow errors over the valid samples only, unlike the cost
+    the loop minimizes (see the module docstring).
 
     stop_reason says why refinement stopped: "converged" or "cycle_cap" (the
     Levenberg-Marquardt loop converged, or made max_cycles cost evaluations
@@ -142,9 +125,9 @@ def refine(
         v = v / n
     w = np.asarray(initial.w, float).copy()
     k = float(initial.k) if model == CONST_ACCEL else 0.0
-    motion = MotionEstimate(v=v, w=w, k=k)
-    rho, valid = update_depths(blocks, motion)
-    obj = objective(blocks, motion, np.where(valid, rho, 0.0), valid)
+    terms = _reduced_terms(MotionEstimate(v=v, w=w, k=k), blocks)
+    motion, _, _, valid, rho, _ = terms
+    obj = _objective(terms)
     start = RefineState(
         motion=motion, inv_depths=rho, valid=valid, objective=obj, start_objective=obj,
         n_cycles=0, converged=False, stop_reason="zero_objective", polished=False,
@@ -156,17 +139,18 @@ def refine(
     if obj == 0:
         return start
     theta = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
+    if _motion(theta).k != k:  # the loop starts at k clamped to -1.99
+        terms = _reduced_terms(_motion(theta), blocks)
     try:
-        theta, n_steps, n_evals, converged = _levenberg_marquardt(theta, blocks, max_cycles)
+        terms, n_steps, n_evals, converged = _levenberg_marquardt(theta, terms, blocks, max_cycles)
     except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
         return replace(start, stop_reason="invalid_start")
     loop = replace(start, n_cycles=n_evals, converged=converged, lm_iterations=n_steps,
                    stop_reason="converged" if converged else "cycle_cap")
-    m = _motion(theta)
-    rho, valid = update_depths(blocks, m)
-    obj = objective(blocks, m, np.where(valid, rho, 0.0), valid)
+    obj = _objective(terms)
     if not obj < start.objective:  # also rejects a NaN objective
         return loop
+    m, _, _, valid, rho, _ = terms
     vn = np.linalg.norm(m.v)  # back to a unit v: the depths absorb the scale
     return replace(
         loop, motion=m.normalized(), inv_depths=rho * vn, valid=valid, objective=obj,
@@ -180,28 +164,26 @@ def _motion(theta):
     return MotionEstimate(v=theta[:3], w=theta[3:6], k=k)
 
 
-def _reduced_terms(theta, blocks: SampleBlocks):
-    """(motion, beta, q, valid, rho, r) at motion `theta`, with rho zeroed
-    where invalid and r = c - rho q: what both `reduced_residuals` and
-    `reduced_jacobian` evaluate."""
-    motion = _motion(theta)
+def _reduced_terms(motion: MotionEstimate, blocks: SampleBlocks):
+    """(motion, beta, q, valid, rho, r) at `motion`: the `_terms`, each
+    sample's optimal inverse depth rho with its validity (see
+    `geometry.inv_depth`), and the flow errors r = c - rho q (N, 2) with
+    rho taken as 0 where it is not valid."""
     bt, q, c = _terms(blocks, motion)
     rho, valid = inv_depth(q.T, c.T)
-    rho = np.where(valid, rho, 0.0)
-    return motion, bt, q, valid, rho, c - rho[:, None] * q
+    return motion, bt, q, valid, rho, c - np.where(valid, rho, 0.0)[:, None] * q
 
 
-def reduced_residuals(theta, blocks: SampleBlocks):
-    """Flow errors (2N,) at the optimal inverse depths of motion `theta`.
-
-    This is the objective with the depths eliminated in closed form; a
-    sample without a valid depth contributes its error at rho = 0.
-    """
-    return _reduced_terms(theta, blocks)[-1].ravel()
+def _objective(terms):
+    """Sum of the squared flow errors of the `_reduced_terms` over the
+    samples with a valid depth."""
+    _, _, _, valid, _, r = terms
+    return float(np.sum(np.sum(r ** 2, axis=1)[valid]))
 
 
-def reduced_jacobian(theta, blocks: SampleBlocks):
-    """Analytic Jacobian (2N, len(theta)) of `reduced_residuals`.
+def _jacobian(theta, blocks: SampleBlocks, terms):
+    """Analytic Jacobian (2N, len(theta)) of the flow errors r, raveled, of
+    the `_reduced_terms` of theta.
 
     With q = beta A v, c = u - beta B w, r = c - rho q and the projection
     P = I - q q^T / (q . q), a valid sample has
@@ -209,14 +191,9 @@ def reduced_jacobian(theta, blocks: SampleBlocks):
     so dr = dc.  dq/dv = beta A, dc/dw = -beta B, and k enters through
     dbeta/dk = 2 (b - a) / (2 + k)^2.
     """
-    return _jacobian(theta, blocks, _reduced_terms(theta, blocks))
-
-
-def _jacobian(theta, blocks: SampleBlocks, terms):
-    """`reduced_jacobian` from the `_reduced_terms` of theta."""
     motion, bt, q, valid, rho, r = terms
     # per-sample arrays carry a trailing parameter axis: (N, 2, 1)
-    rho = rho[:, None, None]
+    rho = np.where(valid, rho, 0.0)[:, None, None]
     q = q[..., None]
     r = r[..., None]
 
@@ -262,10 +239,11 @@ def gauss_newton_step(J, r):
     return step + np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, rest), rcond=None)[0]
 
 
-def _levenberg_marquardt(theta, blocks, max_evals):
-    """Marquardt's loop on the reduced objective from `theta`, then two
-    Gauss-Newton steps if it converged; returns (theta, accepted steps,
-    cost evaluations, converged).
+def _levenberg_marquardt(theta, terms, blocks, max_evals):
+    """Marquardt's loop on the reduced cost from `theta`, whose
+    `_reduced_terms` are `terms`, then two Gauss-Newton steps if it
+    converged; returns (the `_reduced_terms` of the final theta, accepted
+    steps, cost evaluations, converged).
 
     A step solves [J; sqrt(lam D)] s = [r; 0], D the running maximum of
     diag(J^T J) (More, 1978); lam falls tenfold on a step that lowers the
@@ -275,7 +253,6 @@ def _levenberg_marquardt(theta, blocks, max_evals):
     ValueError for non-finite start residuals or fewer residuals than
     unknowns.
     """
-    terms = _reduced_terms(theta, blocks)
     r = terms[-1].ravel()
     if r.size < theta.size or not np.all(np.isfinite(r)):
         raise ValueError(f"{r.size} residuals for {theta.size} unknowns, or non-finite ones")
@@ -287,13 +264,13 @@ def _levenberg_marquardt(theta, blocks, max_evals):
         # only the rank cutoff of `gauss_newton_step` keeps that k fixed
         step = gauss_newton_step(np.vstack([J, np.diag(np.sqrt(lam * D))]),
                                  np.concatenate([r, np.zeros(theta.size)]))
-        trial_terms = _reduced_terms(theta - step, blocks)
+        trial_terms = _reduced_terms(_motion(theta - step), blocks)
         trial_r = trial_terms[-1].ravel()
         trial_cost, n_evals = np.sum(trial_r * trial_r), n_evals + 1
         if trial_cost < cost:
             converged = cost - trial_cost <= 1e-15 * cost
-            theta, r, cost = theta - step, trial_r, trial_cost
-            J = _jacobian(theta, blocks, trial_terms)
+            theta, terms, r, cost = theta - step, trial_terms, trial_r, trial_cost
+            J = _jacobian(theta, blocks, terms)
             D = np.maximum(D, np.sum(J * J, axis=0))
             lam, n_steps = lam / 10.0, n_steps + 1
         else:
@@ -305,9 +282,10 @@ def _levenberg_marquardt(theta, blocks, max_evals):
         # steps compare no costs, and two of them reach the stationary point
         # to about 1e-12, so that refits of nearly equal flows agree
         theta = theta - gauss_newton_step(J, r)
-        terms = _reduced_terms(theta, blocks)
+        terms = _reduced_terms(_motion(theta), blocks)
         theta = theta - gauss_newton_step(_jacobian(theta, blocks, terms), terms[-1].ravel())
-    return theta, n_steps, n_evals, bool(converged)
+        terms = _reduced_terms(_motion(theta), blocks)
+    return terms, n_steps, n_evals, bool(converged)
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):

@@ -40,7 +40,6 @@ from .geometry import (
     GLOBAL_SHUTTER,
     CameraConfig,
     FlowBatch,
-    FlowSample,
     MotionEstimate,
     midpoint,
     scanline_ab,
@@ -115,17 +114,6 @@ class RansacResult:
     draw_s: float = 0.0
     solve_s: float = 0.0
     score_s: float = 0.0
-
-
-def residual(sample: FlowSample, motion: MotionEstimate, config: CameraConfig | None,
-             model: str = CONST_ACCEL):
-    """Differential re-projection error of one sample under a motion.
-
-    The per-sample depth is re-optimized in closed form; when the optimal
-    inverse depth is undefined or non-positive the error is evaluated at the
-    rotation-only boundary and the sample counts as cheirality-violating.
-    """
-    return float(score_motion([sample], motion, config, model)[0])
 
 
 def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,

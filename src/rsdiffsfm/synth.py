@@ -27,7 +27,7 @@ from .geometry import (  # the model names are re-exported from here
     CameraConfig,
     FlowBatch,
     MotionEstimate,
-    beta,
+    beta_timestamp,
     exp_so3,
     matrices_ab,
 )
@@ -73,11 +73,6 @@ class GroundTruth:
 def benchmark_config(gamma=0.8):
     """900x900 image with an 810 px focal length."""
     return CameraConfig(gamma=gamma, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0, width=900)
-
-
-def beta_timestamp(t, k):
-    """Pose scale at scanline timestamp t (fraction of the frame period)."""
-    return beta(t, t * t, k)
 
 
 def scanline_pose(t, motion: MotionEstimate, model=CONST_ACCEL):

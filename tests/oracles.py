@@ -1,16 +1,81 @@
-"""Test-side reference implementations of the dense per-pixel path.
+"""Test-side reference implementations.
 
-Each one is a slower or more literal form of a library function, kept to
-check the library against: exact back-projection for `warp_field`, the
-masked splat and boolean-indexed gap fill for `rectify_image`, and full
-`np.mgrid` pixel grids for `warp_field` and `dense_depth`.
+Each one is a slower or more literal form of a library function, or a
+formula of the model written out on its own, kept to check the library
+against: exact back-projection for `warp_field`, the masked splat and
+boolean-indexed gap fill for `rectify_image`, full `np.mgrid` pixel grids
+for `warp_field` and `dense_depth`, the refinement objective, and the
+single-point flow model with its epipolar constraint.
 """
 
 import numpy as np
 
-from rsdiffsfm.geometry import beta, exp_so3, rotation_flow, scanline_ab, translation_flow
+from rsdiffsfm.geometry import (
+    CONST_ACCEL,
+    beta,
+    exp_so3,
+    matrices_ab,
+    rotation_flow,
+    scanline_ab,
+    skew,
+    translation_flow,
+)
 from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
-from rsdiffsfm.refine import depth_terms, inv_depth
+from rsdiffsfm.refine import SampleBlocks, _terms, depth_terms, inv_depth
+
+
+def log_so3(R):
+    """Rotation vector of R for rotation angles below pi."""
+    R = np.asarray(R, dtype=float)
+    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    if theta < 1e-10:
+        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
+    axis = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return theta / (2.0 * np.sin(theta)) * axis
+
+
+def project_flow(x, Z, v, w):
+    """Instantaneous image motion at x for depth Z and camera motion (v, w)."""
+    if Z <= 0:
+        raise ValueError(f"depth must be positive, got {Z}")
+    A, B = matrices_ab(x)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    return A @ v / Z + B @ w
+
+
+def symmetric_s(v, w):
+    """Symmetric matrix s = (v^ w^ + w^ v^) / 2 of the epipolar constraint."""
+    vh = skew(v)
+    wh = skew(w)
+    s = 0.5 * (vh @ wh + wh @ vh)
+    return 0.5 * (s + s.T)
+
+
+def epipolar_residual(x, u, v, w):
+    """Residual of the differential epipolar constraint u~^T v^ x~ - x~^T s x~
+    with the lifted point x~ = (x, y, 1) and flow u~ = (u_x, u_y, 0)."""
+    xt = np.array([float(x[0]), float(x[1]), 1.0])
+    ut = np.array([float(u[0]), float(u[1]), 0.0])
+    return float(ut @ skew(v) @ xt - xt @ symmetric_s(v, w) @ xt)
+
+
+def s_to_vech(s):
+    """Upper-triangular entries (s11, s12, s13, s22, s23, s33) of s: the
+    ordering of the s-block of the 9-vector e = [v; vech(s)]."""
+    s = np.asarray(s, dtype=float)
+    return np.array([s[i, j] for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]])
+
+
+def refine_objective(samples, motion, config, model=CONST_ACCEL):
+    """The objective of `refine` at `motion`: each sample's optimal inverse
+    depth, its squared flow error summed over the two components, and the
+    sum over the samples with a valid depth."""
+    _, q, c = _terms(SampleBlocks.build(samples, config, model), motion)
+    rho, valid = inv_depth(q.T, c.T)
+    errs = np.sum((c - np.where(valid, rho, 0.0)[:, None] * q) ** 2, axis=1)
+    return float(np.sum(errs[valid]))
 
 
 def warp_field_backprojection(depth, motion, config):

@@ -33,12 +33,12 @@ from rsdiffsfm.experiment import run_sweep
 from rsdiffsfm.geometry import matrices_ab
 from rsdiffsfm.io_formats import ExperimentConfig
 from rsdiffsfm.rectify import beta_first_scanline
-from rsdiffsfm.refine import SampleBlocks, objective, update_depths
 from rsdiffsfm.robust import refit_trimmed, score_motion
 from rsdiffsfm.rs_solvers import det_polynomial
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, beta_timestamp
 
 from conftest import gross_outlier, make_spec
+from oracles import refine_objective
 
 CAMERA = benchmark_config(0.8)
 
@@ -197,9 +197,7 @@ def test_refinement_guarantees():
             k=0.0,
         )
         unit = start.normalized()  # the gauge `refine` starts in
-        blocks = SampleBlocks.build(samples, CAMERA)
-        rho, valid = update_depths(blocks, unit)
-        initial = objective(blocks, unit, np.where(valid, rho, 0.0), valid)
+        initial = refine_objective(samples, unit, CAMERA)
         state = refine(samples, start, CAMERA, CONST_ACCEL)
         assert state.objective <= initial
 

@@ -16,17 +16,17 @@ from rsdiffsfm import (
 from rsdiffsfm.geometry import FlowBatch, MotionEstimate
 from rsdiffsfm.refine import (
     SampleBlocks,
+    _jacobian,
+    _motion,
+    _reduced_terms,
+    _terms,
     dense_depth,
     gauss_newton_step,
-    objective,
-    reduced_jacobian,
-    reduced_residuals,
-    update_depths,
 )
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
 from conftest import gross_outlier, make_spec
-from oracles import mgrid_dense_depth
+from oracles import mgrid_dense_depth, refine_objective
 
 
 def blocks_for(camera, seed=0, k=0.1, n=40):
@@ -38,22 +38,35 @@ def blocks_for(camera, seed=0, k=0.1, n=40):
 def start_objective(samples, start, camera, model=CONST_ACCEL):
     """The objective `refine` starts from: over the samples with a valid
     depth at `start` with a unit v, k dropped for the gs and cv models."""
-    blocks = SampleBlocks.build(samples, camera, model)
     start = start.normalized()
     motion = MotionEstimate(v=start.v, w=start.w, k=start.k if model == CONST_ACCEL else 0.0)
-    rho, valid = update_depths(blocks, motion)
-    return objective(blocks, motion, np.where(valid, rho, 0.0), valid)
+    return refine_objective(samples, motion, camera, model)
+
+
+def residual_vector(theta, blocks):
+    """The flow errors (2N,) that the Levenberg-Marquardt loop minimizes at
+    motion `theta`."""
+    return _reduced_terms(_motion(theta), blocks)[-1].ravel()
+
+
+def jacobian(theta, blocks):
+    """The loop's analytic Jacobian of `residual_vector` at `theta`."""
+    return _jacobian(theta, blocks, _reduced_terms(_motion(theta), blocks))
 
 
 def test_objective_zero_at_truth(camera):
+    """The flow model reproduces the linearized generator's flows at the
+    true motion and depths."""
     blocks, _, gt = blocks_for(camera)
     rho = 1.0 / gt.depths
-    assert objective(blocks, gt.motion, rho) < 1e-28
+    _, q, c = _terms(blocks, gt.motion)
+    assert np.sum((c - rho[:, None] * q) ** 2) < 1e-28
 
 
 def test_update_depths_recover_truth(camera):
+    """The closed-form inverse depths of the refinement are the true ones."""
     blocks, _, gt = blocks_for(camera, seed=2)
-    rho, valid = update_depths(blocks, gt.motion)
+    _, _, _, valid, rho, _ = _reduced_terms(gt.motion, blocks)
     assert valid.all()
     assert np.max(np.abs(rho - 1.0 / gt.depths)) < 1e-10
 
@@ -119,7 +132,7 @@ def test_polish_failure_keeps_descent_result(camera, monkeypatch):
     normalized = start.normalized()
     for field in ("v", "w", "k"):
         assert np.array_equal(getattr(state.motion, field), getattr(normalized, field))
-    rho, _ = update_depths(SampleBlocks.build(samples, camera), normalized)
+    rho = _reduced_terms(normalized, SampleBlocks.build(samples, camera))[4]
     assert np.array_equal(state.inv_depths, rho, equal_nan=True)
     monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(TypeError("bad call")))
     with pytest.raises(TypeError):
@@ -200,15 +213,15 @@ def test_reduced_jacobian_matches_central_differences(camera, model):
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w - 0.002,
                            k=0.15 if model == CONST_ACCEL else 0.0)
     theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
-    _, valid = update_depths(blocks, start)
+    valid = _reduced_terms(start, blocks)[3]
     assert 0 < np.count_nonzero(~valid) < len(valid) // 2
-    jac = reduced_jacobian(theta, blocks)
+    jac = jacobian(theta, blocks)
     assert jac.shape == (2 * len(valid), 7 if model == CONST_ACCEL else 6)
     numeric = np.empty_like(jac)
     for j in range(len(theta)):
         e = np.zeros(len(theta))
         e[j] = 1e-6 * max(1.0, abs(theta[j]))
-        diff = reduced_residuals(theta + e, blocks) - reduced_residuals(theta - e, blocks)
+        diff = residual_vector(theta + e, blocks) - residual_vector(theta - e, blocks)
         numeric[:, j] = diff / (2 * e[j])
     # each column, the k column included, on its own scale
     assert np.all(np.linalg.norm(jac - numeric, axis=0) < 1e-6 * np.linalg.norm(jac, axis=0))
@@ -273,17 +286,22 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
         start = result.motion.normalized()  # the theta the refit starts from
         theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
         blocks = SampleBlocks.build(inliers, camera, model)
-        J, r = reduced_jacobian(theta, blocks), reduced_residuals(theta, blocks)
+        J, r = jacobian(theta, blocks), residual_vector(theta, blocks)
         step = gauss_newton_step(J, r)
         expected = np.linalg.lstsq(J, r, rcond=None)[0]
         assert np.linalg.norm(step - expected) < 1e-12 * np.linalg.norm(expected)
         assert abs(step[:3] @ start.v) < 1e-12 * np.linalg.norm(step)
 
 
+def motion_key(motion):
+    return motion.v.tobytes(), motion.w.tobytes(), motion.k
+
+
 @pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
 def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
-    """Levenberg-Marquardt needs the residuals and the Jacobian at the same
-    theta; `_terms` runs once per theta the polish evaluates."""
+    """A refit evaluates the flow model once per theta: `_terms` runs once
+    for each distinct motion, the start and the final one included, and the
+    residuals, the Jacobian and the objective at one theta share that call."""
     refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=1)
     clean, gt = generate_discrete(spec, model)
@@ -292,47 +310,31 @@ def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
     start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                            w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
     expected = refine(samples, start, camera, model)
-    n_terms = 0
-    thetas = []  # the bytes of each theta whose terms the polish computes
-    jacobian_thetas = []  # the bytes of each theta it evaluates the Jacobian at
-    loop_terms = []  # `_terms` calls made inside each polish
-    terms, reduced_terms = refine_module._terms, refine_module._reduced_terms
-    jacobian = refine_module._jacobian
-    levenberg_marquardt = refine_module._levenberg_marquardt
+    keys = []  # the motion of each `_terms` call, as bytes
+    terms, jacobian = refine_module._terms, refine_module._jacobian
 
-    def counting_terms(blocks, motion):
-        nonlocal n_terms
-        n_terms += 1
+    def recording_terms(blocks, motion):
+        keys.append(motion_key(motion))
         return terms(blocks, motion)
 
-    def recording_reduced_terms(theta, blocks):
-        thetas.append(np.asarray(theta).tobytes())
-        return reduced_terms(theta, blocks)
-
-    def recording_jacobian(theta, blocks, theta_terms):
-        jacobian_thetas.append(np.asarray(theta).tobytes())
+    def checking_jacobian(theta, blocks, theta_terms):
+        # formed from the terms of its own theta, computed before
+        assert motion_key(theta_terms[0]) == motion_key(_motion(theta)) in keys
         return jacobian(theta, blocks, theta_terms)
 
-    def counting_loop(*args, **kwargs):
-        before = n_terms
-        out = levenberg_marquardt(*args, **kwargs)
-        loop_terms.append(n_terms - before)
-        return out
-
-    monkeypatch.setattr(refine_module, "_terms", counting_terms)
-    monkeypatch.setattr(refine_module, "_reduced_terms", recording_reduced_terms)
-    monkeypatch.setattr(refine_module, "_jacobian", recording_jacobian)
-    monkeypatch.setattr(refine_module, "_levenberg_marquardt", counting_loop)
+    monkeypatch.setattr(refine_module, "_terms", recording_terms)
+    monkeypatch.setattr(refine_module, "_jacobian", checking_jacobian)
     state = refine(samples, start, camera, model)
     # the instrumentation changes no bit of the result
     assert state.polished and state.objective == expected.objective
     assert np.array_equal(state.motion.v, expected.motion.v)
     assert np.array_equal(state.motion.w, expected.motion.w) and state.motion.k == expected.motion.k
-    # the residuals and the Jacobian at one theta share its terms: each theta
-    # has its terms computed once, with one `_terms` call
-    assert len(thetas) + len(jacobian_thetas) > 10
-    assert len(set(thetas)) == len(thetas) and set(jacobian_thetas) <= set(thetas)
-    assert loop_terms == [len(thetas)]
+    assert len(keys) > 10 and len(set(keys)) == len(keys)
+    unit = start.normalized()
+    assert keys[0] == motion_key(MotionEstimate(v=unit.v, w=unit.w, k=0.0))
+    v, w, k = keys[-1]
+    final = MotionEstimate(v=np.frombuffer(v), w=np.frombuffer(w), k=k).normalized()
+    assert motion_key(final) == motion_key(state.motion)
 
 
 def test_ca_refine_at_zero_readout_keeps_k_and_polishes():
@@ -352,3 +354,25 @@ def test_ca_refine_at_zero_readout_keeps_k_and_polishes():
         cv = refine(samples, start, camera, CONST_VELOCITY)
         assert ca.polished and cv.polished and ca.motion.k == 0.1
         assert abs(ca.objective - cv.objective) <= 1e-12 * cv.objective
+
+
+def test_ca_refine_from_k_near_its_bound(camera):
+    """A start at k = -1.995, below the -1.99 that the loop clamps k to: the
+    start objective is that of the caller's k, and the refit returns the
+    clamped k with the objective, depths and validity of its own motion."""
+    spec = make_spec(camera, n_points=60, k=0.1, seed=3)
+    clean, gt = generate_discrete(spec, CONST_ACCEL)
+    samples = with_noise(clean, camera, 0.5, np.random.default_rng(3))
+    start = MotionEstimate(v=gt.motion.v, w=gt.motion.w, k=-1.995)
+    state = refine(samples, start, camera, CONST_ACCEL)
+    unit = start.normalized()
+    assert state.start_objective == start_objective(samples, start, camera)
+    clamped = refine_objective(samples, MotionEstimate(v=unit.v, w=unit.w, k=-1.99), camera)
+    assert state.start_objective != clamped
+    assert (state.stop_reason, state.converged, state.polished) == ("converged", True, True)
+    assert state.motion.k == -1.99 and state.objective < min(state.start_objective, clamped)
+    assert state.objective == pytest.approx(
+        refine_objective(samples, state.motion, camera), rel=1e-12)
+    _, _, _, valid, rho, _ = _reduced_terms(state.motion, SampleBlocks.build(samples, camera))
+    assert np.array_equal(state.valid, valid)
+    assert np.allclose(state.inv_depths, rho, rtol=1e-12, atol=0.0, equal_nan=True)

@@ -32,7 +32,7 @@ from rsdiffsfm.geometry import (
     inv_depth,
     scanline_ab,
 )
-from rsdiffsfm.robust import BLOCK_RESIDUALS, MINIMAL_SIZE, refit_trimmed, residual, score_motion
+from rsdiffsfm.robust import BLOCK_RESIDUALS, MINIMAL_SIZE, refit_trimmed, score_motion
 from rsdiffsfm.gs_solver import solve_gs
 from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
@@ -52,7 +52,7 @@ def test_residual_zero_for_consistent_sample(camera):
     spec = make_spec(camera, n_points=5, seed=1)
     samples, gt = generate_linearized(spec)
     for s in samples:
-        assert residual(s, gt.motion, camera) < 1e-14
+        assert score_motion([s], gt.motion, camera)[0] < 1e-14
 
 
 MODELS = (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL)

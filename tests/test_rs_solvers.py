@@ -14,6 +14,7 @@ from rsdiffsfm.gs_solver import gs_rows, solve_gs
 from rsdiffsfm.rs_solvers import affine_rows, det_polynomial, solve_const_accel_stack
 
 from conftest import gross_outlier, make_spec
+from oracles import s_to_vech, symmetric_s
 
 
 def test_scanline_factors_basic(camera):
@@ -71,8 +72,6 @@ def test_accel_row_affine_in_k(camera):
 def test_accel_row_annihilates_truth(camera):
     spec = make_spec(camera, n_points=10, k=0.1, seed=2)
     samples, gt = generate_linearized(spec)
-    from rsdiffsfm.geometry import s_to_vech, symmetric_s
-
     e = np.concatenate([gt.motion.v, s_to_vech(symmetric_s(gt.motion.v, gt.motion.w))])
     batch = FlowBatch.of(samples)
     r0, r1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, camera))
