@@ -17,9 +17,8 @@ from .experiment import _scene_spec, run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
 from .robust import RansacConfig, ranked_pixels, ransac, refit_trimmed, samples_from_pixels
-from .synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, generate_discrete
+from .synth import generate_discrete
 
-MODELS = {"gs": GLOBAL_SHUTTER, "cv": CONST_VELOCITY, "ca": CONST_ACCEL}
 # the camera record a motion file carries for `rectify`
 CAMERA_KEYS = ("gamma", "h", "fx", "fy", "cx", "cy")
 
@@ -29,10 +28,9 @@ def main():
     """Rolling-shutter-aware differential motion, depth and rectification."""
 
 
-def _samples_from_flow(flow: iof.FlowFile, flow_bwd=None, max_samples=2000, seed=0,
-                       keep_fraction=0.2):
+def _samples_from_flow(flow: iof.FlowFile, flow_bwd=None, max_samples=2000, seed=0):
     if flow.is_dense and flow_bwd is not None:
-        pixels = ranked_pixels(flow.dense, flow_bwd.dense, keep_fraction)
+        pixels = ranked_pixels(flow.dense, flow_bwd.dense)
     elif flow.is_dense:
         rows, cols = np.indices(flow.dense.shape[:2]).reshape(2, -1)  # row-major
         pixels = (cols, rows, *flow.dense.reshape(-1, 2).T)
@@ -94,10 +92,10 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
     except EmptySelection as exc:
         _input_error(exc)
     try:
-        result = ransac(samples, MODELS[model], flow.config, rc)
+        result = ransac(samples, model, flow.config, rc)
         motion, refit = result.motion, {}
         if not no_refine:
-            state = refit_trimmed(samples, result, MODELS[model], flow.config)
+            state = refit_trimmed(samples, result, model, flow.config)
             motion, refit = state.motion, {"stop_reason": state.stop_reason,
                                            "polished": int(state.polished),
                                            "lm_iterations": state.lm_iterations}

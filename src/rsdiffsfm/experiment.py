@@ -13,15 +13,7 @@ from .errors import RsSfmError
 from .geometry import CameraConfig
 from .io_formats import ExperimentConfig
 from .robust import RansacConfig, ransac, refit_trimmed
-from .synth import (
-    CONST_ACCEL,
-    CONST_VELOCITY,
-    GLOBAL_SHUTTER,
-    SceneSpec,
-    generate_discrete,
-    rotation_error,
-    translation_error,
-)
+from .synth import SceneSpec, generate_discrete, rotation_error, translation_error
 
 CSV_HEADER = "gamma,norm_translation,w_mag_deg,k,model,trans_err_deg,rot_err_deg,trials"
 

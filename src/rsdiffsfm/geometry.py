@@ -102,42 +102,26 @@ def beta_timestamp(t, k):
 def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
     """Coefficients (a, b) of beta for flows from row y1 to row y2 under a model.
 
-    a = b = 1 (beta = 1) for the global-shutter model, without a camera and
-    at gamma = 0.  Raises InvalidScanlinePair where a = t2 - t1 <= 0.
+    The coefficients are where the model is chosen: a = b = 1 (beta = 1)
+    for the global-shutter model, without a camera and at gamma = 0; b = a
+    (beta = alpha for every k) for the constant-velocity model; a = t2 - t1
+    and b = t2^2 - t1^2 for the constant-acceleration model.  Raises
+    InvalidScanlinePair where a <= 0.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    a, b = _unchecked_ab(y1, y2, config, model)
-    if np.any(a <= 0):
-        raise _invalid_pair(a, y1, y2)
-    return a, b
-
-
-def stacked_scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
-    """`scanline_ab` of each row of (S, m) row arrays, without raising.
-
-    Returns (a, b, failures): failures maps the index of each row that holds
-    an invalid pair to the InvalidScanlinePair `scanline_ab` raises for it.
-    """
-    a, b = _unchecked_ab(y1, y2, config, model)
-    bad = np.flatnonzero(np.any(a <= 0, axis=-1))
-    return a, b, {int(j): _invalid_pair(a[j], y1[j], y2[j]) for j in bad}
-
-
-def _unchecked_ab(y1, y2, config, model):
     if model == GLOBAL_SHUTTER or config is None or config.gamma == 0:
         ones = np.ones_like(y1 + y2)
         return ones, ones
     g = config.gamma / config.h
     t1 = g * y1
     t2 = 1.0 + g * y2
-    return t2 - t1, t2 * t2 - t1 * t1
-
-
-def _invalid_pair(a, y1, y2):
-    y1, y2 = np.broadcast_arrays(y1, y2)  # rows may come as an (H, 1) column
-    i = np.argmin(a)
-    return InvalidScanlinePair(f"alpha = {a.flat[i]:.4f} <= 0 for rows ({y1.flat[i]}, {y2.flat[i]})")
+    a = t2 - t1
+    if np.any(a <= 0):
+        y1, y2 = np.broadcast_arrays(y1, y2)  # rows may come as an (H, 1) column
+        i = np.argmin(a)
+        raise InvalidScanlinePair(f"alpha = {a.flat[i]:.4f} <= 0 for rows ({y1.flat[i]}, {y2.flat[i]})")
+    return a, a if model == CONST_VELOCITY else t2 * t2 - t1 * t1
 
 
 def depth_terms(x, y, ux, uy, v, w, bt):

@@ -62,35 +62,18 @@ class Hypotheses:
         return [self.motion(i) for i in range(len(self))]
 
     @classmethod
-    def none(cls):
-        """No hypotheses and no failures: the solve of an empty stack."""
-        z = np.zeros((0, 3))
-        return cls(v=z, w=z, k=np.zeros(0), v_reliable=np.zeros(0, dtype=bool), sigma=np.zeros(0),
-                   subset=np.zeros(0, dtype=int), failures={})
-
-    @classmethod
-    def merge(cls, parts, failures):
+    def merge(cls, parts):
         """The hypotheses of a stack, in subset order, from parts (index,
-        hyps) with hyps solved from stack[index] for disjoint index arrays;
-        `failures` adds the subsets that none of the parts was given."""
+        hyps) with hyps solved from stack[index] for disjoint index arrays."""
         subset = np.concatenate([index[h.subset] for index, h in parts])
         order = np.argsort(subset, kind="stable")
-        merged = dict(failures)
-        for index, h in parts:
-            merged.update({int(index[j]): exc for j, exc in h.failures.items()})
+        merged = {int(index[j]): exc for index, h in parts for j, exc in h.failures.items()}
 
         def cat(name):
             return np.concatenate([getattr(h, name) for _, h in parts])[order]
 
         return cls(v=cat("v"), w=cat("w"), k=cat("k"), v_reliable=cat("v_reliable"),
                    sigma=cat("sigma"), subset=subset[order], failures=merged)
-
-
-def solvable(n, failures):
-    """Indices of the n subsets that have no entry in `failures`."""
-    keep = np.ones(n, dtype=bool)
-    keep[list(failures)] = False
-    return np.flatnonzero(keep)
 
 
 def gs_rows(samples):
@@ -201,7 +184,9 @@ def _fit_rotation_only(samples):
 def solve_gs_stack(stack) -> Hypotheses:
     """Global-shutter hypotheses of a (S, m) stack, one per solvable subset."""
     E, failures = epipolar_stack(stack)
-    ok = solvable(len(stack), failures)
+    keep = np.ones(len(stack), dtype=bool)
+    keep[list(failures)] = False
+    ok = np.flatnonzero(keep)
     v, w, reliable = recover_stack(E[ok], stack[ok])
     zeros = np.zeros(len(ok))
     return Hypotheses(v=v, w=w, k=zeros, v_reliable=reliable, sigma=zeros, subset=ok,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -252,9 +252,6 @@ def read_motion(path):
     return MotionEstimate(v=v, w=w, k=k, v_reliable=v_reliable)
 
 
-_FLOAT_LIST_KEYS = {"gammas", "translations", "w_mags", "ks"}
-
-
 @dataclass
 class ExperimentConfig:
     """Sweep description: axes, per-cell trial count and estimation knobs."""
@@ -276,46 +273,32 @@ class ExperimentConfig:
     depth_max: float = 8.0
 
     def __post_init__(self):
-        for name in ("models", "gammas", "translations", "w_mags", "ks"):
-            if not getattr(self, name):
-                raise ValueError(f"config list '{name}' must be non-empty")
+        for f in fields(self):
+            if f.type == "list" and not getattr(self, f.name):  # annotations are strings here
+                raise ValueError(f"config list '{f.name}' must be non-empty")
 
     @classmethod
     def from_file(cls, path):
-        kv = read_keyvalues(path)
+        """The config of a key=value file; each value is parsed as the type
+        of its field's default, and a list as comma-separated entries."""
+        defaults = cls()
         kwargs = {}
-        valid = set(cls.__dataclass_fields__)
-        for key, val in kv.items():
-            if key not in valid:
+        for key, val in read_keyvalues(path).items():
+            if key not in cls.__dataclass_fields__:
                 raise KeyError(key)
-            if key == "models":
-                kwargs[key] = [m.strip() for m in val.split(",")]
-            elif key in _FLOAT_LIST_KEYS:
-                kwargs[key] = [float(x) for x in val.split(",")]
-            elif key in ("trials", "seed", "n_points", "ransac_iters", "image_size"):
-                kwargs[key] = int(val)
-            elif key == "use_refine":
+            default = getattr(defaults, key)
+            if isinstance(default, list):
+                kwargs[key] = [type(default[0])(x.strip()) for x in val.split(",")]
+            elif isinstance(default, bool):
                 kwargs[key] = bool(int(val))
             else:
-                kwargs[key] = float(val)
+                kwargs[key] = type(default)(val)
         return cls(**kwargs)
 
     def to_file(self, path):
-        vals = {
-            "models": ",".join(self.models),
-            "gammas": ",".join(repr(g) for g in self.gammas),
-            "translations": ",".join(repr(t) for t in self.translations),
-            "w_mags": ",".join(repr(w) for w in self.w_mags),
-            "ks": ",".join(repr(k) for k in self.ks),
-            "trials": self.trials,
-            "seed": self.seed,
-            "n_points": self.n_points,
-            "ransac_iters": self.ransac_iters,
-            "threshold": self.threshold,
-            "use_refine": int(self.use_refine),
-            "image_size": self.image_size,
-            "focal": self.focal,
-            "depth_min": self.depth_min,
-            "depth_max": self.depth_max,
-        }
-        write_keyvalues(path, vals)
+        def text(value):
+            if isinstance(value, list):
+                return ",".join(v if isinstance(v, str) else repr(v) for v in value)
+            return int(value) if isinstance(value, bool) else value
+
+        write_keyvalues(path, {f.name: text(getattr(self, f.name)) for f in fields(self)})

@@ -6,7 +6,7 @@ depths.  The best hypothesis has the most inliers over the full sample set;
 ties on inlier count break on the lower mean inlier residual.
 
 RANSAC draws its sample subsets in blocks of SOLVE_BLOCK and solves each
-block as one stack with the batched minimal solvers.  It scores the block's
+block as one stack with `rs_solvers.solve_stack`.  It scores the block's
 hypotheses over the samples in chunks, and after each chunk drops every
 hypothesis whose inlier count plus the samples still unscored cannot reach
 the best count of the earlier blocks.  This bail-out is exact: a dropped
@@ -44,8 +44,7 @@ from .geometry import (
     midpoint,
     scanline_ab,
 )
-from .gs_solver import solve_gs_stack
-from .rs_solvers import DEFAULT_ROOT_WINDOW, solve_const_accel_stack, solve_const_velocity_stack
+from .rs_solvers import solve_stack
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +56,8 @@ MINIMAL_SIZE = {GLOBAL_SHUTTER: 8, CONST_VELOCITY: 8, CONST_ACCEL: 9}
 # several times the memory of a 60-subset one
 SOLVE_BLOCK = 64
 BLOCK_RESIDUALS = 2 ** 13
+# the share of a dense flow pair's pixels that `ranked_pixels` keeps
+KEEP_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,13 @@ class RansacConfig:
     """Robust estimation parameters.
 
     The threshold applies to the differential re-projection error on the
-    normalized image plane.
+    normalized image plane.  The constant-acceleration solver admits the
+    roots k in `rs_solvers.ROOT_WINDOW`, which is fixed.
     """
 
     iterations: int = 300
     threshold: float = 0.001
     seed: int = 0
-    root_window: tuple = DEFAULT_ROOT_WINDOW
 
     def __post_init__(self):
         if not (np.isfinite(self.threshold) and self.threshold > 0):
@@ -79,10 +80,6 @@ class RansacConfig:
             raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        lo, hi = self.root_window
-        if not lo < hi:
-            raise ValueError(f"root_window must be an interval (lo, hi] with lo < hi, "
-                             f"got {self.root_window}")
 
 
 def _is_integer(value):
@@ -251,12 +248,8 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
         subsets = np.array([rng.choice(len(samples), size=m, replace=False)
                             for _ in range(min(SOLVE_BLOCK, rc.iterations - start))])
         t1 = time.perf_counter()
-        if model == GLOBAL_SHUTTER:
-            hyps = solve_gs_stack(samples[subsets])
-        elif model == CONST_VELOCITY:
-            hyps = solve_const_velocity_stack(samples[subsets], config)
-        else:
-            hyps = solve_const_accel_stack(samples[subsets], config, rc.root_window)
+        # _sample_terms checked every scanline pair: no subset fails on one
+        hyps = solve_stack(samples[subsets], terms[7][subsets], terms[8][subsets])
         t2 = time.perf_counter()
         failures.update(type(exc).__name__ for exc in hyps.failures.values())
         n_hypotheses += len(hyps)
@@ -295,14 +288,13 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     )
 
 
-def refit_trimmed(samples, result: RansacResult, model: str, config: CameraConfig | None,
-                  keep: float = 0.5):
-    """Nonlinear refit on the best-scoring fraction of the inlier set.
+def refit_trimmed(samples, result: RansacResult, model: str, config: CameraConfig | None):
+    """Nonlinear refit on the best-scoring half of the inlier set.
 
     Samples just under the threshold can be geometrically consistent with
     the hypothesis without belonging to the clean consensus, and the
     near-ambiguity between translation and rotation amplifies their pull on
-    a full-inlier refit.  Trimming to the best `keep` fraction (by residual
+    a full-inlier refit.  Trimming to the best half (by residual
     under the selected hypothesis) drops them; with genuinely noisy data
     this is an ordinary trimmed least-squares refit.
     """
@@ -310,7 +302,7 @@ def refit_trimmed(samples, result: RansacResult, model: str, config: CameraConfi
 
     idx = result.inliers
     order = np.argsort(result.residuals[idx], kind="stable")
-    n_keep = max(MINIMAL_SIZE[model], int(round(keep * len(idx))))
+    n_keep = max(MINIMAL_SIZE[model], int(round(0.5 * len(idx))))
     return refine(FlowBatch.of(samples)[idx[order[:n_keep]]], result.motion, config, model)
 
 
@@ -352,11 +344,11 @@ def _bilinear(img, x, y):
     return np.where(inside, v, np.nan)
 
 
-def ranked_pixels(forward, backward, keep_fraction: float = 0.20):
-    """The most consistent fraction of a dense bidirectional flow pair.
+def ranked_pixels(forward, backward):
+    """The most consistent KEEP_FRACTION of a dense bidirectional flow pair.
 
     Pixels are ranked by ascending forward-backward error (row-major order
-    breaks ties) and the top `keep_fraction` returned in rank order as
+    breaks ties) and the top KEEP_FRACTION returned in rank order as
     (cols, rows, flow_x, flow_y) arrays, in the forward flow's dtype.
     """
     err = forward_backward_error(forward, backward)
@@ -366,7 +358,7 @@ def ranked_pixels(forward, backward, keep_fraction: float = 0.20):
     n_usable = int(np.count_nonzero(usable))
     if n_usable == 0:
         raise EmptySelection("no pixel has a finite forward-backward error")
-    n_keep = max(1, int(round(keep_fraction * usable.size)))
+    n_keep = max(1, int(round(KEEP_FRACTION * usable.size)))
     n_keep = min(n_keep, n_usable)
     order = np.argsort(flat_err, kind="stable")[:n_keep]
     rows, cols = np.divmod(order, err.shape[1])
@@ -376,12 +368,9 @@ def ranked_pixels(forward, backward, keep_fraction: float = 0.20):
     return cols.astype(flow.dtype), rows.astype(flow.dtype), flow[:, 0], flow[:, 1]
 
 
-def filter_flows(forward, backward, config: CameraConfig, keep_fraction: float = 0.20):
+def filter_flows(forward, backward, config: CameraConfig):
     """Flow batch of the `ranked_pixels` of a dense bidirectional flow pair."""
-    samples = samples_from_pixels(*ranked_pixels(forward, backward, keep_fraction), config)
-    if not samples:
-        raise EmptySelection("all selected pixels map outside the image")
-    return samples
+    return samples_from_pixels(*ranked_pixels(forward, backward), config)
 
 
 def samples_from_pixels(cols, rows, flow_x, flow_y, config: CameraConfig, max_samples=0,
@@ -391,10 +380,14 @@ def samples_from_pixels(cols, rows, flow_x, flow_y, config: CameraConfig, max_sa
     Keeps, in the given order, the finite entries whose destination row
     rows + flow_y (computed in the precision of the inputs) lies in
     [0, h).  When more than `max_samples` (if nonzero) remain, a seeded
-    random subset of that size is kept, still in order.
+    random subset of that size is kept, still in order.  Raises
+    EmptySelection when no entry is kept.
     """
     y2 = rows + flow_y
     keep = np.flatnonzero(np.isfinite(cols) & np.isfinite(flow_x) & (y2 >= 0) & (y2 < config.h))
+    if not len(keep):
+        raise EmptySelection(f"none of {len(cols)} flow samples has a finite flow that "
+                             f"ends inside the image rows [0, {config.h})")
     if max_samples and len(keep) > max_samples:
         rng = np.random.default_rng(seed)
         keep = keep[np.sort(rng.choice(len(keep), max_samples, replace=False))]

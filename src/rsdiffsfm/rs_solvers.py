@@ -1,9 +1,14 @@
 """Rolling-shutter minimal solvers.
 
-Constant velocity: every flow vector is rescaled by its scanline factor
-alpha, after which the global-shutter 8-point solver applies unchanged.
+The models differ only in the scanline factor beta(a, b, k) of each
+sample, whose coefficients (a, b) `geometry.scanline_ab` gives per model;
+`solve_stack` solves a stack of subsets from its flows and coefficients.
 
-Constant acceleration: the constraint of each of 9 samples is affine in the
+Where b = a (global shutter, constant velocity, and constant acceleration
+when beta does not depend on k) every flow vector is rescaled by a, after
+which the global-shutter 8-point solver applies unchanged, with k = 0.
+
+Otherwise the constraint of each of 9 samples is affine in the
 acceleration factor k once the rational scanline factor beta(k) is cleared
 of its (2 + k) denominator.  Stacking gives a 9x9 matrix Z(k) whose
 determinant must vanish; det Z(k) carries a structural (2 + k)^3 factor
@@ -20,18 +25,19 @@ from numpy.polynomial import chebyshev, polynomial as npoly
 
 from .errors import NoRealSolution
 from .geometry import (
+    CONST_ACCEL,
+    CONST_VELOCITY,
     CameraConfig,
     FlowBatch,
     MotionEstimate,
     beta,
     canonicalize_e,
     scanline_ab,
-    stacked_scanline_ab,
 )
-from .gs_solver import Hypotheses, gs_rows, recover_stack, solvable, solve_gs_stack, unit_rows
+from .gs_solver import Hypotheses, gs_rows, recover_stack, solve_gs_stack, unit_rows
 
-DEFLATION_TOL = 1e-8
-DEFAULT_ROOT_WINDOW = (-2.0, 10.0)
+# the admissible acceleration factors (lo, hi]
+ROOT_WINDOW = (-2.0, 10.0)
 
 # det M(k) is sampled at 9 Chebyshev nodes; this fixed (7, 9) map takes the
 # samples to the power-basis coefficients of their degree-6 Chebyshev fit.
@@ -43,17 +49,43 @@ _NODES_TO_COEFFS = np.column_stack(
 ) @ (chebyshev.chebvander(_NODES, 6).T * np.r_[1.0, np.full(6, 2.0)][:, None] / 9)
 
 
-def solve_const_velocity_stack(stack, config: CameraConfig) -> Hypotheses:
-    """Constant-velocity hypotheses of a (S, m) stack, one per solvable subset:
-    the global-shutter solution of the flows scaled by 1/alpha."""
-    alpha, _, failures = stacked_scanline_ab(stack.y1, stack.y2, config)
-    ok = solvable(len(stack), failures)
-    return Hypotheses.merge([(ok, solve_gs_stack(stack[ok].rescaled(alpha[ok])))], failures)
+def solve_stack(stack, a, b) -> Hypotheses:
+    """Hypotheses of a (S, m) stack whose samples have the beta coefficients
+    a, b (S, m) of `scanline_ab`: in subset order, those of one subset in
+    ascending k.
+
+    A subset on which beta does not depend on k (b = a) gets the
+    global-shutter solution of its flows scaled by 1/a, with k = 0.  Any
+    other subset needs m = 9 and gets one hypothesis per admissible root of
+    its determinant polynomial: the batched form of `det_polynomial` and
+    `DetPolynomial.real_roots` (which stay as the reference), with det M(k)
+    at the Chebyshev nodes, one fixed map to the coefficients, the roots as
+    companion-matrix eigenvalues and one SVD per root for the null vector.
+    """
+    flat = np.max(np.abs(b - a), axis=-1) < 1e-12
+    if not flat.all() and stack.y1.shape[-1] != 9:
+        raise ValueError(f"the 9-point solver needs exactly 9 samples, got {stack.y1.shape[-1]}")
+    # a RANSAC block usually has subsets of one kind only: skip the other solver
+    parts = []
+    if flat.any():
+        index = np.flatnonzero(flat)
+        parts.append((index, solve_gs_stack(stack[index].rescaled(a[index]))))
+    if not flat.all():
+        index = np.flatnonzero(~flat)
+        parts.append((index, _accel_roots(stack[index], a[index], b[index])))
+    return Hypotheses.merge(parts)
+
+
+def _solve_one(samples, config, model):
+    """`solve_stack` of the samples as a stack of one subset."""
+    batch = FlowBatch.of(samples)
+    a, b = scanline_ab(batch.y1, batch.y2, config, model)
+    return solve_stack(batch[np.newaxis], a[np.newaxis], b[np.newaxis])
 
 
 def solve_const_velocity(samples, config: CameraConfig) -> MotionEstimate:
     """8-point constant-velocity RS solver (alpha-scaled flows)."""
-    return solve_const_velocity_stack(FlowBatch.of(samples)[np.newaxis], config).motions()[0]
+    return _solve_one(samples, config, CONST_VELOCITY).motions()[0]
 
 
 def affine_rows(samples, a, b):
@@ -80,17 +112,17 @@ class DetPolynomial:
     def __call__(self, k):
         return npoly.polyval(k, self.coeffs)
 
-    def real_roots(self, window=DEFAULT_ROOT_WINDOW, imag_tol=1e-6):
-        """Real roots inside the window via the companion matrix."""
+    def real_roots(self):
+        """Real roots inside ROOT_WINDOW via the companion matrix."""
         c = np.trim_zeros(self.coeffs, "b")
         if len(c) <= 1:
             return []
         roots = npoly.polyroots(c)
         out = []
         for r in roots:
-            if abs(r.imag) < imag_tol * (1.0 + abs(r.real)):
+            if abs(r.imag) < 1e-6 * (1.0 + abs(r.real)):
                 k = float(r.real)
-                if window[0] < k <= window[1] and abs(k + 2.0) > 1e-9:
+                if ROOT_WINDOW[0] < k <= ROOT_WINDOW[1] and abs(k + 2.0) > 1e-9:
                     out.append(k)
         return sorted(out)
 
@@ -164,35 +196,9 @@ class AccelCandidate:
     smallest_singular_value: float
 
 
-def solve_const_accel_stack(stack, config: CameraConfig,
-                            root_window=DEFAULT_ROOT_WINDOW) -> Hypotheses:
-    """Constant-acceleration hypotheses of a (S, 9) stack: one per admissible
-    root of each subset's determinant polynomial, in ascending k.
-
-    The batched form of `det_polynomial` and `DetPolynomial.real_roots`
-    (which stay as the reference): det M(k) at the Chebyshev nodes, one
-    fixed map to the coefficients, the roots as companion-matrix
-    eigenvalues, and one SVD per root for the null vector.  Subsets on
-    which beta(k) does not depend on k get the constant-velocity solution
-    with k = 0, as in `solve_const_accel`.
-    """
-    n, m = stack.y1.shape
-    a, b, failures = stacked_scanline_ab(stack.y1, stack.y2, config)
-    ok = solvable(n, failures)
-    flat = ok[np.max(np.abs(b[ok] - a[ok]), axis=-1) < 1e-12]
-    curved = np.setdiff1d(ok, flat)
-    if len(curved) and m != 9:
-        raise ValueError(f"the 9-point solver needs exactly 9 samples, got {m}")
-    # a RANSAC block usually has subsets of one kind only: skip the other solver
-    cv = solve_const_velocity_stack(stack[flat], config) if len(flat) else Hypotheses.none()
-    ca = _accel_roots(stack[curved], a[curved], b[curved], root_window) if len(curved) else Hypotheses.none()
-    return Hypotheses.merge([(flat, cv), (curved, ca)], failures)
-
-
-def _accel_roots(stack, a, b, root_window):
+def _accel_roots(stack, a, b):
     R0, R1 = affine_rows(stack, a, b)
-    coeffs = _det_coefficients(R0, R1)
-    roots = _real_roots(coeffs, root_window)
+    roots = _real_roots(_det_coefficients(R0, R1))
     owner, slot = np.nonzero(~np.isnan(roots))
     failures = {
         int(j): NoRealSolution("determinant polynomial has no admissible real root")
@@ -229,7 +235,7 @@ def _det_coefficients(R0, R1):
     return vals @ _NODES_TO_COEFFS.T * np.prod(col, axis=-1)[:, None]
 
 
-def _real_roots(coeffs, window, imag_tol=1e-6):
+def _real_roots(coeffs):
     """`DetPolynomial.real_roots` of each row of coeffs (S, 7), ascending powers.
 
     Returns (S, 6): each row's admissible real roots in ascending order,
@@ -249,17 +255,13 @@ def _real_roots(coeffs, window, imag_tol=1e-6):
         comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
         r = np.linalg.eigvals(comp[:, ::-1, ::-1])
         k = np.real(r)
-        ok = ((np.abs(np.imag(r)) < imag_tol * (1.0 + np.abs(k)))
-              & (window[0] < k) & (k <= window[1]) & (np.abs(k + 2.0) > 1e-9))
+        ok = ((np.abs(np.imag(r)) < 1e-6 * (1.0 + np.abs(k)))
+              & (ROOT_WINDOW[0] < k) & (k <= ROOT_WINDOW[1]) & (np.abs(k + 2.0) > 1e-9))
         out[rows, :d] = np.where(ok, k, np.nan)
     return np.sort(out, axis=1)
 
 
-def solve_const_accel(
-    samples,
-    config: CameraConfig,
-    root_window=DEFAULT_ROOT_WINDOW,
-):
+def solve_const_accel(samples, config: CameraConfig):
     """9-point constant-acceleration solver returning all root candidates.
 
     When b == a for every sample (gamma = 0, or all flows confined to one
@@ -267,6 +269,6 @@ def solve_const_accel(
     the acceleration factor is unobservable; the constant-velocity solution
     is returned as the single candidate with the convention k = 0.
     """
-    hyps = solve_const_accel_stack(FlowBatch.of(samples)[np.newaxis], config, root_window)
+    hyps = _solve_one(samples, config, CONST_ACCEL)
     return [AccelCandidate(motion=motion, k=motion.k, smallest_singular_value=float(sigma))
             for motion, sigma in zip(hyps.motions(), hyps.sigma)]

@@ -351,6 +351,22 @@ def test_estimate_empty_bidirectional_selection_is_input_error(runner, tmp_path)
     assert "forward-backward" in res.output
 
 
+@pytest.mark.parametrize("sparse", [
+    np.zeros((0, 4)),
+    # every destination row y + flow_y lies outside [0, 32)
+    np.array([[5.0, 10.0, 0.5, -11.0], [9.0, 30.0, 0.0, 2.5], [3.0, 0.0, 1.0, -0.5]]),
+], ids=["empty", "all-outside"])
+def test_estimate_no_usable_sample_is_input_error(runner, tmp_path, sparse):
+    cam = CameraConfig(gamma=0.8, h=32, fx=30.0, fy=30.0, cx=16.0, cy=16.0, width=32)
+    flow, out = tmp_path / "s.rsflow", tmp_path / "m.txt"
+    write_flow(flow, FlowFile(config=cam, width=32, height=32, sparse=sparse.astype(np.float32)))
+    res = runner.invoke(main, ["estimate", "--flow", str(flow), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and "inside the image rows [0, 32)" in res.output
+    assert not out.exists()
+
+
 def test_rectify_shape_mismatch(runner, tmp_path):
     ipath = tmp_path / "img.pgm"
     dpath = tmp_path / "d.pfm"

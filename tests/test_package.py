@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -6,14 +8,19 @@ import rsdiffsfm
 
 # names the package no longer defines, by module: single-subset solver and
 # depth shims (their batched kernels remain), the second residual path of
-# the refinement, and the test-side reference formulas now in tests/oracles.py
+# the refinement, the test-side reference formulas now in tests/oracles.py,
+# and the per-model stack solvers and scanline checks that `solve_stack`
+# and `scanline_ab` replace
 REMOVED = {
     "": ["EpipolarVector", "epipolar_residual", "log_so3", "project_flow", "recover_motion",
          "solve_linear", "symmetric_s"],
+    "cli": ["MODELS"],
     "geometry": ["EpipolarVector", "_S_INDEX", "epipolar_residual", "log_so3", "project_flow",
-                 "s_to_vech", "symmetric_s", "vech_to_s"],
-    "gs_solver": ["closed_form_inv_depth", "recover_motion", "solve_linear"],
+                 "s_to_vech", "symmetric_s", "vech_to_s", "stacked_scanline_ab", "_unchecked_ab"],
+    "gs_solver": ["closed_form_inv_depth", "recover_motion", "solve_linear", "solvable"],
     "robust": ["residual"],
+    "rs_solvers": ["solve_const_velocity_stack", "solve_const_accel_stack",
+                   "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL"],
     "refine": ["_flow_errors", "objective", "reduced_jacobian", "reduced_residuals",
                "update_depths"],
 }
@@ -35,3 +42,26 @@ def test_removed_names_are_gone(module):
         assert not hasattr(mod, name), f"rsdiffsfm{'.' + module if module else ''}.{name}"
         assert name not in getattr(mod, "__all__", ())
 
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module imports is used in it, unless `__init__` re-exports
+    the name from that module (as it does synth's model names)."""
+    src = Path(rsdiffsfm.__file__).parent
+    reexported = {(node.module, alias.asname or alias.name)
+                  for node in ast.walk(ast.parse((src / "__init__.py").read_text()))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.stem, name) not in reexported:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused

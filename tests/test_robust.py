@@ -200,7 +200,7 @@ def sequential_ransac(samples, model, camera, rc):
             elif model == CONST_VELOCITY:
                 motions = [solve_const_velocity(subset, camera)]
             else:
-                motions = [c.motion for c in solve_const_accel(subset, camera, rc.root_window)]
+                motions = [c.motion for c in solve_const_accel(subset, camera)]
         except (DegenerateConfiguration, NoRealSolution, InvalidScanlinePair):
             continue
         n_valid += 1
@@ -285,6 +285,24 @@ def test_ransac_memory_does_not_grow_with_iterations(camera, model):
     assert peak(30 * block) < 1.2 * peak(3 * block)
 
 
+@pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
+def test_invalid_scanline_pair_is_rejected_at_the_entry(camera, model):
+    """One sample whose scanline pair has alpha <= 0 fails the whole call of
+    `ransac`, `score_motion` and the single-subset solver with
+    InvalidScanlinePair, rather than the subsets that draw it."""
+    samples, gt = generate_linearized(make_spec(camera, n_points=30, k=0.1, seed=14))
+    samples = list(samples)
+    bad = samples[3]
+    samples[3] = FlowSample(x=bad.x, u=bad.u, y1=bad.y1, y2=bad.y1 - 2.0 * camera.h / camera.gamma)
+    with pytest.raises(InvalidScanlinePair):
+        ransac(samples, model, camera, RansacConfig(iterations=20, seed=14))
+    with pytest.raises(InvalidScanlinePair):
+        score_motion(samples, gt.motion, camera, model)
+    solve = solve_const_velocity if model == CONST_VELOCITY else solve_const_accel
+    with pytest.raises(InvalidScanlinePair):
+        solve(samples[:MINIMAL_SIZE[model]], camera)
+
+
 def test_ransac_too_few_samples(camera):
     spec = make_spec(camera, n_points=5, seed=6)
     samples, _ = generate_linearized(spec)
@@ -310,10 +328,7 @@ def test_ransac_config_validation():
     for seed in (-1, 1.5, None):
         with pytest.raises(ValueError):
             RansacConfig(seed=seed)
-    for window in ((10.0, -2.0), (1.0, 1.0), (np.nan, 10.0)):
-        with pytest.raises(ValueError):
-            RansacConfig(root_window=window)
-    RansacConfig(iterations=np.int64(5), seed=np.uint32(7), root_window=(-2.0, np.inf))
+    RansacConfig(iterations=np.int64(5), seed=np.uint32(7))
 
 
 def test_forward_backward_error_consistent_pair():
@@ -342,7 +357,7 @@ def test_filter_flows_selects_consistent_pixels(camera):
     bwd[..., 0] = -1.0
     # corrupt one block so it ranks last
     fwd[:10, :10, 0] = 5.0
-    samples = filter_flows(fwd, bwd, cam, keep_fraction=0.2)
+    samples = filter_flows(fwd, bwd, cam)
     n_keep = int(round(0.2 * H * W))
     assert len(samples) == n_keep
     for s in samples:

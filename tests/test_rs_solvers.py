@@ -11,7 +11,7 @@ from rsdiffsfm import (
 from rsdiffsfm.errors import InvalidScanlinePair
 from rsdiffsfm.geometry import FlowBatch, beta, scanline_ab
 from rsdiffsfm.gs_solver import gs_rows, solve_gs
-from rsdiffsfm.rs_solvers import affine_rows, det_polynomial, solve_const_accel_stack
+from rsdiffsfm.rs_solvers import affine_rows, det_polynomial, solve_stack
 
 from conftest import gross_outlier, make_spec
 from oracles import s_to_vech, symmetric_s
@@ -144,7 +144,8 @@ def test_batched_ca_roots_match_det_polynomial(camera):
     samples = [gross_outlier(s, rng) if i % 3 == 0 else s for i, s in enumerate(samples)]
     batch = FlowBatch.of(samples)
     subsets = np.array([rng.choice(len(batch), size=9, replace=False) for _ in range(100)])
-    hyps = solve_const_accel_stack(batch[subsets], camera)
+    stack = batch[subsets]
+    hyps = solve_stack(stack, *scanline_ab(stack.y1, stack.y2, camera))
     n_roots = 0
     for j, subset in enumerate(subsets):
         want = det_polynomial(batch[subset], camera).real_roots()
