@@ -16,7 +16,8 @@ from .geometry import CameraConfig
 from .experiment import _scene_spec, run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
-from .robust import RansacConfig, ranked_pixels, ransac, refit_trimmed, samples_from_pixels
+from .robust import (MINIMAL_SIZE, RansacConfig, ranked_pixels, ransac, refit_trimmed,
+                     samples_from_pixels)
 from .synth import generate_discrete
 
 # the camera record a motion file carries for `rectify`
@@ -91,6 +92,9 @@ def estimate(flow_path, bwd_path, model, ransac_iters, threshold, seed, max_samp
         samples = _samples_from_flow(flow, bwd, max_samples=max_samples, seed=seed)
     except EmptySelection as exc:
         _input_error(exc)
+    if len(samples) < MINIMAL_SIZE[model]:
+        _input_error(f"model {model} needs at least {MINIMAL_SIZE[model]} usable flow samples, "
+                     f"got {len(samples)}")
     try:
         result = ransac(samples, model, flow.config, rc)
         motion, refit = result.motion, {}

@@ -13,14 +13,18 @@ the best count of the earlier blocks.  This bail-out is exact: a dropped
 hypothesis could not have won, and only hypotheses scored on every sample
 compete.  RansacResult.n_scored_full counts them.
 
-Scoring reads a (9, N) table of per-sample terms built once per call and
-evaluates the squared distance (c x P)^2 / |P|^2, with P = A v and
-c = u - beta B w at the flow midpoint.  It is the closed-form depth
-residual |c - rho q| of `geometry.depth_terms` and `geometry.inv_depth`
-(q = beta P) squared: by Lagrange's identity |c|^2 - (c . q)^2 / |q|^2 =
-(c x q)^2 / |q|^2, and beta cancels.  The two forms agree to rounding
-(within 1e-16 on the benchmark scenes), and the inlier test compares the
-square root with the threshold, as before.
+Scoring evaluates the squared distance (c x P)^2 / |P|^2, with P = A v and
+c = u - beta B w at the flow midpoint: the closed-form depth residual
+|c - rho q| of `geometry.depth_terms` and `geometry.inv_depth` (q = beta P)
+squared, by Lagrange's identity, and beta cancels.  c, P and beta are
+five small matrix products of per-block hypothesis coefficients
+(`_coefficients`) with row groups of a per-call sample feature table
+(`_sample_terms`); each product holds at most BLOCK_RESIDUALS x 7
+multiply-adds, which keeps OpenBLAS on one thread.  They round unlike
+element-wise arithmetic: residuals agree with the step-by-step form of
+`geometry` within 1e-12 relative (1e-15 absolute), and a block's with
+those of one hypothesis scored alone within a few ulps of c.  The inlier
+test compares the square root with the threshold.
 """
 
 from __future__ import annotations
@@ -120,59 +124,80 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
     Flows are scaled by the model's beta: 1 for the global-shutter model,
     the rolling-shutter scanline factor otherwise.
     """
-    return _residuals(_sample_terms(samples, config, model), motion.v[np.newaxis],
-                      motion.w[np.newaxis], np.array([motion.k]))[0]
+    coefs = _coefficients(motion.v[np.newaxis], motion.w[np.newaxis], np.array([motion.k]))
+    return _residual_vector(_sample_terms(samples, config, model), coefs)
+
+
+# the row groups of a `_sample_terms` table that the products of
+# `_residuals` read: the features of c_x, c_y, P_x, P_y and beta (the two P
+# products share theirs)
+_GROUPS = (slice(0, 7), slice(7, 14), slice(14, 16), slice(14, 16), slice(16, 18))
 
 
 def _sample_terms(samples, config, model):
-    """(9, N) table of the per-sample terms of the residual kernel.
+    """(18, N) table of the per-sample features of the residual kernel.
 
-    Rows: the flow midpoint xm, ym, the flow ux, uy, xm ym, 1 + xm^2,
-    1 + ym^2 and the scanline coefficients a, b of beta.
+    With the flow midpoint (xm, ym), the flow (ux, uy) and the scanline
+    coefficients a, b of beta, the rows are, by `_GROUPS`:
+    c_x: ux, a xm ym, a (1 + xm^2), a ym, b xm ym, b (1 + xm^2), b ym;
+    c_y: uy, a (1 + ym^2), a xm ym, -a xm, b (1 + ym^2), b xm ym, -b xm;
+    P: xm, ym;  beta: a, b.
     """
     batch = FlowBatch.of(samples)
     a, b = scanline_ab(batch.y1, batch.y2, config, model)
     xm, ym = midpoint(batch).T
-    return np.stack([xm, ym, *batch.u.T, xm * ym, 1.0 + xm * xm, 1.0 + ym * ym, a, b])
+    ux, uy = batch.u.T
+    xy = xm * ym
+    oxx = 1.0 + xm * xm
+    oyy = 1.0 + ym * ym
+    return np.stack([ux, a * xy, a * oxx, a * ym, b * xy, b * oxx, b * ym,
+                     uy, a * oyy, a * xy, -a * xm, b * oyy, b * xy, -b * xm,
+                     xm, ym, a, b])
 
 
-def _residuals(terms, v, w, k):
-    """Residuals (H, n) of hypotheses v (H, 3), w (H, 3), k (H,) over the
-    columns (9, n) of a `_sample_terms` table.
+def _coefficients(v, w, k):
+    """Coefficient matrices of hypotheses v (H, 3), w (H, 3), k (H,): one
+    per `_GROUPS` row group, then v's (v_x, v_y) columns.
 
-    With P = A v and c = u - beta B w at the flow midpoint, the optimal
-    inverse depth rho = (c . q) / (q . q) of q = beta P leaves the squared
-    residual |c - rho q|^2 = (c x P)^2 / |P|^2.  Where rho is undefined
+    beta = alpha a + kappa b with alpha = 2 / (2 + k), kappa = k / (2 + k),
+    so c = u - beta B w takes (1, -alpha w_x, alpha w_y, -alpha w_z,
+    -kappa w_x, kappa w_y, -kappa w_z) on both c groups (the table negates
+    the c_y features that need it) and beta takes (alpha, kappa).  P = A v
+    takes (v_z, 0) and (0, v_z) on (xm, ym), and `_residuals` subtracts
+    v_x and v_y from the products.
+    """
+    alpha = 2.0 / (2.0 + k)
+    kappa = k / (2.0 + k)
+    sw = w * [-1.0, 1.0, -1.0]
+    c = np.column_stack([np.ones_like(k), alpha[:, None] * sw, kappa[:, None] * sw])
+    vz = v[:, 2:]
+    zero = np.zeros_like(vz)
+    return (c, c, np.hstack([vz, zero]), np.hstack([zero, vz]), np.column_stack([alpha, kappa]),
+            v[:, :2])
+
+
+def _residuals(terms, coefs):
+    """Residuals (H, n) of the hypotheses of `_coefficients` matrices coefs
+    over the columns (18, n) of a `_sample_terms` table.
+
+    c, P and beta are one (H, F) @ (F, n) product per row group; the rest is
+    element-wise on (H, n) arrays.  The optimal inverse depth
+    rho = (c . q) / (q . q) of q = beta P leaves the squared residual
+    |c - rho q|^2 = (c x P)^2 / |P|^2.  Where rho is undefined
     (beta^2 |P|^2 < 1e-24) or not positive (beta (c . P) <= 0), rho is 0
     and the squared residual is |c|^2.  A residual above about 1e154
-    overflows to inf, which fails any finite threshold as it did before.
+    overflows to inf, which fails any finite threshold.
     """
-    xm, ym, ux, uy, xy, oxx, oyy, a, b = terms
-    vx, vy, vz = v.T[..., None]
-    wx, wy, wz = w.T[..., None]
-    k = k[:, None]
-    # geometry.beta with its factors in k taken out: no (H, n) division
-    bt = a * (2.0 / (2.0 + k))
-    tmp = np.multiply(b, k / (2.0 + k))
-    bt += tmp
-    # c = u - beta B w
-    cx = xy * wx
-    cx -= np.multiply(oxx, wy, out=tmp)
-    cx += np.multiply(ym, wz, out=tmp)
-    cx *= bt
-    np.subtract(ux, cx, out=cx)
-    cy = oyy * wx
-    cy -= np.multiply(xy, wy, out=tmp)
-    cy -= np.multiply(xm, wz, out=tmp)
-    cy *= bt
-    np.subtract(uy, cy, out=cy)
-    # P = A v
-    px = xm * vz
-    px -= vx
-    py = ym * vz
-    py -= vy
+    cx, cy, px, py, bt = (coef @ terms[group] for coef, group in zip(coefs, _GROUPS))
+    # P = A v as `geometry.translation_flow` rounds it: v_z xm, rounded, then
+    # minus v_x.  A product over (1, xm) would fuse the two into one
+    # rounding, and just off the translation epipole that last bit sets
+    # the direction of P and so the residual
+    px -= coefs[-1][:, :1]
+    py -= coefs[-1][:, 1:]
     pp = px * px
-    pp += np.multiply(py, py, out=tmp)
+    tmp = py * py
+    pp += tmp
     # valid: rho defined and positive
     dot = cx * px
     dot += np.multiply(cy, py, out=tmp)
@@ -194,31 +219,49 @@ def _residuals(terms, v, w, k):
     return np.sqrt(err, out=err)
 
 
-def _score_block(terms, hyps, threshold, best_count):
-    """Inlier counts and inlier-residual sums of a block of hypotheses, and
-    the number of residuals evaluated.
+def _residual_vector(terms, coefs):
+    """Residuals (N,) of the one hypothesis of coefs over a whole table.
+
+    The samples go through `_residuals` in chunks of BLOCK_RESIDUALS, as a
+    block's do: one product over more samples wakes OpenBLAS's worker
+    threads, which then spin on the second core.
+    """
+    n = terms.shape[1]
+    out = np.empty(n)
+    for start in range(0, n, BLOCK_RESIDUALS):
+        stop = start + BLOCK_RESIDUALS
+        out[start:stop] = _residuals(terms[:, start:stop], coefs)[0]
+    return out
+
+
+def _score_block(terms, coefs, threshold, best_count):
+    """Inlier counts and inlier-residual sums of a block of hypotheses (the
+    rows of their `_coefficients` matrices coefs), and the number of
+    residuals evaluated.
 
     The samples (the columns of the `_sample_terms` table) are scored in
     chunks of BLOCK_RESIDUALS // (live hypotheses).  After each chunk a
     hypothesis whose count plus the samples left is below best_count is
-    dropped; its count reads -1.
+    dropped, with its rows of coefs; its count reads -1.
     """
     n = terms.shape[1]
-    counts = np.zeros(len(hyps), dtype=np.intp)
-    sums = np.zeros(len(hyps))
-    live = np.arange(len(hyps))
+    counts = np.zeros(len(coefs[0]), dtype=np.intp)
+    sums = np.zeros(len(counts))
+    live = np.arange(len(counts))
     n_residuals = start = 0
     while start < n and live.size:
         stop = min(n, start + max(1, BLOCK_RESIDUALS // live.size))
-        errs = _residuals(terms[:, start:stop], hyps.v[live], hyps.w[live], hyps.k[live])
+        errs = _residuals(terms[:, start:stop], coefs)
         n_residuals += errs.size
         inl = errs <= threshold
         counts[live] += np.count_nonzero(inl, axis=1)
         sums[live] += np.sum(np.where(inl, errs, 0.0), axis=1)
         start = stop
         reachable = counts[live] + (n - stop) >= best_count
-        counts[live[~reachable]] = -1
-        live = live[reachable]
+        if not reachable.all():
+            counts[live[~reachable]] = -1
+            live = live[reachable]
+            coefs = [coef[reachable] for coef in coefs]
     return counts, sums, n_residuals
 
 
@@ -237,6 +280,7 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
         raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
     rng = np.random.default_rng(rc.seed)
     terms = _sample_terms(samples, config, model)
+    a, b = terms[_GROUPS[-1]]
     failures = Counter()
     n_hypotheses = n_scored_full = n_residuals = 0
     seconds = np.zeros(3)  # drawing, solving, scoring
@@ -249,21 +293,26 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
                             for _ in range(min(SOLVE_BLOCK, rc.iterations - start))])
         t1 = time.perf_counter()
         # _sample_terms checked every scanline pair: no subset fails on one
-        hyps = solve_stack(samples[subsets], terms[7][subsets], terms[8][subsets])
+        hyps = solve_stack(samples[subsets], a[subsets], b[subsets])
         t2 = time.perf_counter()
         failures.update(type(exc).__name__ for exc in hyps.failures.values())
         n_hypotheses += len(hyps)
         if len(hyps):
-            counts, sums, n_scored = _score_block(terms, hyps, rc.threshold, best_count)
+            coefs = _coefficients(hyps.v, hyps.w, hyps.k)
+            counts, sums, n_scored = _score_block(terms, coefs, rc.threshold, best_count)
             n_scored_full += np.count_nonzero(counts >= 0)
             n_residuals += n_scored
             means = sums / np.maximum(counts, 1)
             i = np.lexsort((means, -counts))[0]  # stable: the first of equals
             if counts[i] > best_count or (counts[i] == best_count > 0 and means[i] < best_mean):
-                best_count, best_mean, best_motion = counts[i], means[i], hyps.motion(i)
-                # element-wise in the samples, so equal to the chunks' residuals
-                best_errs = _residuals(terms, hyps.v[i:i + 1], hyps.w[i:i + 1],
-                                       hyps.k[i:i + 1])[0]
+                best_motion = hyps.motion(i)
+                # a one-row product need not round as the block's did, so the
+                # incumbent's count and mean come from the residual vector
+                # that the result reports, which equals `score_motion`'s
+                best_errs = _residual_vector(terms, [coef[i:i + 1] for coef in coefs])
+                inl = best_errs <= rc.threshold
+                best_count = np.count_nonzero(inl)
+                best_mean = np.sum(best_errs[inl]) / max(best_count, 1)
         seconds += (t1 - t0, t2 - t1, time.perf_counter() - t2)
     n_valid = rc.iterations - sum(failures.values())
     logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses, %d scored "

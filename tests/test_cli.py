@@ -367,6 +367,21 @@ def test_estimate_no_usable_sample_is_input_error(runner, tmp_path, sparse):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["cv", "ca"])
+def test_estimate_too_few_samples_is_input_error(runner, tmp_path, model):
+    cam = CameraConfig(gamma=0.8, h=32, fx=30.0, fy=30.0, cx=16.0, cy=16.0, width=32)
+    sparse = np.array([[5.0, 10.0, 0.5, 0.2], [9.0, 20.0, 0.0, 0.5], [3.0, 4.0, 1.0, -0.5]])
+    flow, out = tmp_path / "s.rsflow", tmp_path / "m.txt"
+    write_flow(flow, FlowFile(config=cam, width=32, height=32, sparse=sparse.astype(np.float32)))
+    res = runner.invoke(main, ["estimate", "--flow", str(flow), "--model", model,
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    minimal = 9 if model == "ca" else 8
+    assert f"error: model {model} needs at least {minimal} usable flow samples, got 3" in res.output
+    assert not out.exists()
+
+
 def test_rectify_shape_mismatch(runner, tmp_path):
     ipath = tmp_path / "img.pgm"
     dpath = tmp_path / "d.pfm"

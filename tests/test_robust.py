@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,9 +33,18 @@ from rsdiffsfm.geometry import (
     inv_depth,
     scanline_ab,
 )
-from rsdiffsfm.robust import BLOCK_RESIDUALS, MINIMAL_SIZE, refit_trimmed, score_motion
+from rsdiffsfm.robust import (
+    BLOCK_RESIDUALS,
+    MINIMAL_SIZE,
+    SOLVE_BLOCK,
+    _coefficients,
+    _sample_terms,
+    _score_block,
+    refit_trimmed,
+    score_motion,
+)
 from rsdiffsfm.gs_solver import solve_gs
-from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity
+from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity, solve_stack
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
 from conftest import gross_outlier, make_spec
@@ -115,6 +125,25 @@ def test_score_motion_matches_oracle(samples, v, w, k, gamma, model, threshold):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     assume(np.all(np.abs(want - threshold) > 1e-12))
     assert np.count_nonzero(got <= threshold) == np.count_nonzero(want <= threshold)
+
+
+def test_score_motion_just_off_the_epipole():
+    """P = A v rounds as `geometry.translation_flow` rounds it.  1e-13 off
+    the translation epipole its last bits set the residual: a kernel that
+    fused v_z xm - v_x into one rounding scored this draw of
+    `test_score_motion_matches_oracle` 1.1e-4 where the oracle gives 4.3e-14."""
+    camera = dataclasses.replace(ORACLE_CAMERA, gamma=0.8)
+    motion = MotionEstimate(v=(0.0, -0.5, 0.75), w=(0.0, 0.0, 0.03125), k=-1.9)
+    epipole = (0.0, -0.5 / 0.75)
+    arr = np.array([(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                    (0.3, -0.1, 0.0, 0.0, 500.0, 500.0),
+                    (0.2, 0.1, 0.03, -0.02, *BETA_ZERO_ROWS),
+                    (*epipole, 0.0, 0.0, 500.0, 500.0),
+                    (epipole[0] + 1e-13, epipole[1], 0.0, 0.0, 500.0, 500.0)])
+    batch = FlowBatch(x=arr[:, :2], u=arr[:, 2:4], y1=arr[:, 4], y2=arr[:, 5])
+    np.testing.assert_allclose(score_motion(batch, motion, camera, CONST_ACCEL),
+                               oracle_residuals(batch, motion, camera, CONST_ACCEL),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_gs_hypothesis_scores_under_gs_model(camera):
@@ -227,19 +256,91 @@ def duplicated_scene(camera, seed, k=0.1, n_points=60, n_out=18):
     *[pytest.param(model, 60, 60, False, id=model) for model in MODELS],
     *[pytest.param(model, 1500, 150, True, id=f"{model}-chunked") for model in MODELS],
 ])
-def test_ransac_matches_sequential_reference(camera, model, n_points, iterations, chunked):
+def test_ransac_matches_sequential_reference(camera, caplog, model, n_points, iterations,
+                                             chunked):
     samples = duplicated_scene(camera, seed=8, n_points=n_points, n_out=int(0.3 * n_points))
     rc = RansacConfig(iterations=iterations, seed=8)
-    r = ransac(samples, model, camera, rc)
+    with caplog.at_level(logging.INFO, logger="rsdiffsfm.robust"):
+        r = ransac(samples, model, camera, rc)
     inliers, n_valid = sequential_ransac(samples, model, camera, rc)
     assert np.array_equal(r.inliers, inliers)
     assert r.n_valid_iterations == n_valid
     assert np.array_equal(r.residuals, score_motion(samples, r.motion, camera, model))
+    # the inlier set, the residual vector and the logged best count agree
+    [record] = [rec for rec in caplog.records if rec.name == "rsdiffsfm.robust"]
+    best = np.count_nonzero(r.residuals <= rc.threshold)
+    assert len(r.inliers) == best
+    assert f"best {best} of {len(samples)} inliers" in record.getMessage()
     if chunked:
         assert r.n_scored_full < r.n_hypotheses
         assert r.n_residuals < r.n_hypotheses * len(samples)
     else:
         assert r.n_residuals == r.n_hypotheses * len(samples)
+
+
+def ca_block(camera, seed=11, n_points=2000, noise_px=0.05):
+    """A contaminated ca scene of n_points samples with noisy inlier flows,
+    its `_sample_terms` table and the hypotheses of one SOLVE_BLOCK of
+    minimal subsets, drawn and solved as `ransac` does."""
+    samples, _, _ = contaminated_scene(camera, seed=seed, n_points=n_points,
+                                       n_out=int(0.3 * n_points), k=0.1)
+    batch = FlowBatch.of(samples)
+    rng = np.random.default_rng(seed)
+    e = rng.normal(0.0, noise_px, batch.u.shape)
+    batch = FlowBatch(x=batch.x, u=batch.u + e / camera.fx, y1=batch.y1, y2=batch.y2 + e[:, 1])
+    terms = _sample_terms(batch, camera, CONST_ACCEL)
+    a, b = scanline_ab(batch.y1, batch.y2, camera, CONST_ACCEL)
+    subsets = np.array([rng.choice(len(batch), size=MINIMAL_SIZE[CONST_ACCEL], replace=False)
+                        for _ in range(SOLVE_BLOCK)])
+    return batch, terms, solve_stack(batch[subsets], a[subsets], b[subsets])
+
+
+def test_score_block_matches_score_motion(camera):
+    """Scoring a block of hypotheses at once gives each the inlier count and,
+    to rounding, the inlier-residual sum of scoring it alone.  The block's
+    products and the one-row products of `score_motion` round apart by a
+    few ulps of c = u - beta B w, which grows with |w|: a 1e-12 relative
+    bound alone fails on hypotheses with |w| of several radians and one or
+    two inliers, so each inlier adds 1e-15 (1 + |w|)."""
+    batch, terms, hyps = ca_block(camera)
+    threshold = 1e-3
+    counts, sums, n_residuals = _score_block(terms, _coefficients(hyps.v, hyps.w, hyps.k),
+                                             threshold, best_count=0)
+    assert n_residuals == len(hyps) * len(batch)  # best_count 0 drops none
+    for i in range(len(hyps)):
+        errs = score_motion(batch, hyps.motion(i), camera, CONST_ACCEL)
+        assert np.min(np.abs(errs - threshold)) > 1e-12
+        inl = errs <= threshold
+        assert counts[i] == np.count_nonzero(inl)
+        np.testing.assert_allclose(sums[i], np.sum(errs[inl]), rtol=1e-12,
+                                   atol=1e-15 * counts[i] * (1 + np.linalg.norm(hyps.w[i])))
+    assert np.max(counts) > 0.5 * len(batch)  # the block holds a good hypothesis
+
+
+def cpu_per_wall(score, repeats):
+    """process_time over wall time of repeated score() calls, measured after
+    a pause in which BLAS worker threads woken before it go idle."""
+    time.sleep(0.3)
+    cpu, wall = time.process_time(), time.perf_counter()
+    for _ in range(repeats):
+        score()
+    return (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+
+def test_scoring_runs_on_one_thread(camera):
+    """Scoring cuts every matrix product to at most BLOCK_RESIDUALS samples
+    times hypotheses, too small to wake OpenBLAS's worker threads: a block
+    over 2000 samples, and `score_motion` over 100k, use no more CPU time
+    than wall time, within 1.5x."""
+    batch, terms, hyps = ca_block(camera)
+    coefs = _coefficients(hyps.v, hyps.w, hyps.k)
+    assert cpu_per_wall(lambda: _score_block(terms, coefs, 1e-3, best_count=0), 5) <= 1.5
+    reps = 50
+    big = FlowBatch(x=np.tile(batch.x, (reps, 1)), u=np.tile(batch.u, (reps, 1)),
+                    y1=np.tile(batch.y1, reps), y2=np.tile(batch.y2, reps))
+    assert len(big) > 12 * BLOCK_RESIDUALS
+    motion = hyps.motion(0)
+    assert cpu_per_wall(lambda: score_motion(big, motion, camera, CONST_ACCEL), 5) <= 1.5
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
