@@ -39,7 +39,7 @@ from .robust import (
     ransac,
     refit_trimmed,
 )
-from .refine import RefineState, dense_depth, refine
+from .refine import RefineState, dense_depth, refine, refine_stack
 from .rectify import WarpField, rectify_image, warp_field
 from .synth import (
     CONST_ACCEL,
@@ -110,6 +110,7 @@ __all__ = [
     "read_pnm",
     "rectify_image",
     "refine",
+    "refine_stack",
     "refit_trimmed",
     "rotation_error",
     "run_cell",

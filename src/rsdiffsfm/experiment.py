@@ -40,16 +40,6 @@ def _scene_spec(cfg: ExperimentConfig, gamma, trans, w_mag, k, seed):
     )
 
 
-def estimate_motion(samples, model, camera, ransac_iters, threshold, seed, use_refine):
-    """One estimation run: RANSAC over the minimal solver, optional refinement."""
-    rc = RansacConfig(iterations=ransac_iters, threshold=threshold, seed=seed)
-    result = ransac(samples, model, camera, rc)
-    motion = result.motion
-    if use_refine:
-        motion = refit_trimmed(samples, result, model, camera).motion
-    return motion
-
-
 def _cell_scenes(cfg: ExperimentConfig, gamma, trans, w_mag, k):
     """The seeded trial scenes at one (gamma, trans, w_mag, k) of a sweep,
     one (seed, samples, truth) per trial.
@@ -71,45 +61,62 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
     scenes holds the cell's trial scenes, one (seed, samples, truth) per
     trial, as `run_sweep` passes them.  The None default, which synthesizes
     them here, keeps the public single-cell call working.  A trial is dropped
-    when its scene has fewer than 9 samples or its estimation raises a
-    library error; one log line per cell counts the drops by reason.
+    when its scene has fewer than 9 samples or its RANSAC raises a library
+    error (the refit raises none on samples RANSAC took); one log line per
+    cell counts the drops by reason, and the refits by stop reason with
+    their cost evaluations.
     """
-    camera = _camera(cfg, gamma)
     if scenes is None:
         scenes = _cell_scenes(cfg, gamma, trans, w_mag, k)
-    t_errs, r_errs, dropped = [], [], Counter()
-    for seed, samples, gt in scenes:
-        if len(samples) < 9:
-            dropped["too_few_samples"] += 1
-            continue
-        try:
-            motion = estimate_motion(
-                samples, model, camera, cfg.ransac_iters, cfg.threshold,
-                seed=seed + 1, use_refine=cfg.use_refine,
-            )
-        except RsSfmError as exc:
-            dropped[type(exc).__name__] += 1
-            continue
-        t_errs.append(translation_error(motion.v, gt.motion.v))
-        r_errs.append(rotation_error(motion.w, gt.motion.w))
-    logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
-                "dropped %s", gamma, trans, w_mag, k, model, len(t_errs), len(scenes),
-                dict(dropped))
-    if not t_errs:
-        return np.nan, np.nan, 0
-    return float(np.mean(t_errs)), float(np.mean(r_errs)), len(t_errs)
+    return _run_cells(cfg, [((gamma, trans, w_mag, k), scenes)], model)[0]
+
+
+def _run_cells(cfg: ExperimentConfig, cells, model):
+    """`run_cell` of each (axes, scenes) cell under one model: each trial
+    runs RANSAC on its own, then one stacked `refit_trimmed` refits the kept
+    trials of every cell."""
+    kept, dropped = [], [Counter() for _ in cells]  # kept: (cell, samples, result, camera, truth)
+    for i, ((gamma, *_), scenes) in enumerate(cells):
+        camera = _camera(cfg, gamma)
+        for seed, samples, gt in scenes:
+            if len(samples) < 9:
+                dropped[i]["too_few_samples"] += 1
+                continue
+            rc = RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold, seed=seed + 1)
+            try:
+                kept.append((i, samples, ransac(samples, model, camera, rc), camera, gt.motion))
+            except RsSfmError as exc:
+                dropped[i][type(exc).__name__] += 1
+    states = [None] * len(kept)
+    if cfg.use_refine and kept:
+        _, samples, results, cameras, _ = zip(*kept)
+        states = refit_trimmed(samples, results, model, cameras)
+    rows = []
+    for i, ((gamma, trans, w_mag, k), scenes) in enumerate(cells):
+        mine = [(state, result, gt) for (j, _, result, _, gt), state in zip(kept, states) if j == i]
+        refits = [state for state, _, _ in mine if state]
+        logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
+                    "dropped %s; refits %s in %d cycles", gamma, trans, w_mag, k, model, len(mine),
+                    len(scenes), dict(dropped[i]), dict(Counter(s.stop_reason for s in refits)),
+                    sum(s.n_cycles for s in refits))
+        t_errs = [translation_error((state or result).motion.v, gt.v) for state, result, gt in mine]
+        r_errs = [rotation_error((state or result).motion.w, gt.w) for state, result, gt in mine]
+        rows.append((float(np.mean(t_errs)), float(np.mean(r_errs)), len(mine)) if mine
+                    else (np.nan, np.nan, 0))
+    return rows
 
 
 def run_sweep(cfg: ExperimentConfig):
     """All cells of the sweep; rows in deterministic axis order.
 
-    Each trial scene is synthesized once and estimated with every model.
+    Each trial scene is synthesized once and estimated with every model;
+    each model refits the trials of all cells as one stack.
     """
-    rows = []
-    for axes in product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks):
-        scenes = _cell_scenes(cfg, *axes)
-        rows += [(*axes, model, *run_cell(cfg, *axes, model, scenes)) for model in cfg.models]
-    return rows
+    cells = [(axes, _cell_scenes(cfg, *axes))
+             for axes in product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks)]
+    by_model = [_run_cells(cfg, cells, model) for model in cfg.models]
+    return [(*axes, model, *rows[i]) for i, (axes, _) in enumerate(cells)
+            for model, rows in zip(cfg.models, by_model)]
 
 
 def sweep_csv(rows):

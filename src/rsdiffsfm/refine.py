@@ -13,13 +13,19 @@ it.  Two sums of the same per-sample errors are in play:
 - the objective that `refine` reports, and compares to accept the loop's
   result, sums the error over the samples with a valid depth only.
 
-`gauss_newton_step` solves every step from normal equations formed with
-`einsum`, so that no BLAS call wakes OpenBLAS threads that would spin
-after it.
+`refine_stack` refines P problems in one loop, and `refine` is a stack of
+one.  Every array carries a leading problem axis, each problem keeps its own
+damping, scaling, cost and stop flags, and a problem that stops leaves the
+stack.  Each problem is padded with zero rows to the largest sample count
+N: a zero row has beta = 0, so q = c = 0, no valid depth, a zero residual
+and a zero Jacobian row, and it adds nothing to any sum.  The small damped
+systems of all problems are solved with one batched pseudo-inverse at
+`lstsq`'s rank cutoff (see `gauss_newton_step`).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,38 +44,84 @@ from .geometry import (
 )
 
 
-@dataclass
-class SampleBlocks:
-    """Precomputed per-sample quantities: A, B, flows and scanline factors."""
-
-    A: np.ndarray  # (N, 2, 3)
-    B: np.ndarray  # (N, 2, 3)
-    u: np.ndarray  # (N, 2)
-    a: np.ndarray  # (N,)
-    b: np.ndarray  # (N,)
+class SampleBlocks(namedtuple("SampleBlocks", "A B u a b")):
+    """Per-sample quantities of a stack of P problems, each padded with zero
+    rows to the largest sample count N: the columns of A and B (P, 3, N, 2),
+    the flows u (P, N, 2) and the scanline factors a and b (P, N)."""
 
     @classmethod
-    def build(cls, samples, config: CameraConfig | None, model=CONST_ACCEL):
-        batch = FlowBatch.of(samples)
-        A, B = matrices_ab(midpoint(batch))
-        a, b = scanline_ab(batch.y1, batch.y2, config, model)
-        return cls(A=A, B=B, u=batch.u, a=a, b=b)
+    def of(cls, problems, model=CONST_ACCEL):
+        """The blocks of a sequence of (samples, config) problems."""
+        batches = [(FlowBatch.of(samples), config) for samples, config in problems]
+        ends = np.cumsum([len(batch) for batch, _ in batches], dtype=int)
+        P, n = len(batches), max((len(batch) for batch, _ in batches), default=0)
+        out = cls(np.zeros((P, 3, n, 2)), np.zeros((P, 3, n, 2)), np.zeros((P, n, 2)),
+                  np.zeros((P, n)), np.zeros((P, n)))
+        # one call of the kernel for the samples of every problem
+        A, B = matrices_ab(np.concatenate([np.zeros((0, 2))] + [midpoint(b) for b, _ in batches]))
+        for p, (batch, config) in enumerate(batches):
+            rows, m = slice(ends[p] - len(batch), ends[p]), len(batch)
+            out.A[p, :, :m] = A[rows].transpose(2, 0, 1)
+            out.B[p, :, :m] = B[rows].transpose(2, 0, 1)
+            out.u[p, :m] = batch.u
+            out.a[p, :m], out.b[p, :m] = scanline_ab(batch.y1, batch.y2, config, model)
+        return out
 
 
-def _terms(blocks: SampleBlocks, motion: MotionEstimate):
-    """(beta, q, c) = (beta, beta A v, u - beta B w) per sample: (N,), (N, 2), (N, 2).
+# The flow model of a stack of problems at motions v (P, 3), w (P, 3), k (P,):
+# per sample beta (P, N), q = beta A v (P, N, 2), the optimal inverse depth
+# rho (P, N) with its validity (see `geometry.inv_depth`), and the flow error
+# r = c - rho q (P, N, 2) of c = u - beta B w, rho taken as 0 where not valid
+Terms = namedtuple("Terms", "v w k bt q valid rho r")
+
+
+def _rows(arrays, rows):
+    """The given rows (problems) of each array of a SampleBlocks or Terms."""
+    return type(arrays)(*(x[rows] for x in arrays))
+
+
+def _terms(blocks: SampleBlocks, v, w, k):
+    """(beta, q, c) = (beta, beta A v, u - beta B w) per sample of each
+    problem, at its motion v, w, k: (P, N), (P, N, 2), (P, N, 2).
 
     The flow model u = beta (A v rho + B w) reads c = rho q in the inverse
     depth rho.
     """
-    bt = beta(blocks.a, blocks.b, motion.k)
-    q = bt[:, None] * _apply(blocks.A, motion.v)
-    return bt, q, blocks.u - bt[:, None] * _apply(blocks.B, motion.w)
+    bt = beta(blocks.a, blocks.b, k[:, None])
+    q = bt[..., None] * _apply(blocks.A, v)
+    return bt, q, blocks.u - bt[..., None] * _apply(blocks.B, w)
 
 
 def _apply(M, x):
-    """M @ x for a stack M of (2, 3) matrices, as one matrix-vector product."""
-    return (M.reshape(-1, 3) @ x).reshape(M.shape[:-1])
+    """M @ x (P, N, 2) per sample of matrices M (P, 3, N, 2), given by their
+    columns, and vectors x (P, 3)."""
+    return np.einsum("pjnc,pj->pnc", M, x)
+
+
+def _reduced_terms(blocks: SampleBlocks, v, w, k) -> Terms:
+    """The `Terms` of each problem at its motion v, w, k."""
+    bt, q, c = _terms(blocks, v, w, k)
+    rho, valid = inv_depth((q[..., 0], q[..., 1]), (c[..., 0], c[..., 1]))
+    return Terms(v, w, k, bt, q, valid, rho, c - np.where(valid, rho, 0.0)[..., None] * q)
+
+
+def _flat(r):
+    """Flow errors (P, N, 2) as one residual vector (P, 2N) per problem."""
+    return r.reshape(len(r), -1)
+
+
+def _cost(terms: Terms):
+    """Per problem, the sum of its squared flow errors, added up sample by
+    sample so that zero rows of padding change no bit."""
+    sums = np.einsum("pnc,pnc->pc", terms.r, terms.r)
+    return sums[:, 0] + sums[:, 1]
+
+
+def _objectives(terms: Terms):
+    """Per problem, the sum of its squared flow errors over the samples with
+    a valid depth."""
+    errs = np.sum(terms.r ** 2, axis=2)
+    return [float(np.sum(e[valid])) for e, valid in zip(errs, terms.valid)]
 
 
 @dataclass
@@ -104,13 +156,8 @@ class RefineState:
     lm_iterations: int
 
 
-def refine(
-    samples,
-    initial: MotionEstimate,
-    config: CameraConfig | None = None,
-    model: str = CONST_ACCEL,
-    max_cycles: int = 400,
-) -> RefineState:
+def refine(samples, initial: MotionEstimate, config: CameraConfig | None = None,
+           model: str = CONST_ACCEL, max_cycles: int = 400) -> RefineState:
     """Levenberg-Marquardt from `initial` with the depths eliminated.
 
     The gauge freedom (v, Z) -> (cv, cZ) is fixed by a unit-norm v, the
@@ -118,72 +165,76 @@ def refine(
     evaluations.  Its result is accepted only when it lowers the objective
     of the start; otherwise the start is returned.
     """
-    blocks = SampleBlocks.build(samples, config, model)
-    v = np.asarray(initial.v, float).copy()
-    n = np.linalg.norm(v)
-    if n > 0:
-        v = v / n
-    w = np.asarray(initial.w, float).copy()
-    k = float(initial.k) if model == CONST_ACCEL else 0.0
-    terms = _reduced_terms(MotionEstimate(v=v, w=w, k=k), blocks)
-    motion, _, _, valid, rho, _ = terms
-    obj = _objective(terms)
-    start = RefineState(
-        motion=motion, inv_depths=rho, valid=valid, objective=obj, start_objective=obj,
-        n_cycles=0, converged=False, stop_reason="zero_objective", polished=False,
-        lm_iterations=0)
-    if not valid.any():
-        # the objective over no samples would read 0, as if the fit were exact
-        return replace(start, objective=np.inf, start_objective=np.inf,
-                       stop_reason="no_valid_depth")
-    if obj == 0:
-        return start
-    theta = np.concatenate([v, w, [k]]) if model == CONST_ACCEL else np.concatenate([v, w])
-    if _motion(theta).k != k:  # the loop starts at k clamped to -1.99
-        terms = _reduced_terms(_motion(theta), blocks)
-    try:
-        terms, n_steps, n_evals, converged = _levenberg_marquardt(theta, terms, blocks, max_cycles)
-    except ValueError:  # non-finite start residuals, or fewer residuals than unknowns
-        return replace(start, stop_reason="invalid_start")
-    loop = replace(start, n_cycles=n_evals, converged=converged, lm_iterations=n_steps,
-                   stop_reason="converged" if converged else "cycle_cap")
-    obj = _objective(terms)
-    if not obj < start.objective:  # also rejects a NaN objective
-        return loop
-    m, _, _, valid, rho, _ = terms
-    vn = np.linalg.norm(m.v)  # back to a unit v: the depths absorb the scale
-    return replace(
-        loop, motion=m.normalized(), inv_depths=rho * vn, valid=valid, objective=obj,
-        polished=True)
+    return refine_stack([(samples, initial, config)], model, max_cycles)[0]
+
+
+def refine_stack(problems, model: str = CONST_ACCEL, max_cycles: int = 400) -> list[RefineState]:
+    """`refine` of each (samples, initial, config) problem, in one stacked
+    loop: a list of the states that `refine` gives the problems alone.
+
+    The problems whose start has no valid depth, fits exactly or is invalid
+    are sorted out before the loop and stay out of it.
+    """
+    batches = [FlowBatch.of(samples) for samples, _, _ in problems]
+    blocks = SampleBlocks.of([(b, config) for b, (_, _, config) in zip(batches, problems)], model)
+    start = np.array([_start(initial, model) for _, initial, _ in problems]).reshape(-1, 7)
+    terms = _reduced_terms(blocks, start[:, :3], start[:, 3:6], start[:, 6])
+    n_unknowns, states, loop = 7 if model == CONST_ACCEL else 6, [], []
+    for p, (batch, obj) in enumerate(zip(batches, _objectives(terms))):
+        n = len(batch)
+        state = RefineState(
+            motion=MotionEstimate(v=start[p, :3], w=start[p, 3:6], k=float(start[p, 6])),
+            inv_depths=terms.rho[p, :n], valid=terms.valid[p, :n], objective=obj,
+            start_objective=obj, n_cycles=0, converged=False, stop_reason="zero_objective",
+            polished=False, lm_iterations=0)
+        if not state.valid.any():
+            # the objective over no samples would read 0, as if the fit were exact
+            state = replace(state, objective=np.inf, start_objective=np.inf,
+                            stop_reason="no_valid_depth")
+        elif obj != 0 and (2 * n < n_unknowns or not np.isfinite(terms.r[p, :n]).all()):
+            state = replace(state, stop_reason="invalid_start")
+        elif obj != 0:
+            loop.append(p)
+        states.append(state)
+    if not loop:
+        return states
+    theta, terms, blocks = start[loop, :n_unknowns], _rows(terms, loop), _rows(blocks, loop)
+    clamped = _motion(theta)[2] != terms.k  # the loop starts at k clamped to -1.99
+    if clamped.any():
+        for x, y in zip(terms, _reduced_terms(_rows(blocks, clamped), *_motion(theta[clamped]))):
+            x[clamped] = y
+    final, n_steps, n_evals, converged = _levenberg_marquardt(theta, terms, blocks, max_cycles)
+    for i, (p, obj) in enumerate(zip(loop, _objectives(final))):
+        n, state = len(batches[p]), replace(
+            states[p], n_cycles=int(n_evals[i]), converged=bool(converged[i]),
+            lm_iterations=int(n_steps[i]), stop_reason="converged" if converged[i] else "cycle_cap")
+        if obj < state.start_objective:  # also rejects a NaN objective
+            m = MotionEstimate(v=final.v[i], w=final.w[i], k=float(final.k[i]))
+            # back to a unit v: the depths absorb the scale
+            state = replace(state, motion=m.normalized(), valid=final.valid[i, :n],
+                            inv_depths=final.rho[i, :n] * np.linalg.norm(m.v), objective=obj,
+                            polished=True)
+        states[p] = state
+    return states
+
+
+def _start(initial: MotionEstimate, model):
+    """(v, w, k) of a start with a unit v, k 0 unless the model is ca."""
+    v, n = np.asarray(initial.v, float), np.linalg.norm(initial.v)
+    k = initial.k if model == CONST_ACCEL else 0.0
+    return np.concatenate([v / n if n > 0 else v, initial.w, [k]])
 
 
 def _motion(theta):
-    """Motion of a parameter vector (v, w), or (v, w, k) for the constant
-    acceleration model; k is kept above -2."""
-    k = max(float(theta[6]), -1.99) if len(theta) == 7 else 0.0
-    return MotionEstimate(v=theta[:3], w=theta[3:6], k=k)
+    """(v, w, k) of parameter vectors theta (P, 6) of (v, w), or (P, 7) of
+    (v, w, k) for the constant acceleration model; k is kept above -2."""
+    k = np.maximum(theta[:, 6], -1.99) if theta.shape[1] == 7 else np.zeros(len(theta))
+    return theta[:, :3], theta[:, 3:6], k
 
 
-def _reduced_terms(motion: MotionEstimate, blocks: SampleBlocks):
-    """(motion, beta, q, valid, rho, r) at `motion`: the `_terms`, each
-    sample's optimal inverse depth rho with its validity (see
-    `geometry.inv_depth`), and the flow errors r = c - rho q (N, 2) with
-    rho taken as 0 where it is not valid."""
-    bt, q, c = _terms(blocks, motion)
-    rho, valid = inv_depth(q.T, c.T)
-    return motion, bt, q, valid, rho, c - np.where(valid, rho, 0.0)[:, None] * q
-
-
-def _objective(terms):
-    """Sum of the squared flow errors of the `_reduced_terms` over the
-    samples with a valid depth."""
-    _, _, _, valid, _, r = terms
-    return float(np.sum(np.sum(r ** 2, axis=1)[valid]))
-
-
-def _jacobian(theta, blocks: SampleBlocks, terms):
-    """Analytic Jacobian (2N, len(theta)) of the flow errors r, raveled, of
-    the `_reduced_terms` of theta.
+def _jacobian(theta, blocks: SampleBlocks, terms: Terms):
+    """Analytic Jacobians (P, 2N, n) of the flow errors r, raveled per
+    problem, of the `_reduced_terms` of theta (P, n).
 
     With q = beta A v, c = u - beta B w, r = c - rho q and the projection
     P = I - q q^T / (q . q), a valid sample has
@@ -191,101 +242,130 @@ def _jacobian(theta, blocks: SampleBlocks, terms):
     so dr = dc.  dq/dv = beta A, dc/dw = -beta B, and k enters through
     dbeta/dk = 2 (b - a) / (2 + k)^2.
     """
-    motion, bt, q, valid, rho, r = terms
-    # per-sample arrays carry a trailing parameter axis: (N, 2, 1)
-    rho = np.where(valid, rho, 0.0)[:, None, None]
-    q = q[..., None]
-    r = r[..., None]
+    # the columns are formed parameter axis first, (P, n, N, 2), where each
+    # operation runs over contiguous memory; per-sample arrays are (P, 1, N, 2)
+    rho = np.where(terms.valid, terms.rho, 0.0)[:, None, :, None]
+    q = terms.q[:, None]
+    r = terms.r[:, None]
 
     def dot(x, y):  # per-sample dot product over the two flow components
-        return x[:, :1] * y[:, :1] + x[:, 1:] * y[:, 1:]
+        return x[..., :1] * y[..., :1] + x[..., 1:] * y[..., 1:]
 
-    valid = valid[:, None, None]
+    valid = terms.valid[:, None, :, None]
     inv_qq = valid / np.where(valid, dot(q, q), 1.0)
 
     def columns(dq, dc):
-        """dr for derivatives dq, dc of shape (N, 2, m)."""
+        """dr for derivatives dq, dc of shape (P, m, N, 2)."""
         g = dc - rho * dq
         return g - q * (inv_qq * (dot(q, g) + dot(r, dq)))
 
-    bt = bt[:, None, None]
-    zero = np.zeros_like(blocks.A)
+    bt = terms.bt[:, None, :, None]
+    zero = np.zeros(2)
     jac = [columns(bt * blocks.A, zero), columns(zero, -bt * blocks.B)]
-    if len(theta) == 7:
+    n = theta.shape[1]
+    if n == 7:
         # dbeta/dk, zero where `_motion` clamps k to -1.99
-        dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + motion.k) ** 2 * (theta[6] > -1.99)
-        dbt = dbt[:, None, None]
-        jac.append(columns(dbt * _apply(blocks.A, motion.v)[..., None],
-                           -dbt * _apply(blocks.B, motion.w)[..., None]))
-    return np.concatenate(jac, axis=2).reshape(-1, len(theta))
+        dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + terms.k[:, None]) ** 2 * (theta[:, 6:] > -1.99)
+        dbt = dbt[:, None, :, None]
+        jac.append(columns(dbt * _apply(blocks.A, terms.v)[:, None],
+                           -dbt * _apply(blocks.B, terms.w)[:, None]))
+    jac = np.ascontiguousarray(np.moveaxis(np.concatenate(jac, axis=1), 1, -1))
+    return jac.reshape(len(theta), -1, n)
 
 
-def gauss_newton_step(J, r):
-    """Least-squares solution s of J s = r, from the normal equations.
+def _normal_equations(J, r):
+    """J^T J and J^T r of a stack J (P, M, n), r (P, M)."""
+    return np.einsum("pmi,pmj->pij", J, J), np.einsum("pmi,pm->pi", J, r)
 
-    J^T J and J^T r are formed with `einsum`, which without `optimize` never
-    calls BLAS: a BLAS product with a 2N x 7 Jacobian wakes OpenBLAS's worker
-    threads, which then spin for about 0.1 s of CPU after the call.  Forming
-    J^T J squares the condition number, so one round of iterative refinement
-    on the residual r - J s brings s back to the accuracy of `lstsq` on J.  The
-    small systems are solved with `lstsq` and its rank cutoff, not `solve`:
-    the reduced residual does not change under v -> s v, so J^T J is
-    singular along (v, 0, 0), and only the cutoff keeps the step off that
-    gauge direction.
+
+def gauss_newton_step(J, r, damping=0.0, normal=None):
+    """Least-squares solutions s (P, n) of [J; sqrt(diag(damping))] s = [r; 0]
+    for a stack J (P, M, n), r (P, M), damping (P, n) or 0, from the normal
+    equations; normal holds their `_normal_equations` if the caller has them.
+
+    `einsum` without `optimize` never calls BLAS, whose product with a 2N x 7
+    Jacobian wakes OpenBLAS's worker threads to spin for about 0.1 s of CPU.
+    With the sample axis of J before its parameter axis, `einsum` adds the
+    samples up one at a time, in order, so padding changes no bit of a step.
+    One round of iterative refinement on the residual undoes the squared
+    condition number of J^T J.  The systems are solved with one batched
+    pseudo-inverse at `lstsq`'s rank cutoff, n eps of the largest singular
+    value: the residual does not change under v -> s v, so J^T J is singular
+    along (v, 0, 0), and only the cutoff keeps the step off that gauge.
     """
-    JtJ = np.einsum("ni,nj->ij", J, J)
-    step = np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, r), rcond=None)[0]
-    rest = r - np.einsum("ni,i->n", J, step)
-    return step + np.linalg.lstsq(JtJ, np.einsum("ni,n->i", J, rest), rcond=None)[0]
+    n = J.shape[-1]
+    JtJ, Jtr = _normal_equations(J, r) if normal is None else normal
+    inverse = np.linalg.pinv(JtJ + np.asarray(damping)[..., None] * np.eye(n),
+                             rcond=n * np.finfo(float).eps)
+    step = np.einsum("pij,pj->pi", inverse, Jtr)
+    rest = np.einsum("pmi,pm->pi", J, r - np.einsum("pmi,pi->pm", J, step)) - damping * step
+    return step + np.einsum("pij,pj->pi", inverse, rest)
 
 
-def _levenberg_marquardt(theta, terms, blocks, max_evals):
-    """Marquardt's loop on the reduced cost from `theta`, whose
-    `_reduced_terms` are `terms`, then two Gauss-Newton steps if it
-    converged; returns (the `_reduced_terms` of the final theta, accepted
-    steps, cost evaluations, converged).
+def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
+    """Marquardt's loop on each problem's reduced cost from theta (P, n),
+    whose `_reduced_terms` are terms, then two Gauss-Newton steps on each
+    problem that converged; returns the `Terms` of the final thetas and, per
+    problem, its accepted steps, cost evaluations and whether it converged.
 
     A step solves [J; sqrt(lam D)] s = [r; 0], D the running maximum of
     diag(J^T J) (More, 1978); lam falls tenfold on a step that lowers the
     cost, else rises tenfold.  A step that lowers the cost by at most 1e-15
     of it, or that shrinks to 1e-15 |theta|, converges the loop; max_evals
-    cost evaluations, the start's included, stop it unconverged.  Raises
-    ValueError for non-finite start residuals or fewer residuals than
-    unknowns.
+    cost evaluations, the start's included, stop it unconverged.  A problem
+    that stops leaves the stack, whose rows are then only those that change.
     """
-    r = terms[-1].ravel()
-    if r.size < theta.size or not np.all(np.isfinite(r)):
-        raise ValueError(f"{r.size} residuals for {theta.size} unknowns, or non-finite ones")
+    final, ids = terms, np.arange(len(theta))  # final's rows are written as problems leave
+    counts = np.zeros((3, len(ids)), dtype=int)  # accepted steps, cost evaluations, converged
+    steps, evals, converged = (np.full(len(ids), x) for x in (0, 1, False))
     J = _jacobian(theta, blocks, terms)
-    D, cost, lam = np.sum(J * J, axis=0), np.sum(r * r), 1e-3
-    n_evals, n_steps, converged = 1, 0, False
-    while n_evals < max_evals and not converged:
+    JtJ, Jtr = _normal_equations(J, _flat(terms.r))
+    D, cost, lam = JtJ.diagonal(0, 1, 2).copy(), _cost(terms), np.full(len(ids), 1e-3)
+    while True:
+        done = converged | (evals >= max_evals)
+        if done.any():
+            # steps taken only on a decrease the rounded cost resolves leave the
+            # flat translation/rotation valley settled to about 1e-9; Gauss-Newton
+            # steps compare no costs, and two of them reach the stationary point
+            # to about 1e-12, so that refits of nearly equal flows agree
+            rows = np.flatnonzero(converged)
+            if rows.size:
+                sub = _rows(blocks, rows)
+                at = theta[rows] - gauss_newton_step(J[rows], _flat(terms.r[rows]),
+                                                     normal=(JtJ[rows], Jtr[rows]))
+                at_terms = _reduced_terms(sub, *_motion(at))
+                at -= gauss_newton_step(_jacobian(at, sub, at_terms), _flat(at_terms.r))
+                for x, y in zip(terms, _reduced_terms(sub, *_motion(at))):
+                    x[rows] = y
+            for x, y in zip((*final, *counts), (*terms, steps, evals, converged)):
+                x[ids[done]] = y[done]
+            keep = ~done
+            ids, theta, J, JtJ, Jtr, D, cost, lam, steps, evals, converged = (
+                x[keep] for x in (ids, theta, J, JtJ, Jtr, D, cost, lam, steps, evals, converged))
+            terms, blocks = _rows(terms, keep), _rows(blocks, keep)
+        if not ids.size:
+            return final, counts[0], counts[1], counts[2].astype(bool)
         # D is 0 on a column that never moves the residual, k at gamma = 0:
         # only the rank cutoff of `gauss_newton_step` keeps that k fixed
-        step = gauss_newton_step(np.vstack([J, np.diag(np.sqrt(lam * D))]),
-                                 np.concatenate([r, np.zeros(theta.size)]))
-        trial_terms = _reduced_terms(_motion(theta - step), blocks)
-        trial_r = trial_terms[-1].ravel()
-        trial_cost, n_evals = np.sum(trial_r * trial_r), n_evals + 1
-        if trial_cost < cost:
-            converged = cost - trial_cost <= 1e-15 * cost
-            theta, terms, r, cost = theta - step, trial_terms, trial_r, trial_cost
-            J = _jacobian(theta, blocks, terms)
-            D = np.maximum(D, np.sum(J * J, axis=0))
-            lam, n_steps = lam / 10.0, n_steps + 1
-        else:
-            lam *= 10.0
-        converged |= np.linalg.norm(step) <= 1e-15 * np.linalg.norm(theta)
-    if converged:
-        # steps taken only on a decrease the rounded cost resolves leave the
-        # flat translation/rotation valley settled to about 1e-9; Gauss-Newton
-        # steps compare no costs, and two of them reach the stationary point
-        # to about 1e-12, so that refits of nearly equal flows agree
-        theta = theta - gauss_newton_step(J, r)
-        terms = _reduced_terms(_motion(theta), blocks)
-        theta = theta - gauss_newton_step(_jacobian(theta, blocks, terms), terms[-1].ravel())
-        terms = _reduced_terms(_motion(theta), blocks)
-    return terms, n_steps, n_evals, bool(converged)
+        step = gauss_newton_step(J, _flat(terms.r), lam[:, None] * D, (JtJ, Jtr))
+        trial = theta - step
+        trial_terms = _reduced_terms(blocks, *_motion(trial))
+        trial_cost = _cost(trial_terms)
+        evals += 1
+        better = trial_cost < cost
+        converged = better & (cost - trial_cost <= 1e-15 * cost)
+        lam = np.where(better, lam / 10.0, lam * 10.0)
+        if better.any():
+            trial_J = _jacobian(trial, blocks, trial_terms)
+            new = (trial, trial_cost, trial_J, *_normal_equations(trial_J, _flat(trial_terms.r)))
+            if better.all():  # no row to keep: take the trial's arrays
+                (theta, cost, J, JtJ, Jtr), terms = new, trial_terms
+            else:
+                for x, y in zip((theta, cost, J, JtJ, Jtr, *terms), (*new, *trial_terms)):
+                    x[better] = y[better]
+            steps += better
+            D = np.maximum(D, JtJ.diagonal(0, 1, 2))
+        converged |= np.sum(step * step, axis=1) <= 1e-30 * np.sum(theta * theta, axis=1)
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):

@@ -337,7 +337,7 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     )
 
 
-def refit_trimmed(samples, result: RansacResult, model: str, config: CameraConfig | None):
+def refit_trimmed(samples, result, model: str, config: CameraConfig | None):
     """Nonlinear refit on the best-scoring half of the inlier set.
 
     Samples just under the threshold can be geometrically consistent with
@@ -346,13 +346,25 @@ def refit_trimmed(samples, result: RansacResult, model: str, config: CameraConfi
     a full-inlier refit.  Trimming to the best half (by residual
     under the selected hypothesis) drops them; with genuinely noisy data
     this is an ordinary trimmed least-squares refit.
-    """
-    from .refine import refine
 
+    samples, result and config may also be equal-length sequences, one
+    entry per problem: the refits then run as one `refine.refine_stack`,
+    and a list of their states comes back.
+    """
+    from .refine import refine, refine_stack
+
+    if isinstance(result, RansacResult):
+        return refine(*_trimmed(samples, result, model), config, model)
+    return refine_stack([(*_trimmed(s, r, model), c)
+                         for s, r, c in zip(samples, result, config, strict=True)], model)
+
+
+def _trimmed(samples, result: RansacResult, model):
+    """The best-scoring half of the inlier set of a RANSAC result, and its motion."""
     idx = result.inliers
     order = np.argsort(result.residuals[idx], kind="stable")
     n_keep = max(MINIMAL_SIZE[model], int(round(0.5 * len(idx))))
-    return refine(FlowBatch.of(samples)[idx[order[:n_keep]]], result.motion, config, model)
+    return FlowBatch.of(samples)[idx[order[:n_keep]]], result.motion
 
 
 def forward_backward_error(forward, backward):

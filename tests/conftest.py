@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,13 @@ def gross_outlier(sample, rng, min_dist=0.005):
         u = rng.uniform(-0.06, 0.06, 2)
         if np.linalg.norm(u - sample.u) > min_dist:
             return FlowSample(x=sample.x, u=u, y1=sample.y1, y2=sample.y2)
+
+
+def cpu_per_wall(run, repeats):
+    """process_time over wall time of repeated run() calls, measured after
+    a pause in which BLAS worker threads woken before it go idle."""
+    time.sleep(0.3)
+    cpu, wall = time.process_time(), time.perf_counter()
+    for _ in range(repeats):
+        run()
+    return (time.process_time() - cpu) / (time.perf_counter() - wall)

@@ -68,11 +68,17 @@ def s_to_vech(s):
     return np.array([s[i, j] for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]])
 
 
+def motion_stack(motion):
+    """(v, w, k) of a motion as a stack of one, as the refine kernels take it."""
+    return motion.v[None], motion.w[None], np.array([float(motion.k)])
+
+
 def refine_objective(samples, motion, config, model=CONST_ACCEL):
     """The objective of `refine` at `motion`: each sample's optimal inverse
     depth, its squared flow error summed over the two components, and the
     sum over the samples with a valid depth."""
-    _, q, c = _terms(SampleBlocks.build(samples, config, model), motion)
+    _, q, c = (x[0] for x in _terms(SampleBlocks.of([(samples, config)], model),
+                                    *motion_stack(motion)))
     rho, valid = inv_depth(q.T, c.T)
     errs = np.sum((c - np.where(valid, rho, 0.0)[:, None] * q) ** 2, axis=1)
     return float(np.sum(errs[valid]))

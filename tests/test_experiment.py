@@ -26,7 +26,7 @@ def test_run_cell_drops_library_failures(monkeypatch, caplog):
     def no_model(*args, **kwargs):
         raise RobustFailure("no RANSAC iteration produced a valid model")
 
-    monkeypatch.setattr(experiment, "estimate_motion", no_model)
+    monkeypatch.setattr(experiment, "ransac", no_model)
     with caplog.at_level(logging.INFO, logger=experiment.logger.name):
         t_err, r_err, n = run_cell(small_config())
     assert n == 0 and np.isnan(t_err) and np.isnan(r_err)
@@ -44,11 +44,20 @@ def test_run_cell_counts_scenes_with_too_few_samples(caplog):
     assert "{'too_few_samples': 2}" in record.getMessage()
 
 
+def test_run_cell_logs_why_its_refits_stopped(caplog):
+    cfg = dataclasses.replace(small_config(), use_refine=True, ransac_iters=50)
+    with caplog.at_level(logging.INFO, logger=experiment.logger.name):
+        _, _, n = run_cell(cfg)
+    [record] = [r for r in caplog.records if r.name == experiment.logger.name]
+    assert n == 2 and "2 of 2 trials kept" in record.getMessage()
+    assert "refits {'converged': 2} in " in record.getMessage()
+
+
 def test_run_cell_propagates_program_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a library failure")
 
-    monkeypatch.setattr(experiment, "estimate_motion", broken)
+    monkeypatch.setattr(experiment, "ransac", broken)
     with pytest.raises(TypeError):
         run_cell(small_config())
 

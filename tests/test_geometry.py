@@ -21,7 +21,14 @@ from rsdiffsfm.geometry import (
 from rsdiffsfm.refine import SampleBlocks, _reduced_terms, dense_depth
 from rsdiffsfm.robust import score_motion
 
-from oracles import epipolar_residual, log_so3, project_flow, s_to_vech, symmetric_s
+from oracles import (
+    epipolar_residual,
+    log_so3,
+    motion_stack,
+    project_flow,
+    s_to_vech,
+    symmetric_s,
+)
 
 finite = st.floats(-1.0, 1.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -132,7 +139,8 @@ def test_flow_model_consumers_agree(pixels, v, w, k):
         field[r, c] = fx_px, fy_px
         samples.append(FlowSample(x=cam.pixel_to_normalized(float(c), float(r)),
                                   u=[fx_px / cam.fx, fy_px / cam.fy], y1=float(r), y2=r + fy_px))
-    _, _, _, valid, rho, _ = _reduced_terms(motion, SampleBlocks.build(samples, cam))
+    terms = _reduced_terms(SampleBlocks.of([(samples, cam)]), *motion_stack(motion))
+    valid, rho = terms.valid[0], terms.rho[0]
     depth, dense_valid = dense_depth(field, motion, cam)
     g = cam.gamma / cam.h
     for i, (s, (c, r, _, _)) in enumerate(zip(samples, pixels)):

@@ -22,17 +22,18 @@ from rsdiffsfm.refine import (
     _terms,
     dense_depth,
     gauss_newton_step,
+    refine_stack,
 )
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
-from conftest import gross_outlier, make_spec
-from oracles import mgrid_dense_depth, refine_objective
+from conftest import cpu_per_wall, gross_outlier, make_spec
+from oracles import mgrid_dense_depth, motion_stack, refine_objective
 
 
 def blocks_for(camera, seed=0, k=0.1, n=40):
     spec = make_spec(camera, n_points=n, k=k, seed=seed)
     samples, gt = generate_linearized(spec)
-    return SampleBlocks.build(samples, camera), samples, gt
+    return SampleBlocks.of([(samples, camera)]), samples, gt
 
 
 def start_objective(samples, start, camera, model=CONST_ACCEL):
@@ -45,13 +46,13 @@ def start_objective(samples, start, camera, model=CONST_ACCEL):
 
 def residual_vector(theta, blocks):
     """The flow errors (2N,) that the Levenberg-Marquardt loop minimizes at
-    motion `theta`."""
-    return _reduced_terms(_motion(theta), blocks)[-1].ravel()
+    motion `theta`, for the stack of one problem `blocks`."""
+    return _reduced_terms(blocks, *_motion(theta[None])).r.ravel()
 
 
 def jacobian(theta, blocks):
-    """The loop's analytic Jacobian of `residual_vector` at `theta`."""
-    return _jacobian(theta, blocks, _reduced_terms(_motion(theta), blocks))
+    """The loop's analytic Jacobian (2N, n) of `residual_vector` at `theta`."""
+    return _jacobian(theta[None], blocks, _reduced_terms(blocks, *_motion(theta[None])))[0]
 
 
 def test_objective_zero_at_truth(camera):
@@ -59,16 +60,16 @@ def test_objective_zero_at_truth(camera):
     true motion and depths."""
     blocks, _, gt = blocks_for(camera)
     rho = 1.0 / gt.depths
-    _, q, c = _terms(blocks, gt.motion)
-    assert np.sum((c - rho[:, None] * q) ** 2) < 1e-28
+    _, q, c = _terms(blocks, *motion_stack(gt.motion))
+    assert np.sum((c[0] - rho[:, None] * q[0]) ** 2) < 1e-28
 
 
 def test_update_depths_recover_truth(camera):
     """The closed-form inverse depths of the refinement are the true ones."""
     blocks, _, gt = blocks_for(camera, seed=2)
-    _, _, _, valid, rho, _ = _reduced_terms(gt.motion, blocks)
-    assert valid.all()
-    assert np.max(np.abs(rho - 1.0 / gt.depths)) < 1e-10
+    terms = _reduced_terms(blocks, *motion_stack(gt.motion))
+    assert terms.valid.all()
+    assert np.max(np.abs(terms.rho[0] - 1.0 / gt.depths)) < 1e-10
 
 
 def test_refine_monotone_and_converges(camera):
@@ -113,30 +114,117 @@ def test_refine_cv_model_keeps_k_zero(camera):
 
 
 def test_polish_failure_keeps_descent_result(camera, monkeypatch):
-    """A ValueError from the Levenberg-Marquardt loop returns the start,
-    reported as an invalid start; any other error propagates."""
+    """A start with a non-finite residual returns the start, reported as an
+    invalid start; an error raised in the Levenberg-Marquardt loop
+    propagates."""
     refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=30, k=0.1, seed=11)
-    samples, gt = generate_linearized(spec)
+    clean, gt = generate_linearized(spec)
+    batch = FlowBatch.of(clean)
+    u = batch.u.copy()
+    u[4] = np.nan  # no valid depth there, and a NaN flow error
+    samples = FlowBatch(x=batch.x, u=u, y1=batch.y1, y2=batch.y2)
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w, k=0.0)
-
-    def raising(exc):
-        def levenberg_marquardt(*args, **kwargs):
-            raise exc
-        return levenberg_marquardt
-
-    monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(ValueError("non-finite")))
     state = refine(samples, start, camera, CONST_ACCEL)
     assert (state.stop_reason, state.polished, state.n_cycles) == ("invalid_start", False, 0)
     assert state.objective == start_objective(samples, start, camera) > 0
     normalized = start.normalized()
     for field in ("v", "w", "k"):
         assert np.array_equal(getattr(state.motion, field), getattr(normalized, field))
-    rho = _reduced_terms(normalized, SampleBlocks.build(samples, camera))[4]
+    rho = _reduced_terms(SampleBlocks.of([(samples, camera)]), *motion_stack(normalized)).rho[0]
     assert np.array_equal(state.inv_depths, rho, equal_nan=True)
-    monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising(TypeError("bad call")))
+
+    def raising(*args, **kwargs):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(refine_module, "_levenberg_marquardt", raising)
     with pytest.raises(TypeError):
-        refine(samples, start, camera, CONST_ACCEL)
+        refine(clean, start, camera, CONST_ACCEL)
+
+
+def assert_same_state(a, b):
+    """Two refine states are equal, bit for bit."""
+    for field in ("v", "w"):
+        assert np.array_equal(getattr(a.motion, field), getattr(b.motion, field))
+    assert a.motion.k == b.motion.k
+    assert np.array_equal(a.inv_depths, b.inv_depths, equal_nan=True)
+    assert np.array_equal(a.valid, b.valid)
+    fields = ("objective", "start_objective", "n_cycles", "lm_iterations", "converged",
+              "stop_reason", "polished")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+@pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
+def test_stacked_refits_equal_refits_alone(camera, model):
+    """In one stack padded to its largest problem, each problem gets the
+    state `refine` gives it alone, bit for bit: noisy problems of 25 to 60
+    samples (one ca start below the k bound), too few samples for the
+    unknowns, a reversed translation and an exact fit without a camera."""
+    problems = []
+    for seed, n, k in ((5, 40, 0.0), (6, 25, -1.995), (7, 60, 0.0)):
+        spec = make_spec(camera, n_points=n, k=0.1 if model == CONST_ACCEL else 0.0, seed=seed)
+        clean, gt = generate_discrete(spec, model)
+        rng = np.random.default_rng(seed)
+        start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                               w=gt.motion.w + 0.005 * rng.normal(size=3), k=k)
+        problems.append((with_noise(clean, camera, 0.5, rng), start, camera))
+    few = problems[0][0][:3 if model == CONST_ACCEL else 2]
+    flipped = MotionEstimate(v=-gt.motion.v, w=gt.motion.w, k=0.1)
+    m = np.random.default_rng(0).uniform(-0.3, 0.3, (10, 2))
+    exact = FlowBatch(x=m / 2, u=m, y1=np.zeros(10), y2=np.zeros(10))
+    forward = MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0)
+    problems[1:1] = [(few, problems[0][1], camera), (problems[2][0], flipped, camera),
+                     (exact, forward, None)]
+    stacked = refine_stack(problems, model)
+    assert [s.stop_reason for s in stacked] == [
+        "converged", "invalid_start", "no_valid_depth", "zero_objective", "converged", "converged"]
+    for state, (samples, start, config) in zip(stacked, problems, strict=True):
+        assert_same_state(state, refine(samples, start, config, model))
+
+
+def test_refit_trimmed_on_sequences_equals_single_refits(camera):
+    """Equal-length sequences of samples, results and cameras give the list
+    of the single refits' states, bit for bit, from one stack."""
+    batches, results, cameras = [], [], []
+    for seed, gamma in ((1, 0.8), (2, 0.4), (3, 1.0)):
+        cam = CameraConfig(gamma=gamma, h=camera.h, fx=camera.fx, fy=camera.fy, cx=camera.cx,
+                           cy=camera.cy, width=camera.width)
+        clean, _ = generate_discrete(make_spec(cam, n_points=60 + 30 * seed, k=0.1, seed=seed))
+        rng = np.random.default_rng(seed)
+        samples = [gross_outlier(s, rng) if i % 4 == 0 else s for i, s in enumerate(clean)]
+        batches.append(with_noise(samples, cam, 0.05, rng))
+        rc = RansacConfig(iterations=50, seed=seed)
+        results.append(ransac(batches[-1], CONST_ACCEL, cam, rc))
+        cameras.append(cam)
+    states = refit_trimmed(batches, results, CONST_ACCEL, cameras)
+    assert len(states) == 3 and all(s.polished for s in states)
+    for state, batch, result, cam in zip(states, batches, results, cameras):
+        assert_same_state(state, refit_trimmed(batch, result, CONST_ACCEL, cam))
+    with pytest.raises(ValueError):
+        refit_trimmed(batches, results[:2], CONST_ACCEL, cameras)
+
+
+def test_stacked_refits_run_on_one_thread(camera):
+    """Every product of the stacked loop is an `einsum` or a batched
+    pseudo-inverse of 6 x 6 or 7 x 7 systems, too small to wake OpenBLAS's
+    worker threads: a stack of the readout sweep's shape (200 cv problems of
+    50 samples) and one 2000-sample ca refit use no more CPU time than wall
+    time, within 1.5x."""
+    problems = []
+    for seed in range(200):
+        clean, gt = generate_discrete(make_spec(camera, n_points=50, seed=seed), CONST_VELOCITY)
+        rng = np.random.default_rng(seed)
+        start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                               w=gt.motion.w + 0.005 * rng.normal(size=3))
+        problems.append((with_noise(clean, camera, 0.5, rng), start, camera))
+    assert cpu_per_wall(lambda: refine_stack(problems, CONST_VELOCITY), 2) <= 1.5
+    clean, gt = generate_discrete(make_spec(camera, n_points=2000, k=0.1, seed=1), CONST_ACCEL)
+    rng = np.random.default_rng(1)
+    samples = with_noise(clean, camera, 0.5, rng)
+    start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                           w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
+    assert refine(samples, start, camera, CONST_ACCEL).polished
+    assert cpu_per_wall(lambda: refine(samples, start, camera, CONST_ACCEL), 3) <= 1.5
 
 
 def test_dense_depth_invalid_pixels(camera):
@@ -209,11 +297,11 @@ def test_reduced_jacobian_matches_central_differences(camera, model):
     u = batch.u.copy()
     # random flows on a fifth of the samples put some behind the camera
     u[::5] = np.random.default_rng(0).uniform(-0.06, 0.06, u[::5].shape)
-    blocks = SampleBlocks.build(FlowBatch(x=batch.x, u=u, y1=batch.y1, y2=batch.y2), camera, model)
+    blocks = SampleBlocks.of([(FlowBatch(x=batch.x, u=u, y1=batch.y1, y2=batch.y2), camera)], model)
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w - 0.002,
                            k=0.15 if model == CONST_ACCEL else 0.0)
     theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
-    valid = _reduced_terms(start, blocks)[3]
+    valid = _reduced_terms(blocks, *motion_stack(start)).valid[0]
     assert 0 < np.count_nonzero(~valid) < len(valid) // 2
     jac = jacobian(theta, blocks)
     assert jac.shape == (2 * len(valid), 7 if model == CONST_ACCEL else 6)
@@ -285,9 +373,9 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
         assert refine(inliers, result.motion, camera, model).polished
         start = result.motion.normalized()  # the theta the refit starts from
         theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
-        blocks = SampleBlocks.build(inliers, camera, model)
+        blocks = SampleBlocks.of([(inliers, camera)], model)
         J, r = jacobian(theta, blocks), residual_vector(theta, blocks)
-        step = gauss_newton_step(J, r)
+        step = gauss_newton_step(J[None], r[None])[0]
         expected = np.linalg.lstsq(J, r, rcond=None)[0]
         assert np.linalg.norm(step - expected) < 1e-12 * np.linalg.norm(expected)
         assert abs(step[:3] @ start.v) < 1e-12 * np.linalg.norm(step)
@@ -295,6 +383,11 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
 
 def motion_key(motion):
     return motion.v.tobytes(), motion.w.tobytes(), motion.k
+
+
+def row_keys(v, w, k):
+    """The `motion_key` of each motion of a stack."""
+    return [(v[p].tobytes(), w[p].tobytes(), float(k[p])) for p in range(len(k))]
 
 
 @pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
@@ -313,13 +406,15 @@ def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
     keys = []  # the motion of each `_terms` call, as bytes
     terms, jacobian = refine_module._terms, refine_module._jacobian
 
-    def recording_terms(blocks, motion):
-        keys.append(motion_key(motion))
-        return terms(blocks, motion)
+    def recording_terms(blocks, v, w, k):
+        keys.extend(row_keys(v, w, k))
+        return terms(blocks, v, w, k)
 
     def checking_jacobian(theta, blocks, theta_terms):
         # formed from the terms of its own theta, computed before
-        assert motion_key(theta_terms[0]) == motion_key(_motion(theta)) in keys
+        expected = row_keys(*_motion(theta))
+        for key, own in zip(row_keys(*theta_terms[:3]), expected, strict=True):
+            assert key == own in keys
         return jacobian(theta, blocks, theta_terms)
 
     monkeypatch.setattr(refine_module, "_terms", recording_terms)
@@ -373,6 +468,6 @@ def test_ca_refine_from_k_near_its_bound(camera):
     assert state.motion.k == -1.99 and state.objective < min(state.start_objective, clamped)
     assert state.objective == pytest.approx(
         refine_objective(samples, state.motion, camera), rel=1e-12)
-    _, _, _, valid, rho, _ = _reduced_terms(state.motion, SampleBlocks.build(samples, camera))
-    assert np.array_equal(state.valid, valid)
-    assert np.allclose(state.inv_depths, rho, rtol=1e-12, atol=0.0, equal_nan=True)
+    terms = _reduced_terms(SampleBlocks.of([(samples, camera)]), *motion_stack(state.motion))
+    assert np.array_equal(state.valid, terms.valid[0])
+    assert np.allclose(state.inv_depths, terms.rho[0], rtol=1e-12, atol=0.0, equal_nan=True)

@@ -1,6 +1,5 @@
 import dataclasses
 import logging
-import time
 import tracemalloc
 
 import numpy as np
@@ -47,7 +46,7 @@ from rsdiffsfm.gs_solver import solve_gs
 from rsdiffsfm.rs_solvers import solve_const_accel, solve_const_velocity, solve_stack
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER
 
-from conftest import gross_outlier, make_spec
+from conftest import cpu_per_wall, gross_outlier, make_spec
 
 
 def contaminated_scene(camera, seed, n_points=60, n_out=18, k=0.0):
@@ -315,16 +314,6 @@ def test_score_block_matches_score_motion(camera):
         np.testing.assert_allclose(sums[i], np.sum(errs[inl]), rtol=1e-12,
                                    atol=1e-15 * counts[i] * (1 + np.linalg.norm(hyps.w[i])))
     assert np.max(counts) > 0.5 * len(batch)  # the block holds a good hypothesis
-
-
-def cpu_per_wall(score, repeats):
-    """process_time over wall time of repeated score() calls, measured after
-    a pause in which BLAS worker threads woken before it go idle."""
-    time.sleep(0.3)
-    cpu, wall = time.process_time(), time.perf_counter()
-    for _ in range(repeats):
-        score()
-    return (time.process_time() - cpu) / (time.perf_counter() - wall)
 
 
 def test_scoring_runs_on_one_thread(camera):
