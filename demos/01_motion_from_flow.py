@@ -33,7 +33,7 @@ print(f"truth: v dir {gt.motion.v / np.linalg.norm(gt.motion.v)}, w {gt.motion.w
 est_gs = solve_gs(samples[:8])
 est_cv = solve_const_velocity(samples[:8], camera)
 cands = solve_const_accel(samples, camera)
-est_ca = min(cands, key=lambda c: abs(c.k - gt.motion.k)).motion
+est_ca = min(cands, key=lambda c: abs(c.k - gt.motion.k))
 
 print(f"\n{'model':<6} {'v err (deg)':>12} {'w err (deg)':>12} {'k':>8}")
 for name, est in [("gs", est_gs), ("cv", est_cv), ("ca", est_ca)]:

@@ -1,79 +1,26 @@
-"""Linear 8-point global-shutter differential pose solver.
+"""Global-shutter constraint rows and motion recovery.
 
 Each flow measurement gives one linear constraint z . e = 0 on the stacked
-unknown e = [v; vech(s)].  e is solved by SVD and (v, w) recovered from it;
-the sign of v is fixed by positive-depth voting.
-
-The kernels solve a stack of S sample subsets at once (a `FlowBatch` with
-leading shape (S, m)); `solve_gs` is their S = 1 case.
+unknown e = [v; vech(s)]: `gs_rows`.  (v, w) is recovered from a solved e
+and the sign of v fixed by positive-depth voting: `recover_stack`, for a
+stack of S sample subsets at once (a `FlowBatch` with leading shape (S, m)).
+`rs_solvers.solve_stack` solves e for every model; `solve_gs` is its
+global-shutter case for one subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateConfiguration
 from .geometry import (
+    GLOBAL_SHUTTER,
     FlowBatch,
     MotionEstimate,
-    canonicalize_e,
     depth_terms,
     inv_depth,
     matrices_ab,
     midpoint,
 )
-
-RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class Hypotheses:
-    """Motion hypotheses solved from a stack of S sample subsets.
-
-    Hypothesis i has translation v[i] (H, 3), rotation w[i] (H, 3),
-    acceleration factor k[i], reliability flag v_reliable[i] and the
-    smallest singular value sigma[i] of its constraint system (0 where the
-    solver has none); it was solved from subset `subset[i]`.  Hypotheses
-    come in subset order, those of one subset in ascending k.  `failures`
-    maps each subset that gave no hypothesis to the error it failed with.
-    """
-
-    v: np.ndarray
-    w: np.ndarray
-    k: np.ndarray
-    v_reliable: np.ndarray
-    sigma: np.ndarray
-    subset: np.ndarray
-    failures: dict
-
-    def __len__(self):
-        return len(self.k)
-
-    def motion(self, i) -> MotionEstimate:
-        return MotionEstimate(v=self.v[i], w=self.w[i], k=float(self.k[i]),
-                              v_reliable=bool(self.v_reliable[i]))
-
-    def motions(self):
-        """The hypotheses of a one-subset stack; raises the subset's failure."""
-        if self.failures:
-            raise self.failures[0]
-        return [self.motion(i) for i in range(len(self))]
-
-    @classmethod
-    def merge(cls, parts):
-        """The hypotheses of a stack, in subset order, from parts (index,
-        hyps) with hyps solved from stack[index] for disjoint index arrays."""
-        subset = np.concatenate([index[h.subset] for index, h in parts])
-        order = np.argsort(subset, kind="stable")
-        merged = {int(index[j]): exc for index, h in parts for j, exc in h.failures.items()}
-
-        def cat(name):
-            return np.concatenate([getattr(h, name) for _, h in parts])[order]
-
-        return cls(v=cat("v"), w=cat("w"), k=cat("k"), v_reliable=cat("v_reliable"),
-                   sigma=cat("sigma"), subset=subset[order], failures=merged)
 
 
 def gs_rows(samples):
@@ -98,25 +45,6 @@ def unit_rows(Z):
     norms = np.linalg.norm(Z, axis=-1, keepdims=True)
     norms[norms < 1e-300] = 1.0
     return Z / norms
-
-
-def epipolar_stack(stack):
-    """Least-squares epipolar vectors of a (S, m) stack, m >= 8.
-
-    Returns (E, failures): E (S, 9) canonical unit vectors and failures the
-    DegenerateConfiguration of each subset whose system has rank below 8.
-    """
-    n, m = stack.y1.shape
-    if m < 8:
-        exc = DegenerateConfiguration(f"need at least 8 samples, got {m}")
-        return np.zeros((n, 9)), dict.fromkeys(range(n), exc)
-    _, sv, Vt = np.linalg.svd(unit_rows(gs_rows(stack)), full_matrices=True)
-    failures = {
-        int(j): DegenerateConfiguration(
-            f"stacked system rank below 8 (sigma_8/sigma_1 = {sv[j, 7] / sv[j, 0]:.2e})")
-        for j in np.flatnonzero(sv[:, 7] <= RANK_TOL * sv[:, 0])
-    }
-    return canonicalize_e(Vt[:, 8]), failures
 
 
 def _w_from_s(v, s_vech):
@@ -181,18 +109,8 @@ def _fit_rotation_only(samples):
     return (np.linalg.pinv(B) @ samples.u.reshape(*B.shape[:-1], 1))[..., 0]
 
 
-def solve_gs_stack(stack) -> Hypotheses:
-    """Global-shutter hypotheses of a (S, m) stack, one per solvable subset."""
-    E, failures = epipolar_stack(stack)
-    keep = np.ones(len(stack), dtype=bool)
-    keep[list(failures)] = False
-    ok = np.flatnonzero(keep)
-    v, w, reliable = recover_stack(E[ok], stack[ok])
-    zeros = np.zeros(len(ok))
-    return Hypotheses(v=v, w=w, k=zeros, v_reliable=reliable, sigma=zeros, subset=ok,
-                      failures=failures)
-
-
 def solve_gs(samples) -> MotionEstimate:
     """Full global-shutter pipeline: linear solve plus motion recovery."""
-    return solve_gs_stack(FlowBatch.of(samples)[np.newaxis]).motions()[0]
+    from .rs_solvers import _solve_one
+
+    return _solve_one(samples, None, GLOBAL_SHUTTER).motions()[0]

@@ -1,19 +1,18 @@
-"""Rolling-shutter minimal solvers.
+"""Minimal solvers of all three motion models.
 
 The models differ only in the scanline factor beta(a, b, k) of each
 sample, whose coefficients (a, b) `geometry.scanline_ab` gives per model;
 `solve_stack` solves a stack of subsets from its flows and coefficients.
 
+Cleared of the (2 + k) denominator of beta, the constraint of each sample
+is affine in the acceleration factor k: Z(k) = R0 + k R1 (`affine_rows`).
 Where b = a (global shutter, constant velocity, and constant acceleration
-when beta does not depend on k) every flow vector is rescaled by a, after
-which the global-shutter 8-point solver applies unchanged, with k = 0.
-
-Otherwise the constraint of each of 9 samples is affine in the
-acceleration factor k once the rational scanline factor beta(k) is cleared
-of its (2 + k) denominator.  Stacking gives a 9x9 matrix Z(k) whose
-determinant must vanish; det Z(k) carries a structural (2 + k)^3 factor
-(one per translation column) and deflating it leaves a degree-6 polynomial
-whose real roots are the candidate k values.
+when beta does not depend on k) Z(k) = (2 + k) Z(0), so every k has the
+null vector of Z(0): the differential 8-point system of the flows scaled
+by 1/a, solved with k = 0.  Otherwise 9 samples stack to a 9x9 matrix Z(k)
+whose determinant must vanish; det Z(k) carries a structural (2 + k)^3
+factor (one per translation column) and deflating it leaves a degree-6
+polynomial whose real roots are the candidate k values.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev, polynomial as npoly
 
-from .errors import NoRealSolution
+from .errors import DegenerateConfiguration, NoRealSolution
 from .geometry import (
     CONST_ACCEL,
     CONST_VELOCITY,
@@ -34,10 +33,11 @@ from .geometry import (
     canonicalize_e,
     scanline_ab,
 )
-from .gs_solver import Hypotheses, gs_rows, recover_stack, solve_gs_stack, unit_rows
+from .gs_solver import gs_rows, recover_stack, unit_rows
 
 # the admissible acceleration factors (lo, hi]
 ROOT_WINDOW = (-2.0, 10.0)
+RANK_TOL = 1e-10
 
 # det M(k) is sampled at 9 Chebyshev nodes; this fixed (7, 9) map takes the
 # samples to the power-basis coefficients of their degree-6 Chebyshev fit.
@@ -49,31 +49,86 @@ _NODES_TO_COEFFS = np.column_stack(
 ) @ (chebyshev.chebvander(_NODES, 6).T * np.r_[1.0, np.full(6, 2.0)][:, None] / 9)
 
 
+@dataclass(frozen=True, eq=False)
+class Hypotheses:
+    """Motion hypotheses solved from a stack of S sample subsets.
+
+    Hypothesis i has translation v[i] (H, 3), rotation w[i] (H, 3),
+    acceleration factor k[i] and reliability flag v_reliable[i]; it was
+    solved from subset `subset[i]`.  Hypotheses come in subset order, those
+    of one subset in ascending k.  `failures` maps each subset that gave no
+    hypothesis to the error it failed with.
+    """
+
+    v: np.ndarray
+    w: np.ndarray
+    k: np.ndarray
+    v_reliable: np.ndarray
+    subset: np.ndarray
+    failures: dict
+
+    def __len__(self):
+        return len(self.k)
+
+    def motion(self, i) -> MotionEstimate:
+        return MotionEstimate(v=self.v[i], w=self.w[i], k=float(self.k[i]),
+                              v_reliable=bool(self.v_reliable[i]))
+
+    def motions(self):
+        """The hypotheses of a one-subset stack; raises the subset's failure."""
+        if self.failures:
+            raise self.failures[0]
+        return [self.motion(i) for i in range(len(self))]
+
+
 def solve_stack(stack, a, b) -> Hypotheses:
     """Hypotheses of a (S, m) stack whose samples have the beta coefficients
     a, b (S, m) of `scanline_ab`: in subset order, those of one subset in
     ascending k.
 
-    A subset on which beta does not depend on k (b = a) gets the
-    global-shutter solution of its flows scaled by 1/a, with k = 0.  Any
-    other subset needs m = 9 and gets one hypothesis per admissible root of
-    its determinant polynomial: the batched form of `det_polynomial` and
-    `DetPolynomial.real_roots` (which stay as the reference), with det M(k)
-    at the Chebyshev nodes, one fixed map to the coefficients, the roots as
-    companion-matrix eigenvalues and one SVD per root for the null vector.
+    Each subset gives candidate k values: 0 where beta does not depend on
+    k (b = a), which needs m >= 8 and a system of rank 8; otherwise, with
+    m = 9, the admissible roots of its determinant polynomial (the batched
+    form of `det_polynomial` and `DetPolynomial.real_roots`, which stay as
+    the reference: det M(k) at the Chebyshev nodes, one fixed map to the
+    coefficients and the roots as companion-matrix eigenvalues).  Every
+    candidate takes its null vector from one SVD of its rows Z(k) and its
+    motion from `recover_stack` against the flows scaled by 1/beta(k).
     """
+    n, m = stack.y1.shape
     flat = np.max(np.abs(b - a), axis=-1) < 1e-12
-    if not flat.all() and stack.y1.shape[-1] != 9:
-        raise ValueError(f"the 9-point solver needs exactly 9 samples, got {stack.y1.shape[-1]}")
-    # a RANSAC block usually has subsets of one kind only: skip the other solver
-    parts = []
-    if flat.any():
-        index = np.flatnonzero(flat)
-        parts.append((index, solve_gs_stack(stack[index].rescaled(a[index]))))
+    if not flat.all() and m != 9:
+        raise ValueError(f"the 9-point solver needs exactly 9 samples, got {m}")
+    R0, R1 = affine_rows(stack, a, b)
+    candidates = np.full((n, 6), np.nan)  # ascending, NaN-padded
+    if m >= 8:
+        candidates[flat, 0] = 0.0
     if not flat.all():
-        index = np.flatnonzero(~flat)
-        parts.append((index, _accel_roots(stack[index], a[index], b[index])))
-    return Hypotheses.merge(parts)
+        candidates[~flat] = _real_roots(_det_coefficients(R0[~flat], R1[~flat]))
+    failures = {
+        int(j): DegenerateConfiguration(f"need at least 8 samples, got {m}") if flat[j]
+        else NoRealSolution("determinant polynomial has no admissible real root")
+        for j in np.flatnonzero(np.isnan(candidates).all(axis=-1))
+    }
+    owner, slot = np.nonzero(~np.isnan(candidates))
+    k = candidates[owner, slot]
+    Z = R1[owner] * k[:, None, None]
+    Z += R0[owner]
+    _, sv, Vt = np.linalg.svd(unit_rows(Z))
+    # a root's rows are singular by construction: only the k-free
+    # candidates (none where m < 8) are tested for rank 8
+    free = np.flatnonzero(flat[owner])
+    deficient = free[sv[free, 7] <= RANK_TOL * sv[free, 0]] if len(free) else free
+    for i in deficient:
+        failures[int(owner[i])] = DegenerateConfiguration(
+            f"stacked system rank below 8 (sigma_8/sigma_1 = {sv[i, 7] / sv[i, 0]:.2e})")
+    if len(deficient):
+        owner, k, Vt = (np.delete(x, deficient, axis=0) for x in (owner, k, Vt))
+    # recover (v, w) against beta(k)-rectified flows so the closed-form
+    # depth votes use the right per-sample scale
+    rect = stack[owner].rescaled(beta(a[owner], b[owner], k[:, None]))
+    v, w, reliable = recover_stack(canonicalize_e(Vt[:, -1]), rect)
+    return Hypotheses(v=v, w=w, k=k, v_reliable=reliable, subset=owner, failures=failures)
 
 
 def _solve_one(samples, config, model):
@@ -187,35 +242,6 @@ def _divide_linear(coeffs, root):
     return np.array(q), rem
 
 
-@dataclass(frozen=True)
-class AccelCandidate:
-    """One root of the determinant polynomial with its motion estimate."""
-
-    motion: MotionEstimate
-    k: float
-    smallest_singular_value: float
-
-
-def _accel_roots(stack, a, b):
-    R0, R1 = affine_rows(stack, a, b)
-    roots = _real_roots(_det_coefficients(R0, R1))
-    owner, slot = np.nonzero(~np.isnan(roots))
-    failures = {
-        int(j): NoRealSolution("determinant polynomial has no admissible real root")
-        for j in np.flatnonzero(np.isnan(roots).all(axis=-1))
-    }
-    k = roots[owner, slot]
-    Z = R1[owner] * k[:, None, None]
-    Z += R0[owner]
-    _, sv, Vt = np.linalg.svd(unit_rows(Z))
-    # recover (v, w) against beta(k)-rectified flows so the closed-form
-    # depth votes use the right per-sample scale
-    rect = stack[owner].rescaled(beta(a[owner], b[owner], k[:, None]))
-    v, w, reliable = recover_stack(canonicalize_e(Vt[:, -1]), rect)
-    return Hypotheses(v=v, w=w, k=k, v_reliable=reliable, sigma=sv[:, -1], subset=owner,
-                      failures=failures)
-
-
 def _det_coefficients(R0, R1):
     """Power-basis coefficients (S, 7) of det Z(k) / (2+k)^3 for a stack of
     affine rows Z(k) = R0 + k R1, as `det_polynomial` computes them."""
@@ -269,6 +295,4 @@ def solve_const_accel(samples, config: CameraConfig):
     the acceleration factor is unobservable; the constant-velocity solution
     is returned as the single candidate with the convention k = 0.
     """
-    hyps = _solve_one(samples, config, CONST_ACCEL)
-    return [AccelCandidate(motion=motion, k=motion.k, smallest_singular_value=float(sigma))
-            for motion, sigma in zip(hyps.motions(), hyps.sigma)]
+    return _solve_one(samples, config, CONST_ACCEL).motions()

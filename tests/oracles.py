@@ -4,15 +4,18 @@ Each one is a slower or more literal form of a library function, or a
 formula of the model written out on its own, kept to check the library
 against: exact back-projection for `warp_field`, the masked splat and
 boolean-indexed gap fill for `rectify_image`, full `np.mgrid` pixel grids
-for `warp_field` and `dense_depth`, the refinement objective, and the
-single-point flow model with its epipolar constraint.
+for `warp_field` and `dense_depth`, the refinement objective, the 8-point
+solver of k-free subsets on their rescaled flows, and the single-point flow
+model with its epipolar constraint.
 """
 
 import numpy as np
 
+from rsdiffsfm.errors import DegenerateConfiguration
 from rsdiffsfm.geometry import (
     CONST_ACCEL,
     beta,
+    canonicalize_e,
     exp_so3,
     matrices_ab,
     rotation_flow,
@@ -20,8 +23,10 @@ from rsdiffsfm.geometry import (
     skew,
     translation_flow,
 )
+from rsdiffsfm.gs_solver import gs_rows, recover_stack, unit_rows
 from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
 from rsdiffsfm.refine import SampleBlocks, _terms, depth_terms, inv_depth
+from rsdiffsfm.rs_solvers import RANK_TOL, Hypotheses
 
 
 def log_so3(R):
@@ -66,6 +71,29 @@ def s_to_vech(s):
     ordering of the s-block of the 9-vector e = [v; vech(s)]."""
     s = np.asarray(s, dtype=float)
     return np.array([s[i, j] for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]])
+
+
+def k_free_hypotheses(stack, a):
+    """`Hypotheses` of a (S, m) stack of k-free subsets (b = a): the
+    differential 8-point solution of the flows scaled by 1/a, with k = 0.
+
+    The SVD of the unit `gs_rows` of the rescaled flows gives each subset's
+    epipolar vector; a subset with sigma_8 <= RANK_TOL sigma_1 fails with
+    DegenerateConfiguration, and `recover_stack` recovers the others
+    against the rescaled flows.  Needs m >= 8.
+    """
+    scaled = stack.rescaled(a)
+    _, sv, Vt = np.linalg.svd(unit_rows(gs_rows(scaled)))
+    deficient = sv[:, 7] <= RANK_TOL * sv[:, 0]
+    failures = {
+        int(j): DegenerateConfiguration(
+            f"stacked system rank below 8 (sigma_8/sigma_1 = {sv[j, 7] / sv[j, 0]:.2e})")
+        for j in np.flatnonzero(deficient)
+    }
+    ok = np.flatnonzero(~deficient)
+    v, w, reliable = recover_stack(canonicalize_e(Vt[ok, 8]), scaled[ok])
+    return Hypotheses(v=v, w=w, k=np.zeros(len(ok)), v_reliable=reliable, subset=ok,
+                      failures=failures)
 
 
 def motion_stack(motion):

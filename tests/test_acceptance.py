@@ -80,9 +80,9 @@ def test_ca_solver_recovers_acceleration():
         cands = solve_const_accel(samples, CAMERA)
         worst_k = max(worst_k, min(abs(c.k - 0.1) for c in cands))
         # select the candidate the robust loop would pick: lowest residual
-        best = min(cands, key=lambda c: float(np.mean(score_motion(samples, c.motion, CAMERA))))
-        worst_v = max(worst_v, translation_error(best.motion.v, gt.motion.v))
-        worst_w = max(worst_w, float(np.linalg.norm(best.motion.w - gt.motion.w)))
+        best = min(cands, key=lambda c: float(np.mean(score_motion(samples, c, CAMERA))))
+        worst_v = max(worst_v, translation_error(best.v, gt.motion.v))
+        worst_w = max(worst_w, float(np.linalg.norm(best.w - gt.motion.w)))
     assert worst_deg <= 6
     assert worst_rem < 1e-8
     assert worst_k < 1e-5
@@ -119,7 +119,7 @@ def test_reduction_identities():
         assert len(cands) == 1 and cands[0].k == 0.0
         worst_cv = max(worst_cv, float(np.max(np.abs(cv.v - gs.v))),
                        float(np.max(np.abs(cv.w - gs.w))))
-        ca = cands[0].motion
+        ca = cands[0]
         worst_ca = max(worst_ca, float(np.max(np.abs(ca.v - gs.v))),
                        float(np.max(np.abs(ca.w - gs.w))))
     assert worst_cv < 1e-10 and worst_ca < 1e-10

@@ -3,16 +3,18 @@ import numpy as np
 from rsdiffsfm import CameraConfig, SceneSpec, generate_linearized, translation_error
 from rsdiffsfm.errors import DegenerateConfiguration
 from rsdiffsfm.geometry import FlowBatch, FlowSample, canonicalize_e, depth_terms, inv_depth
-from rsdiffsfm.gs_solver import cheirality_vote, epipolar_stack, gs_rows, recover_stack, solve_gs
+from rsdiffsfm.gs_solver import cheirality_vote, gs_rows, recover_stack, solve_gs
+from rsdiffsfm.rs_solvers import solve_stack
 
 from conftest import make_spec
 from oracles import project_flow, s_to_vech, symmetric_s
 
 
 def subset_failure(samples):
-    """The error `epipolar_stack` reports for a stack of one sample subset,
-    or None."""
-    return epipolar_stack(FlowBatch.of(samples)[np.newaxis])[1].get(0)
+    """The error `solve_stack` reports for a stack of one global-shutter
+    sample subset, or None."""
+    ones = np.ones((1, len(samples)))
+    return solve_stack(FlowBatch.of(samples)[np.newaxis], ones, ones).failures.get(0)
 
 
 def gs_camera():

@@ -9,18 +9,21 @@ import rsdiffsfm
 # names the package no longer defines, by module: single-subset solver and
 # depth shims (their batched kernels remain), the second residual path of
 # the refinement, the test-side reference formulas now in tests/oracles.py,
-# and the per-model stack solvers and scanline checks that `solve_stack`
-# and `scanline_ab` replace
+# the per-model stack solvers and scanline checks that `solve_stack` and
+# `scanline_ab` replace, and the separate k-free and root solvers that the
+# single path of `solve_stack` replaces (`Hypotheses` and `RANK_TOL` moved
+# to rs_solvers)
 REMOVED = {
     "": ["EpipolarVector", "epipolar_residual", "log_so3", "project_flow", "recover_motion",
          "solve_linear", "symmetric_s"],
     "cli": ["MODELS"],
     "geometry": ["EpipolarVector", "_S_INDEX", "epipolar_residual", "log_so3", "project_flow",
                  "s_to_vech", "symmetric_s", "vech_to_s", "stacked_scanline_ab", "_unchecked_ab"],
-    "gs_solver": ["closed_form_inv_depth", "recover_motion", "solve_linear", "solvable"],
+    "gs_solver": ["closed_form_inv_depth", "recover_motion", "solve_linear", "solvable",
+                  "epipolar_stack", "solve_gs_stack", "Hypotheses", "RANK_TOL"],
     "robust": ["residual"],
     "rs_solvers": ["solve_const_velocity_stack", "solve_const_accel_stack",
-                   "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL"],
+                   "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL", "AccelCandidate", "_accel_roots"],
     "refine": ["_flow_errors", "objective", "reduced_jacobian", "reduced_residuals",
                "update_depths"],
 }
@@ -41,6 +44,13 @@ def test_removed_names_are_gone(module):
     for name in REMOVED[module]:
         assert not hasattr(mod, name), f"rsdiffsfm{'.' + module if module else ''}.{name}"
         assert name not in getattr(mod, "__all__", ())
+
+
+def test_hypotheses_have_no_merge_or_singular_values():
+    from rsdiffsfm.rs_solvers import Hypotheses
+
+    assert not hasattr(Hypotheses, "merge")
+    assert "sigma" not in Hypotheses.__dataclass_fields__
 
 
 def test_no_module_imports_a_name_it_does_not_use():
@@ -65,3 +75,23 @@ def test_no_module_imports_a_name_it_does_not_use():
                     if name not in used and (path.stem, name) not in reexported:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused
+
+
+def test_every_private_function_and_class_is_used():
+    """Each private top-level function or class of the package is referenced
+    somewhere in it, so a deletion leaves no orphaned helper behind."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(rsdiffsfm.__file__).parent.glob("*.py"))]
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    private = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private and not [name for name in private if name not in referenced]

@@ -228,7 +228,7 @@ def sequential_ransac(samples, model, camera, rc):
             elif model == CONST_VELOCITY:
                 motions = [solve_const_velocity(subset, camera)]
             else:
-                motions = [c.motion for c in solve_const_accel(subset, camera)]
+                motions = solve_const_accel(subset, camera)
         except (DegenerateConfiguration, NoRealSolution, InvalidScanlinePair):
             continue
         n_valid += 1

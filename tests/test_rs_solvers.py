@@ -8,13 +8,20 @@ from rsdiffsfm import (
     solve_const_velocity,
     translation_error,
 )
-from rsdiffsfm.errors import InvalidScanlinePair
-from rsdiffsfm.geometry import FlowBatch, beta, scanline_ab
-from rsdiffsfm.gs_solver import gs_rows, solve_gs
+from rsdiffsfm.errors import DegenerateConfiguration, InvalidScanlinePair, NoRealSolution
+from rsdiffsfm.geometry import (
+    CONST_ACCEL,
+    CONST_VELOCITY,
+    GLOBAL_SHUTTER,
+    FlowBatch,
+    beta,
+    scanline_ab,
+)
+from rsdiffsfm.gs_solver import gs_rows, solve_gs, unit_rows
 from rsdiffsfm.rs_solvers import affine_rows, det_polynomial, solve_stack
 
 from conftest import gross_outlier, make_spec
-from oracles import s_to_vech, symmetric_s
+from oracles import k_free_hypotheses, s_to_vech, symmetric_s
 
 
 def test_scanline_factors_basic(camera):
@@ -100,8 +107,8 @@ def test_ca_exact_recovery(camera):
     cands = solve_const_accel(samples, camera)
     best = min(cands, key=lambda c: abs(c.k - 0.1))
     assert abs(best.k - 0.1) < 1e-6
-    assert translation_error(best.motion.v, gt.motion.v) < 1e-6
-    assert np.linalg.norm(best.motion.w - gt.motion.w) < 1e-9
+    assert translation_error(best.v, gt.motion.v) < 1e-6
+    assert np.linalg.norm(best.w - gt.motion.w) < 1e-9
 
 
 def test_ca_negative_k(camera):
@@ -110,7 +117,7 @@ def test_ca_negative_k(camera):
     cands = solve_const_accel(samples, camera)
     best = min(cands, key=lambda c: abs(c.k + 0.15))
     assert abs(best.k + 0.15) < 1e-6
-    assert translation_error(best.motion.v, gt.motion.v) < 1e-5
+    assert translation_error(best.v, gt.motion.v) < 1e-5
 
 
 def test_gamma_zero_collapses_to_gs():
@@ -125,8 +132,8 @@ def test_gamma_zero_collapses_to_gs():
     assert len(cands) == 1
     assert cands[0].k == 0.0
     m9 = solve_gs(samples[:9])
-    assert np.allclose(cands[0].motion.v, m9.v, atol=1e-10)
-    assert np.allclose(cands[0].motion.w, m9.w, atol=1e-10)
+    assert np.allclose(cands[0].v, m9.v, atol=1e-10)
+    assert np.allclose(cands[0].w, m9.w, atol=1e-10)
 
 
 def test_ca_needs_nine_samples(camera):
@@ -156,3 +163,90 @@ def test_batched_ca_roots_match_det_polynomial(camera):
             assert np.max(np.abs(got - want)) <= 1e-8
         n_roots += len(want)
     assert len(hyps) == n_roots
+
+
+def failure_types(hyps):
+    return {j: type(exc) for j, exc in hyps.failures.items()}
+
+
+# model, camera gamma (None: no camera) and subset size of k-free stacks
+K_FREE = {
+    "gs-no-camera": (GLOBAL_SHUTTER, None, 8),
+    "gs": (GLOBAL_SHUTTER, 0.8, 8),
+    "cv": (CONST_VELOCITY, 0.8, 8),
+    "ca-gamma-0": (CONST_ACCEL, 0.0, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K_FREE))
+def test_k_free_stack_matches_the_8_point_oracle(case):
+    """A k-free subset's k = 0 candidate is the 8-point solution of its
+    flows scaled by 1/a: the same failures, and the same hypotheses, bit for
+    bit where a = 1."""
+    model, gamma, m = K_FREE[case]
+    camera = CameraConfig(gamma=gamma or 0.0, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0,
+                          width=900)
+    samples, _ = generate_linearized(make_spec(camera, n_points=60, seed=6))
+    rotation, _ = generate_linearized(make_spec(camera, n_points=m, norm_translation=0.0, seed=7))
+    batch = FlowBatch.of([*samples, *rotation])
+    rng = np.random.default_rng(6)
+    subsets = [rng.choice(len(samples), size=m, replace=False) for _ in range(40)]
+    # one sample m times, and a pure rotation
+    subsets += [np.full(m, 3), len(samples) + np.arange(m)]
+    stack = batch[np.array(subsets)]
+    a, b = scanline_ab(stack.y1, stack.y2, None if gamma is None else camera, model)
+    got = solve_stack(stack, a, b)
+    want = k_free_hypotheses(stack, a)
+    assert failure_types(got) == failure_types(want)
+    # gs flows at gamma 0.8 carry alpha, so the rotation is not pure for gs
+    assert set(got.failures) == ({40} if case == "gs" else {40, 41})
+    assert np.array_equal(got.subset, want.subset) and np.array_equal(got.k, want.k)
+    assert np.array_equal(got.v_reliable, want.v_reliable)
+    if np.all(a == 1.0):
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.w, want.w)
+    else:
+        # the rows differ in rounding only, scaled by 2a rather than built
+        # from u / a: the null vector moves by a few eps sigma_1/sigma_8
+        sv = np.linalg.svd(unit_rows(gs_rows(stack.rescaled(a)[want.subset])), compute_uv=False)
+        bound = 8 * np.finfo(float).eps * sv[:, 0] / sv[:, 7]
+        for x, y in ((got.v, want.v), (got.w, want.w)):
+            assert np.all(np.linalg.norm(x - y, axis=1) <= bound * np.linalg.norm(y, axis=1))
+
+
+def test_mixed_stack_keeps_each_subsets_hypotheses(camera):
+    """k-free, curved, rank-deficient and root-less subsets in one block.
+
+    Each subset gets, in subset order, the failure and the number of
+    hypotheses it gets as a stack of one, and the hypotheses it gets in a
+    stack of its own kind, bit for bit.  (A stack of one can round its
+    determinant coefficients differently: BLAS takes another path for a
+    one-row product, and an ill-conditioned root moves with them.)
+    """
+    samples, _ = generate_linearized(make_spec(camera, n_points=120, k=0.1, seed=21))
+    rng = np.random.default_rng(21)
+    samples = [gross_outlier(s, rng) if i % 3 == 0 else s for i, s in enumerate(samples)]
+    batch = FlowBatch.of(samples)
+    subsets = np.array([rng.choice(len(batch), size=9, replace=False) for _ in range(60)])
+    subsets[3] = 5  # one sample nine times
+    stack = batch[subsets]
+    a, b = scanline_ab(stack.y1, stack.y2, camera)
+    k_free = np.arange(len(subsets)) % 3 == 0  # with constant-velocity coefficients
+    b[k_free] = a[k_free]
+    hyps = solve_stack(stack, a, b)
+    assert failure_types(hyps)[3] is DegenerateConfiguration
+    assert NoRealSolution in failure_types(hyps).values()
+    assert np.any(np.bincount(hyps.subset) > 1)
+    assert np.all(np.diff(hyps.subset) >= 0)
+    for j in range(len(subsets)):
+        one = solve_stack(stack[j:j + 1], a[j:j + 1], b[j:j + 1])
+        assert failure_types(hyps).get(j) is failure_types(one).get(0)
+        assert np.count_nonzero(hyps.subset == j) == len(one)
+        assert np.all(np.diff(hyps.k[hyps.subset == j]) > 0)
+    for index in (np.flatnonzero(k_free), np.flatnonzero(~k_free)):
+        part = solve_stack(stack[index], a[index], b[index])
+        assert {int(index[j]): t for j, t in failure_types(part).items()} == {
+            j: t for j, t in failure_types(hyps).items() if j in index}
+        mine = np.isin(hyps.subset, index)
+        assert np.array_equal(hyps.subset[mine], index[part.subset])
+        for name in ("k", "v", "w", "v_reliable"):
+            assert np.array_equal(getattr(hyps, name)[mine], getattr(part, name))
