@@ -34,7 +34,6 @@ from .rs_solvers import (
 from .robust import (
     RansacConfig,
     RansacResult,
-    filter_flows,
     forward_backward_error,
     ransac,
     refit_trimmed,
@@ -96,7 +95,6 @@ __all__ = [
     "dense_depth",
     "det_polynomial",
     "exp_so3",
-    "filter_flows",
     "forward_backward_error",
     "generate_discrete",
     "generate_linearized",

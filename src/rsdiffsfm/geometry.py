@@ -85,13 +85,14 @@ def matrices_ab(x):
 
 
 def beta(a, b, k):
-    """Pose scale (2a + b k) / (2 + k) of the constant-acceleration model.
+    """Pose scale alpha a + kappa b of the constant-acceleration model.
 
     Between scanline timestamps t1 and t2, a = t2 - t1 and b = t2^2 - t1^2;
     the pose of timestamp t relative to t = 0 scales by beta(t, t^2, k).
-    beta(a, b, 0) == a.
+    The weights alpha = 2 / (2 + k) = beta(1, 0, k) and kappa = k / (2 + k)
+    = beta(0, 1, k) are exact, and beta(a, b, 0) == a.
     """
-    return (2.0 * a + b * k) / (2.0 + k)
+    return 2.0 / (2.0 + k) * a + k / (2.0 + k) * b
 
 
 def beta_timestamp(t, k):
@@ -257,6 +258,11 @@ class FlowBatch:
         at the measured flow midpoint, where the constraint rows are evaluated."""
         u = self.u / scales[..., None]
         return FlowBatch(x=self.x + 0.5 * (self.u - u), u=u, y1=self.y1, y2=self.y2)
+
+
+# the solvers admit the roots k > K_MIN and refinement holds k >= K_MIN,
+# clear of beta's pole at k = -2
+K_MIN = -1.99
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ def _w_from_s(v, s_vech):
     v1, v2, v3 = v.T
     z = np.zeros_like(v1)
     # s(v, w) = (w v^T + v w^T) / 2 - (v . w) I is linear in w; the rows of
-    # M(v) are its vech entries in e-ordering (s11, s12, s13, s22, s23, s33)
+    # M(v) are its vech entries in e-ordering (s11, s12, s13, s22, s23, s33);
+    # matmul of a strided view would round a row by the stack height H
     M = np.moveaxis(np.array([
         [z, -v2, -v3],
         [v2 / 2, v1 / 2, z],
@@ -61,7 +62,7 @@ def _w_from_s(v, s_vech):
         [-v1, z, -v3],
         [z, v3 / 2, v2 / 2],
         [-v1, -v2, z],
-    ]), -1, 0)
+    ]), -1, 0).copy()
     Mt = np.swapaxes(M, -1, -2)
     return np.linalg.solve(Mt @ M, Mt @ s_vech[..., None])[..., 0]
 

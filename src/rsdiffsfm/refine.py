@@ -32,6 +32,7 @@ import numpy as np
 
 from .geometry import (
     CONST_ACCEL,
+    K_MIN,
     CameraConfig,
     FlowBatch,
     MotionEstimate,
@@ -199,7 +200,7 @@ def refine_stack(problems, model: str = CONST_ACCEL, max_cycles: int = 400) -> l
     if not loop:
         return states
     theta, terms, blocks = start[loop, :n_unknowns], _rows(terms, loop), _rows(blocks, loop)
-    clamped = _motion(theta)[2] != terms.k  # the loop starts at k clamped to -1.99
+    clamped = _motion(theta)[2] != terms.k  # the loop starts at k clamped to K_MIN
     if clamped.any():
         for x, y in zip(terms, _reduced_terms(_rows(blocks, clamped), *_motion(theta[clamped]))):
             x[clamped] = y
@@ -227,8 +228,8 @@ def _start(initial: MotionEstimate, model):
 
 def _motion(theta):
     """(v, w, k) of parameter vectors theta (P, 6) of (v, w), or (P, 7) of
-    (v, w, k) for the constant acceleration model; k is kept above -2."""
-    k = np.maximum(theta[:, 6], -1.99) if theta.shape[1] == 7 else np.zeros(len(theta))
+    (v, w, k) for the constant acceleration model; k is kept >= K_MIN."""
+    k = np.maximum(theta[:, 6], K_MIN) if theta.shape[1] == 7 else np.zeros(len(theta))
     return theta[:, :3], theta[:, 3:6], k
 
 
@@ -264,8 +265,8 @@ def _jacobian(theta, blocks: SampleBlocks, terms: Terms):
     jac = [columns(bt * blocks.A, zero), columns(zero, -bt * blocks.B)]
     n = theta.shape[1]
     if n == 7:
-        # dbeta/dk, zero where `_motion` clamps k to -1.99
-        dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + terms.k[:, None]) ** 2 * (theta[:, 6:] > -1.99)
+        # dbeta/dk, zero at or below K_MIN, where `_motion` holds k at K_MIN
+        dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + terms.k[:, None]) ** 2 * (theta[:, 6:] > K_MIN)
         dbt = dbt[:, None, :, None]
         jac.append(columns(dbt * _apply(blocks.A, terms.v)[:, None],
                            -dbt * _apply(blocks.B, terms.w)[:, None]))

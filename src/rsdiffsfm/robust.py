@@ -45,6 +45,7 @@ from .geometry import (
     CameraConfig,
     FlowBatch,
     MotionEstimate,
+    beta,
     midpoint,
     scanline_ab,
 )
@@ -159,15 +160,14 @@ def _coefficients(v, w, k):
     """Coefficient matrices of hypotheses v (H, 3), w (H, 3), k (H,): one
     per `_GROUPS` row group, then v's (v_x, v_y) columns.
 
-    beta = alpha a + kappa b with alpha = 2 / (2 + k), kappa = k / (2 + k),
-    so c = u - beta B w takes (1, -alpha w_x, alpha w_y, -alpha w_z,
-    -kappa w_x, kappa w_y, -kappa w_z) on both c groups (the table negates
-    the c_y features that need it) and beta takes (alpha, kappa).  P = A v
-    takes (v_z, 0) and (0, v_z) on (xm, ym), and `_residuals` subtracts
-    v_x and v_y from the products.
+    With the weights alpha = beta(1, 0, k), kappa = beta(0, 1, k) of
+    `geometry.beta`, c = u - beta B w takes (1, -alpha w_x, alpha w_y,
+    -alpha w_z, -kappa w_x, kappa w_y, -kappa w_z) on both c groups (the
+    table negates the c_y features that need it) and beta (alpha, kappa).
+    P = A v takes (v_z, 0) and (0, v_z) on (xm, ym), and `_residuals`
+    subtracts v_x and v_y from the products.
     """
-    alpha = 2.0 / (2.0 + k)
-    kappa = k / (2.0 + k)
+    alpha, kappa = beta(1.0, 0.0, k), beta(0.0, 1.0, k)
     sw = w * [-1.0, 1.0, -1.0]
     c = np.column_stack([np.ones_like(k), alpha[:, None] * sw, kappa[:, None] * sw])
     vz = v[:, 2:]
@@ -427,11 +427,6 @@ def ranked_pixels(forward, backward):
     # integer coordinates in the flow's dtype: the destination row is then
     # rounded to the flow's precision
     return cols.astype(flow.dtype), rows.astype(flow.dtype), flow[:, 0], flow[:, 1]
-
-
-def filter_flows(forward, backward, config: CameraConfig):
-    """Flow batch of the `ranked_pixels` of a dense bidirectional flow pair."""
-    return samples_from_pixels(*ranked_pixels(forward, backward), config)
 
 
 def samples_from_pixels(cols, rows, flow_x, flow_y, config: CameraConfig, max_samples=0,

@@ -12,7 +12,7 @@ null vector of Z(0): the differential 8-point system of the flows scaled
 by 1/a, solved with k = 0.  Otherwise 9 samples stack to a 9x9 matrix Z(k)
 whose determinant must vanish; det Z(k) carries a structural (2 + k)^3
 factor (one per translation column) and deflating it leaves a degree-6
-polynomial whose real roots are the candidate k values.
+polynomial whose real roots in ROOT_WINDOW are the candidate k values.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import DegenerateConfiguration, NoRealSolution
 from .geometry import (
     CONST_ACCEL,
     CONST_VELOCITY,
+    K_MIN,
     CameraConfig,
     FlowBatch,
     MotionEstimate,
@@ -36,7 +37,7 @@ from .geometry import (
 from .gs_solver import gs_rows, recover_stack, unit_rows
 
 # the admissible acceleration factors (lo, hi]
-ROOT_WINDOW = (-2.0, 10.0)
+ROOT_WINDOW = (K_MIN, 10.0)
 RANK_TOL = 1e-10
 
 # det M(k) is sampled at 9 Chebyshev nodes; this fixed (7, 9) map takes the
@@ -88,12 +89,13 @@ def solve_stack(stack, a, b) -> Hypotheses:
 
     Each subset gives candidate k values: 0 where beta does not depend on
     k (b = a), which needs m >= 8 and a system of rank 8; otherwise, with
-    m = 9, the admissible roots of its determinant polynomial (the batched
-    form of `det_polynomial` and `DetPolynomial.real_roots`, which stay as
-    the reference: det M(k) at the Chebyshev nodes, one fixed map to the
-    coefficients and the roots as companion-matrix eigenvalues).  Every
-    candidate takes its null vector from one SVD of its rows Z(k) and its
-    motion from `recover_stack` against the flows scaled by 1/beta(k).
+    m = 9, the roots of its determinant polynomial in ROOT_WINDOW (the
+    batched form of `det_polynomial` and `DetPolynomial.real_roots`, which
+    stay as the reference: det M(k) at the Chebyshev nodes, one fixed map
+    to the coefficients and the roots as companion-matrix eigenvalues).
+    Every candidate takes its null vector from one SVD of its rows Z(k) and
+    its motion from `recover_stack` against the flows scaled by 1/beta(k).
+    A subset's hypotheses do not depend on the stack it is solved in.
     """
     n, m = stack.y1.shape
     flat = np.max(np.abs(b - a), axis=-1) < 1e-12
@@ -172,14 +174,9 @@ class DetPolynomial:
         c = np.trim_zeros(self.coeffs, "b")
         if len(c) <= 1:
             return []
-        roots = npoly.polyroots(c)
-        out = []
-        for r in roots:
-            if abs(r.imag) < 1e-6 * (1.0 + abs(r.real)):
-                k = float(r.real)
-                if ROOT_WINDOW[0] < k <= ROOT_WINDOW[1] and abs(k + 2.0) > 1e-9:
-                    out.append(k)
-        return sorted(out)
+        return sorted(float(r.real) for r in npoly.polyroots(c)
+                      if abs(r.imag) < 1e-6 * (1.0 + abs(r.real))
+                      and ROOT_WINDOW[0] < r.real <= ROOT_WINDOW[1])
 
 
 def det_polynomial(samples, config: CameraConfig) -> DetPolynomial:
@@ -258,15 +255,16 @@ def _det_coefficients(R0, R1):
     # one node at a time: a (S, 9, 9, 9) stack of all nodes would be the
     # largest array of a RANSAC call
     vals = np.stack([np.linalg.det(M0 + t * M1) for t in _NODES], axis=-1)
-    return vals @ _NODES_TO_COEFFS.T * np.prod(col, axis=-1)[:, None]
+    # a sum, unlike a BLAS product, rounds a row alike in any stack
+    return np.sum(vals[:, None, :] * _NODES_TO_COEFFS, axis=-1) * np.prod(col, axis=-1)[:, None]
 
 
 def _real_roots(coeffs):
     """`DetPolynomial.real_roots` of each row of coeffs (S, 7), ascending powers.
 
-    Returns (S, 6): each row's admissible real roots in ascending order,
-    padded with NaN.  Rows are grouped by degree, so each group shares one
-    batched companion-matrix eigenvalue call.
+    Returns (S, 6): each row's real roots in ROOT_WINDOW in ascending
+    order, padded with NaN.  Rows are grouped by degree, so each group
+    shares one batched companion-matrix eigenvalue call.
     """
     out = np.full((len(coeffs), coeffs.shape[1] - 1), np.nan)
     nonzero = coeffs != 0
@@ -282,7 +280,7 @@ def _real_roots(coeffs):
         r = np.linalg.eigvals(comp[:, ::-1, ::-1])
         k = np.real(r)
         ok = ((np.abs(np.imag(r)) < 1e-6 * (1.0 + np.abs(k)))
-              & (ROOT_WINDOW[0] < k) & (k <= ROOT_WINDOW[1]) & (np.abs(k + 2.0) > 1e-9))
+              & (ROOT_WINDOW[0] < k) & (k <= ROOT_WINDOW[1]))
         out[rows, :d] = np.where(ok, k, np.nan)
     return np.sort(out, axis=1)
 

@@ -12,16 +12,17 @@ import rsdiffsfm
 # the per-model stack solvers and scanline checks that `solve_stack` and
 # `scanline_ab` replace, and the separate k-free and root solvers that the
 # single path of `solve_stack` replaces (`Hypotheses` and `RANK_TOL` moved
-# to rs_solvers)
+# to rs_solvers), and `filter_flows`, which was `samples_from_pixels` of
+# `ranked_pixels`
 REMOVED = {
     "": ["EpipolarVector", "epipolar_residual", "log_so3", "project_flow", "recover_motion",
-         "solve_linear", "symmetric_s"],
+         "solve_linear", "symmetric_s", "filter_flows"],
     "cli": ["MODELS"],
     "geometry": ["EpipolarVector", "_S_INDEX", "epipolar_residual", "log_so3", "project_flow",
                  "s_to_vech", "symmetric_s", "vech_to_s", "stacked_scanline_ab", "_unchecked_ab"],
     "gs_solver": ["closed_form_inv_depth", "recover_motion", "solve_linear", "solvable",
                   "epipolar_stack", "solve_gs_stack", "Hypotheses", "RANK_TOL"],
-    "robust": ["residual"],
+    "robust": ["residual", "filter_flows"],
     "rs_solvers": ["solve_const_velocity_stack", "solve_const_accel_stack",
                    "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL", "AccelCandidate", "_accel_roots"],
     "refine": ["_flow_errors", "objective", "reduced_jacobian", "reduced_residuals",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rsdiffsfm import (
     RansacConfig,
-    filter_flows,
     forward_backward_error,
     generate_linearized,
     ransac,
@@ -39,7 +38,9 @@ from rsdiffsfm.robust import (
     _coefficients,
     _sample_terms,
     _score_block,
+    ranked_pixels,
     refit_trimmed,
+    samples_from_pixels,
     score_motion,
 )
 from rsdiffsfm.gs_solver import solve_gs
@@ -100,13 +101,17 @@ oracle_samples = st.lists(st.tuples(coord, coord, flow, flow, row, row), min_siz
        threshold=st.floats(1e-6, 0.1))
 @example(samples=[(0.1, 0.2, 0.01, -0.02, 100.0, 101.0)], v=(0.25, -0.5, 1.0),
          w=(0.01, 0.0, -0.02), k=-1.0, gamma=1.0, model=CONST_ACCEL, threshold=0.01)
+@example(samples=[(0.1, 0.2, 0.01, -0.02, 100.0, 101.0)], v=(-1e-12, 0.0, 0.0),
+         w=(0.0, 0.0, 0.0), k=-0.560546875, gamma=0.0, model=CONST_ACCEL, threshold=0.01)
 @settings(max_examples=200, deadline=None)
 def test_score_motion_matches_oracle(samples, v, w, k, gamma, model, threshold):
     """score_motion equals the step-by-step residual, and so does the inlier
     count at a threshold away from every residual.  Each draw also holds a
     sample with zero flow, one on BETA_ZERO_ROWS and, when the translation
     epipole is in view, one at it (zero flow there, so q = 0) and one just
-    off it.  The example puts the epipole where q is exactly 0."""
+    off it.  The first example puts the epipole where q is exactly 0; in the
+    second, |q|^2 = beta^2 1e-24 sits on the 1e-24 guard of rho, so beta
+    must round alike in scoring and in `geometry.beta`."""
     camera = dataclasses.replace(ORACLE_CAMERA, gamma=gamma)
     motion = MotionEstimate(v=v, w=w, k=0.0 if model != CONST_ACCEL else k)
     rows = list(samples)
@@ -114,8 +119,9 @@ def test_score_motion_matches_oracle(samples, v, w, k, gamma, model, threshold):
     rows.append((0.2, 0.1, 0.03, -0.02, *BETA_ZERO_ROWS))
     if abs(v[2]) >= max(abs(v[0]), abs(v[1]), 1e-3):  # the epipole is in view
         rows.append((v[0] / v[2], v[1] / v[2], 0.0, 0.0, 500.0, 500.0))
-        # 1e-13 off it, |q|^2 is below 1e-24 while |beta v_z| < 10: rho is
-        # undefined there
+        # 1e-13 off it, |q| = |beta v_z| 1e-13: rho is undefined there
+        # while |beta v_z| < 10, and defined where |beta| is larger (at
+        # k = -1.9 on these rows, |beta| is 13.8 at gamma 0.8, 17.5 at 1)
         rows.append((v[0] / v[2] + 1e-13, v[1] / v[2], 0.0, 0.0, 500.0, 500.0))
     arr = np.array(rows)
     batch = FlowBatch(x=arr[:, :2], u=arr[:, 2:4], y1=arr[:, 4], y2=arr[:, 5])
@@ -447,7 +453,7 @@ def test_filter_flows_selects_consistent_pixels(camera):
     bwd[..., 0] = -1.0
     # corrupt one block so it ranks last
     fwd[:10, :10, 0] = 5.0
-    samples = filter_flows(fwd, bwd, cam)
+    samples = samples_from_pixels(*ranked_pixels(fwd, bwd), cam)
     n_keep = int(round(0.2 * H * W))
     assert len(samples) == n_keep
     for s in samples:
@@ -462,4 +468,4 @@ def test_filter_flows_empty():
     fwd = np.full((8, 8, 2), np.nan)
     bwd = np.zeros((8, 8, 2))
     with pytest.raises(EmptySelection):
-        filter_flows(fwd, bwd, cam)
+        samples_from_pixels(*ranked_pixels(fwd, bwd), cam)

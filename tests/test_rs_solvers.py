@@ -13,12 +13,20 @@ from rsdiffsfm.geometry import (
     CONST_ACCEL,
     CONST_VELOCITY,
     GLOBAL_SHUTTER,
+    K_MIN,
     FlowBatch,
     beta,
     scanline_ab,
 )
 from rsdiffsfm.gs_solver import gs_rows, solve_gs, unit_rows
-from rsdiffsfm.rs_solvers import affine_rows, det_polynomial, solve_stack
+from rsdiffsfm.rs_solvers import (
+    ROOT_WINDOW,
+    DetPolynomial,
+    _real_roots,
+    affine_rows,
+    det_polynomial,
+    solve_stack,
+)
 
 from conftest import gross_outlier, make_spec
 from oracles import k_free_hypotheses, s_to_vech, symmetric_s
@@ -165,6 +173,16 @@ def test_batched_ca_roots_match_det_polynomial(camera):
     assert len(hyps) == n_roots
 
 
+def test_roots_at_or_below_k_min_are_not_admitted():
+    """A root in (-2, K_MIN] lies outside the root window: refinement holds
+    k at K_MIN and could not move it."""
+    assert ROOT_WINDOW[0] == K_MIN
+    coeffs = np.polynomial.polynomial.polyfromroots([-1.995, 0.5, 3.0])  # ascending powers
+    assert DetPolynomial(coeffs, 0.0).real_roots() == pytest.approx([0.5, 3.0])
+    roots = _real_roots(np.pad(coeffs, (0, 3))[np.newaxis])[0]
+    np.testing.assert_allclose(roots[~np.isnan(roots)], [0.5, 3.0])
+
+
 def failure_types(hyps):
     return {j: type(exc) for j, exc in hyps.failures.items()}
 
@@ -216,11 +234,9 @@ def test_k_free_stack_matches_the_8_point_oracle(case):
 def test_mixed_stack_keeps_each_subsets_hypotheses(camera):
     """k-free, curved, rank-deficient and root-less subsets in one block.
 
-    Each subset gets, in subset order, the failure and the number of
-    hypotheses it gets as a stack of one, and the hypotheses it gets in a
-    stack of its own kind, bit for bit.  (A stack of one can round its
-    determinant coefficients differently: BLAS takes another path for a
-    one-row product, and an ill-conditioned root moves with them.)
+    Each subset gets, in subset order, the failure and the hypotheses it
+    gets as a stack of one, in a shuffled block and in a stack of its own
+    kind, bit for bit.
     """
     samples, _ = generate_linearized(make_spec(camera, n_points=120, k=0.1, seed=21))
     rng = np.random.default_rng(21)
@@ -237,11 +253,18 @@ def test_mixed_stack_keeps_each_subsets_hypotheses(camera):
     assert NoRealSolution in failure_types(hyps).values()
     assert np.any(np.bincount(hyps.subset) > 1)
     assert np.all(np.diff(hyps.subset) >= 0)
-    for j in range(len(subsets)):
+    perm = rng.permutation(len(subsets))
+    shuffled = solve_stack(stack[perm], a[perm], b[perm])
+    for j, at in enumerate(np.argsort(perm)):
         one = solve_stack(stack[j:j + 1], a[j:j + 1], b[j:j + 1])
         assert failure_types(hyps).get(j) is failure_types(one).get(0)
+        assert failure_types(hyps).get(j) is failure_types(shuffled).get(at)
         assert np.count_nonzero(hyps.subset == j) == len(one)
         assert np.all(np.diff(hyps.k[hyps.subset == j]) > 0)
+        for name in ("k", "v", "w", "v_reliable"):
+            mine = getattr(hyps, name)[hyps.subset == j]
+            assert np.array_equal(mine, getattr(one, name))
+            assert np.array_equal(mine, getattr(shuffled, name)[shuffled.subset == at])
     for index in (np.flatnonzero(k_free), np.flatnonzero(~k_free)):
         part = solve_stack(stack[index], a[index], b[index])
         assert {int(index[j]): t for j, t in failure_types(part).items()} == {
