@@ -191,11 +191,11 @@ class CameraConfig:
         return (np.asarray(px) - self.cx) / self.fx, (np.asarray(py) - self.cy) / self.fy
 
     def normalized_to_pixel(self, x, y):
-        return np.asarray(x) * self.fx + self.cx, np.asarray(y) * self.fy + self.cy
+        return np.asarray(x) * self.fx + self.cx, self.row_of(y)
 
     def row_of(self, y_norm):
-        """Pixel row of a normalized y coordinate."""
-        return float(y_norm) * self.fy + self.cy
+        """Pixel row of a normalized y coordinate, or of an array of them."""
+        return np.asarray(y_norm, float) * self.fy + self.cy
 
 
 @dataclass(frozen=True)

@@ -89,10 +89,10 @@ def solve_stack(stack, a, b) -> Hypotheses:
 
     Each subset gives candidate k values: 0 where beta does not depend on
     k (b = a), which needs m >= 8 and a system of rank 8; otherwise, with
-    m = 9, the roots of its determinant polynomial in ROOT_WINDOW (the
-    batched form of `det_polynomial` and `DetPolynomial.real_roots`, which
-    stay as the reference: det M(k) at the Chebyshev nodes, one fixed map
-    to the coefficients and the roots as companion-matrix eigenvalues).
+    m = 9, the roots of its determinant polynomial in ROOT_WINDOW (det M(k)
+    at the Chebyshev nodes, one fixed map to the coefficients and the roots
+    as companion-matrix eigenvalues; `det_polynomial` and
+    `DetPolynomial.real_roots` are this kernel on one subset).
     Every candidate takes its null vector from one SVD of its rows Z(k) and
     its motion from `recover_stack` against the flows scaled by 1/beta(k).
     A subset's hypotheses do not depend on the stack it is solved in.
@@ -164,84 +164,31 @@ class DetPolynomial:
     """Deflated determinant polynomial det Z(k) / (2+k)^3, degree <= 6."""
 
     coeffs: np.ndarray  # ascending powers
-    remainder_ratio: float
 
     def __call__(self, k):
         return npoly.polyval(k, self.coeffs)
 
     def real_roots(self):
-        """Real roots inside ROOT_WINDOW via the companion matrix."""
-        c = np.trim_zeros(self.coeffs, "b")
-        if len(c) <= 1:
-            return []
-        return sorted(float(r.real) for r in npoly.polyroots(c)
-                      if abs(r.imag) < 1e-6 * (1.0 + abs(r.real))
-                      and ROOT_WINDOW[0] < r.real <= ROOT_WINDOW[1])
+        """Real roots inside ROOT_WINDOW, ascending: `_real_roots` of one row."""
+        roots = _real_roots(self.coeffs[np.newaxis])[0]
+        return [float(r) for r in roots[~np.isnan(roots)]]
 
 
 def det_polynomial(samples, config: CameraConfig) -> DetPolynomial:
-    """Determinant of the stacked 9x9 affine-in-k system as a polynomial.
-
-    The rows are the `affine_rows` of the 9 samples, with their beta
-    coefficients (a, b) taken from the camera `config`.
-
-    Every entry of the three translation columns of Z(k) carries a (2+k)
-    factor, so det Z(k) = (2+k)^3 det M(k) with M(k) the matrix whose
-    translation columns have the factor removed.  det M is degree <= 6 and
-    is interpolated directly from Chebyshev-node evaluations, which is far
-    better conditioned than deflating the degree-9 interpolant.  The
-    synthetic-division remainder of the degree-9 path is still computed as
-    the degeneracy signal: it vanishes only when the sample set is
-    numerically sound.
-    """
+    """Determinant polynomial of the `affine_rows` of 9 samples, with their
+    beta coefficients from the camera `config`: `solve_stack`'s kernel on
+    a stack of one."""
     if len(samples) != 9:
         raise ValueError(f"the 9-point solver needs exactly 9 samples, got {len(samples)}")
     batch = FlowBatch.of(samples)
     R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, config))
-    # column equilibration; a pure per-column scale leaves roots unchanged
-    col = np.sqrt(np.linalg.norm(R0, axis=0) ** 2 + np.linalg.norm(R1, axis=0) ** 2)
-    col[col < 1e-300] = 1.0
-    R0e = R0 / col
-    R1e = R1 / col
-
-    # M(k) = M0 + k M1: translation columns constant, s columns affine
-    M0 = R0e.copy()
-    M1 = R1e.copy()
-    M0[:, :3] = R1e[:, :3]  # r1 v-entries hold the unscaled translation block
-    M1[:, :3] = 0.0
-    nodes = chebyshev.chebpts1(9)
-    vals = np.array([np.linalg.det(M0 + k * M1) for k in nodes])
-    coeffs = chebyshev.cheb2poly(chebyshev.chebfit(nodes, vals, 6))
-
-    # degeneracy check: deflate the degree-9 interpolant of det Z(k); the
-    # node window brackets k = -2 so deflation needs no extrapolation
-    nodes9 = 2.0 * chebyshev.chebpts1(12) - 1.0
-    vals9 = np.array([np.linalg.det(R0e + k * R1e) for k in nodes9])
-    coeffs9 = npoly.polyfit(nodes9, vals9, 9)
-    ref = max(np.max(np.abs(coeffs9)), 1e-300)
-    rem_max = 0.0
-    for _ in range(3):
-        coeffs9, rem = _divide_linear(coeffs9, -2.0)
-        rem_max = max(rem_max, abs(rem) / ref)
-    # undo the equilibration so the polynomial equals det Z(k) / (2+k)^3
-    return DetPolynomial(coeffs=np.asarray(coeffs) * np.prod(col), remainder_ratio=rem_max)
-
-
-def _divide_linear(coeffs, root):
-    """Synthetic division of a polynomial (ascending coeffs) by (k - root)."""
-    c = list(coeffs)
-    q = [0.0] * (len(c) - 1)
-    acc = 0.0
-    for i in range(len(c) - 1, 0, -1):
-        acc = c[i] + root * acc
-        q[i - 1] = acc
-    rem = c[0] + root * acc
-    return np.array(q), rem
+    return DetPolynomial(coeffs=_det_coefficients(R0[np.newaxis], R1[np.newaxis])[0])
 
 
 def _det_coefficients(R0, R1):
-    """Power-basis coefficients (S, 7) of det Z(k) / (2+k)^3 for a stack of
-    affine rows Z(k) = R0 + k R1, as `det_polynomial` computes them."""
+    """Power-basis coefficients (S, 7) of det Z(k) / (2+k)^3 = det M(k) for
+    a stack of affine rows Z(k) = R0 + k R1, with M(k) the rows whose
+    translation columns have their (2+k) factor removed."""
     # column equilibration; a pure per-column scale leaves roots unchanged
     col = np.sqrt(np.linalg.norm(R0, axis=-2) ** 2 + np.linalg.norm(R1, axis=-2) ** 2)
     col[col < 1e-300] = 1.0
@@ -260,11 +207,12 @@ def _det_coefficients(R0, R1):
 
 
 def _real_roots(coeffs):
-    """`DetPolynomial.real_roots` of each row of coeffs (S, 7), ascending powers.
+    """Real roots in ROOT_WINDOW of each row of coeffs (S, d + 1), ascending
+    powers, as companion-matrix eigenvalues.
 
-    Returns (S, 6): each row's real roots in ROOT_WINDOW in ascending
-    order, padded with NaN.  Rows are grouped by degree, so each group
-    shares one batched companion-matrix eigenvalue call.
+    Returns (S, d): each row's real roots in ascending order, padded with
+    NaN.  Rows are grouped by degree, so each group shares one batched
+    eigenvalue call.
     """
     out = np.full((len(coeffs), coeffs.shape[1] - 1), np.nan)
     nonzero = coeffs != 0

@@ -16,7 +16,7 @@ thousand points takes milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,32 +32,32 @@ from .geometry import (  # the model names are re-exported from here
     matrices_ab,
 )
 
+# the unit translation and rotation directions of every scene
+V_DIR = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+W_DIR = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+
 
 @dataclass(frozen=True)
 class SceneSpec:
     """Random-scene description with the motion ground truth.
 
-    The translation magnitude is given as the normalized translation: the
-    ratio of the absolute translation to the mean scene depth.
+    The translation (along V_DIR) is given as the normalized translation:
+    its magnitude over the mean scene depth.  The rotation is about W_DIR.
     """
 
     config: CameraConfig
     n_points: int = 300
     depth_range: tuple = (4.0, 8.0)
-    v_dir: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 0.0]))
     norm_translation: float = 0.025
     w_mag_deg: float = 3.0
-    w_dir: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 1.0]))
     k: float = 0.0
     seed: int = 0
     margin: float = 0.1
 
     def motion(self) -> MotionEstimate:
         depth_mean = 0.5 * (self.depth_range[0] + self.depth_range[1])
-        v = np.asarray(self.v_dir, float)
-        v = v / np.linalg.norm(v) * self.norm_translation * depth_mean
-        w = np.asarray(self.w_dir, float)
-        w = w / np.linalg.norm(w) * np.deg2rad(self.w_mag_deg)
+        v = V_DIR * self.norm_translation * depth_mean
+        w = W_DIR * np.deg2rad(self.w_mag_deg)
         return MotionEstimate(v=v, w=w, k=self.k, v_reliable=True)
 
 
@@ -75,13 +75,12 @@ def benchmark_config(gamma=0.8):
     return CameraConfig(gamma=gamma, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0, width=900)
 
 
-def scanline_pose(t, motion: MotionEstimate, model=CONST_ACCEL):
+def scanline_pose(t, motion: MotionEstimate):
     """Translation and rotation vector of the scanline at timestamp t.
 
     An array of timestamps gives (..., 3) stacks of both.
     """
-    k = motion.k if model == CONST_ACCEL else 0.0
-    b = np.asarray(beta_timestamp(t, k))[..., None]
+    b = np.asarray(beta_timestamp(t, motion.k))[..., None]
     return b * motion.v, b * motion.w
 
 
@@ -109,7 +108,7 @@ def generate_linearized(spec: SceneSpec):
     motion = spec.motion()
     xs, Zs = _sample_positions(spec, rng)
     g = cfg.gamma / cfg.h
-    y1 = xs[:, 1] * cfg.fy + cfg.cy
+    y1 = cfg.row_of(xs[:, 1])
     y2 = y1.copy()
     u = np.zeros_like(xs)
     converged = np.zeros(len(xs), dtype=bool)
@@ -122,7 +121,7 @@ def generate_linearized(spec: SceneSpec):
         base = A @ motion.v / Zs[active, None] + B @ motion.w
         bt = beta_timestamp(1.0 + g * y2a, motion.k) - beta_timestamp(g * y1[active], motion.k)
         u_new = bt[:, None] * base
-        y2_new = (xa[:, 1] + u_new[:, 1]) * cfg.fy + cfg.cy
+        y2_new = cfg.row_of(xa[:, 1] + u_new[:, 1])
         done = (np.max(np.abs(u_new - ua), axis=1) < 1e-15) & (np.abs(y2_new - y2a) < 1e-12)
         u[active] = u_new
         y2[active] = y2_new
@@ -133,13 +132,13 @@ def generate_linearized(spec: SceneSpec):
     return samples, GroundTruth(motion=motion, depths=Zs[keep], n_discarded=len(xs) - len(keep))
 
 
-def _camera_points(points, t, motion, model):
+def _camera_points(points, t, motion):
     """Camera-frame coordinates (N, 3) of world points at scanline timestamps t (N,)."""
-    p, r = scanline_pose(t, motion, model)
+    p, r = scanline_pose(t, motion)
     return (np.swapaxes(exp_so3(r), -1, -2) @ (points - p)[..., None])[..., 0]
 
 
-def _row_fixed_point(points, rows, t0, motion, model, cfg):
+def _row_fixed_point(points, rows, t0, motion, cfg):
     """Rows at which each world point is seen by the scanline exposing it.
 
     Iterates row <- row of the projection at timestamp t0 + g row, for all
@@ -156,12 +155,12 @@ def _row_fixed_point(points, rows, t0, motion, model, cfg):
     for _ in range(50):
         if not active.size:
             break
-        Xc = _camera_points(points[active], t0 + g * rows[active], motion, model)
+        Xc = _camera_points(points[active], t0 + g * rows[active], motion)
         behind = Xc[:, 2] <= 1e-9
         ok[active[behind]] = False
         active, Xc = active[~behind], Xc[~behind]
         xa = Xc[:, :2] / Xc[:, 2:]
-        rows_new = xa[:, 1] * cfg.fy + cfg.cy
+        rows_new = cfg.row_of(xa[:, 1])
         done = np.abs(rows_new - rows[active]) < 1e-12
         x[active] = xa
         rows[active] = rows_new
@@ -169,7 +168,7 @@ def _row_fixed_point(points, rows, t0, motion, model, cfg):
     return x, rows, ok
 
 
-def generate_discrete(spec: SceneSpec, model=CONST_ACCEL):
+def generate_discrete(spec: SceneSpec):
     """Exact two-view projections through per-scanline finite poses.
 
     For each 3D point, both observed rows are solved by fixed-point
@@ -191,17 +190,16 @@ def generate_discrete(spec: SceneSpec, model=CONST_ACCEL):
     points = Zs[:, None] * np.column_stack([xs, np.ones(len(xs))])
     # frame i: the row consistent with its own scanline pose, then the
     # projection at that row
-    _, y1, ok = _row_fixed_point(points, xs[:, 1] * cfg.fy + cfg.cy, 0.0, motion, model, cfg)
+    _, y1, ok = _row_fixed_point(points, cfg.row_of(xs[:, 1]), 0.0, motion, cfg)
     keep = np.flatnonzero(ok & (0 <= y1) & (y1 < cfg.h))
-    X1 = _camera_points(points[keep], g * y1[keep], motion, model)
+    X1 = _camera_points(points[keep], g * y1[keep], motion)
     # frame i+1, starting from the frame-i row
-    x2, y2, ok = _row_fixed_point(points[keep], y1[keep], 1.0, motion, model, cfg)
+    x2, y2, ok = _row_fixed_point(points[keep], y1[keep], 1.0, motion, cfg)
     kept = ok & (X1[:, 2] > 1e-9) & (0 <= y2) & (y2 < cfg.h)
     X1, x2 = X1[kept], x2[kept]
     x1 = X1[:, :2] / X1[:, 2:]
     samples = FlowBatch(x=x1, u=x2 - x1, y1=y1[keep[kept]], y2=y2[kept])
-    k_eff = motion.k if model == CONST_ACCEL else 0.0
-    b_mid = beta_timestamp(0.5 * cfg.gamma, k_eff)
+    b_mid = beta_timestamp(0.5 * cfg.gamma, motion.k)
     gt_motion = MotionEstimate(
         v=exp_so3(b_mid * motion.w).T @ motion.v,
         w=motion.w,

@@ -5,15 +5,18 @@ formula of the model written out on its own, kept to check the library
 against: exact back-projection for `warp_field`, the masked splat and
 boolean-indexed gap fill for `rectify_image`, full `np.mgrid` pixel grids
 for `warp_field` and `dense_depth`, the refinement objective, the 8-point
-solver of k-free subsets on their rescaled flows, and the single-point flow
-model with its epipolar constraint.
+solver of k-free subsets on their rescaled flows, the determinant
+polynomial of 9 samples as a Chebyshev fit of its own, and the single-point
+flow model with its epipolar constraint.
 """
 
 import numpy as np
+from numpy.polynomial import chebyshev, polynomial as npoly
 
 from rsdiffsfm.errors import DegenerateConfiguration
 from rsdiffsfm.geometry import (
     CONST_ACCEL,
+    FlowBatch,
     beta,
     canonicalize_e,
     exp_so3,
@@ -26,7 +29,7 @@ from rsdiffsfm.geometry import (
 from rsdiffsfm.gs_solver import gs_rows, recover_stack, unit_rows
 from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
 from rsdiffsfm.refine import SampleBlocks, _terms, depth_terms, inv_depth
-from rsdiffsfm.rs_solvers import RANK_TOL, Hypotheses
+from rsdiffsfm.rs_solvers import RANK_TOL, ROOT_WINDOW, Hypotheses, affine_rows
 
 
 def log_so3(R):
@@ -94,6 +97,56 @@ def k_free_hypotheses(stack, a):
     v, w, reliable = recover_stack(canonicalize_e(Vt[ok, 8]), scaled[ok])
     return Hypotheses(v=v, w=w, k=np.zeros(len(ok)), v_reliable=reliable, subset=ok,
                       failures=failures)
+
+
+def reference_det_polynomial(samples, config):
+    """det Z(k) / (2+k)^3 of 9 samples, with Z(k) = R0 + k R1 their
+    `affine_rows`, fitted on its own: (coeffs, remainder_ratio, roots).
+
+    det M(k), with the (2+k) factor taken out of the translation columns,
+    is evaluated at 9 Chebyshev nodes one `np.linalg.det` at a time and
+    fitted by `chebfit`.  remainder_ratio is the largest remainder of three
+    divisions by (k + 2) of the degree-9 interpolant of det Z(k), relative
+    to its largest coefficient: it vanishes only when the sample set is
+    numerically sound.  roots are the real roots in ROOT_WINDOW of
+    `npoly.polyroots`, ascending.
+    """
+    batch = FlowBatch.of(samples)
+    R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, config))
+    # column equilibration; a pure per-column scale leaves roots unchanged
+    col = np.sqrt(np.linalg.norm(R0, axis=0) ** 2 + np.linalg.norm(R1, axis=0) ** 2)
+    col[col < 1e-300] = 1.0
+    R0e = R0 / col
+    R1e = R1 / col
+
+    # M(k) = M0 + k M1: translation columns constant, s columns affine
+    M0 = R0e.copy()
+    M1 = R1e.copy()
+    M0[:, :3] = R1e[:, :3]  # r1 v-entries hold the unscaled translation block
+    M1[:, :3] = 0.0
+    nodes = chebyshev.chebpts1(9)
+    vals = np.array([np.linalg.det(M0 + k * M1) for k in nodes])
+    coeffs = chebyshev.cheb2poly(chebyshev.chebfit(nodes, vals, 6))
+
+    # degeneracy check: deflate the degree-9 interpolant of det Z(k); the
+    # node window brackets k = -2 so deflation needs no extrapolation
+    nodes9 = 2.0 * chebyshev.chebpts1(12) - 1.0
+    vals9 = np.array([np.linalg.det(R0e + k * R1e) for k in nodes9])
+    coeffs9 = npoly.polyfit(nodes9, vals9, 9)
+    ref = max(np.max(np.abs(coeffs9)), 1e-300)
+    rem_max = 0.0
+    for _ in range(3):
+        coeffs9, rem = npoly.polydiv(coeffs9, [2.0, 1.0])
+        rem_max = max(rem_max, abs(rem[0]) / ref)
+    # undo the equilibration so the polynomial equals det Z(k) / (2+k)^3
+    coeffs = np.asarray(coeffs) * np.prod(col)
+
+    c = np.trim_zeros(coeffs, "b")
+    roots = [] if len(c) <= 1 else sorted(
+        float(r.real) for r in npoly.polyroots(c)
+        if abs(r.imag) < 1e-6 * (1.0 + abs(r.real))
+        and ROOT_WINDOW[0] < r.real <= ROOT_WINDOW[1])
+    return coeffs, rem_max, roots
 
 
 def motion_stack(motion):

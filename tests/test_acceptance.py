@@ -38,7 +38,7 @@ from rsdiffsfm.rs_solvers import det_polynomial
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, beta_timestamp
 
 from conftest import gross_outlier, make_spec
-from oracles import refine_objective
+from oracles import reference_det_polynomial, refine_objective
 
 CAMERA = benchmark_config(0.8)
 
@@ -76,7 +76,7 @@ def test_ca_solver_recovers_acceleration():
         samples, gt = clean_samples(9, seed, k=0.1)
         poly = det_polynomial(samples, CAMERA)
         worst_deg = max(worst_deg, len(np.trim_zeros(poly.coeffs, "b")) - 1)
-        worst_rem = max(worst_rem, poly.remainder_ratio)
+        worst_rem = max(worst_rem, reference_det_polynomial(samples, CAMERA)[1])
         cands = solve_const_accel(samples, CAMERA)
         worst_k = max(worst_k, min(abs(c.k - 0.1) for c in cands))
         # select the candidate the robust loop would pick: lowest residual

@@ -38,7 +38,7 @@ def test_tracer_measures_every_declared_per_layer_metric():
     tracing, run = bench_module("tracing"), bench_module("run")
     robust = importlib.import_module("rsdiffsfm.robust")
     camera = benchmark_config(0.8)
-    samples, _ = generate_discrete(make_spec(camera, n_points=200, k=0.1, seed=3), CONST_ACCEL)
+    samples, _ = generate_discrete(make_spec(camera, n_points=200, k=0.1, seed=3))
     tracer = tracing.Tracer()
     with tracer.installed():
         # through module attributes, which the tracer wraps

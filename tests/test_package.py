@@ -24,7 +24,8 @@ REMOVED = {
                   "epipolar_stack", "solve_gs_stack", "Hypotheses", "RANK_TOL"],
     "robust": ["residual", "filter_flows"],
     "rs_solvers": ["solve_const_velocity_stack", "solve_const_accel_stack",
-                   "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL", "AccelCandidate", "_accel_roots"],
+                   "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL", "AccelCandidate", "_accel_roots",
+                   "_divide_linear"],
     "refine": ["_flow_errors", "objective", "reduced_jacobian", "reduced_residuals",
                "update_depths"],
 }
@@ -52,6 +53,12 @@ def test_hypotheses_have_no_merge_or_singular_values():
 
     assert not hasattr(Hypotheses, "merge")
     assert "sigma" not in Hypotheses.__dataclass_fields__
+
+
+def test_det_polynomial_holds_only_its_coefficients():
+    from rsdiffsfm.rs_solvers import DetPolynomial
+
+    assert list(DetPolynomial.__dataclass_fields__) == ["coeffs"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():

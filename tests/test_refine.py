@@ -163,7 +163,7 @@ def test_stacked_refits_equal_refits_alone(camera, model):
     problems = []
     for seed, n, k in ((5, 40, 0.0), (6, 25, -1.995), (7, 60, 0.0)):
         spec = make_spec(camera, n_points=n, k=0.1 if model == CONST_ACCEL else 0.0, seed=seed)
-        clean, gt = generate_discrete(spec, model)
+        clean, gt = generate_discrete(spec)
         rng = np.random.default_rng(seed)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                                w=gt.motion.w + 0.005 * rng.normal(size=3), k=k)
@@ -212,13 +212,13 @@ def test_stacked_refits_run_on_one_thread(camera):
     time, within 1.5x."""
     problems = []
     for seed in range(200):
-        clean, gt = generate_discrete(make_spec(camera, n_points=50, seed=seed), CONST_VELOCITY)
+        clean, gt = generate_discrete(make_spec(camera, n_points=50, seed=seed))
         rng = np.random.default_rng(seed)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                                w=gt.motion.w + 0.005 * rng.normal(size=3))
         problems.append((with_noise(clean, camera, 0.5, rng), start, camera))
     assert cpu_per_wall(lambda: refine_stack(problems, CONST_VELOCITY), 2) <= 1.5
-    clean, gt = generate_discrete(make_spec(camera, n_points=2000, k=0.1, seed=1), CONST_ACCEL)
+    clean, gt = generate_discrete(make_spec(camera, n_points=2000, k=0.1, seed=1))
     rng = np.random.default_rng(1)
     samples = with_noise(clean, camera, 0.5, rng)
     start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
@@ -329,7 +329,7 @@ def test_few_cycles_reach_the_long_descent_objective(camera, model):
     started from the true motion ends at."""
     for seed in range(3):
         spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=seed)
-        clean, gt = generate_discrete(spec, model)
+        clean, gt = generate_discrete(spec)
         rng = np.random.default_rng(seed)
         samples = with_noise(clean, camera, 0.5, rng)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
@@ -346,7 +346,7 @@ def test_refit_stable_under_one_ulp_flow_change(camera, model):
     the refit's own accuracy: it stops at the stationary point, not wherever
     the optimizer's cost test runs out of resolution."""
     spec = make_spec(camera, n_points=400, k=0.15 if model == CONST_ACCEL else 0.0, seed=4)
-    clean, _ = generate_discrete(spec, model)
+    clean, _ = generate_discrete(spec)
     rng = np.random.default_rng(4)
     samples = [gross_outlier(s, rng) if i % 4 == 0 else s for i, s in enumerate(clean)]
     batch = with_noise(samples, camera, 0.05, rng)
@@ -364,7 +364,7 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
     (v / |v|, 0, 0), where the reduced residual does not change."""
     for seed in (4, 7):
         spec = make_spec(camera, n_points=400, k=0.15 if model == CONST_ACCEL else 0.0, seed=seed)
-        clean, _ = generate_discrete(spec, model)
+        clean, _ = generate_discrete(spec)
         rng = np.random.default_rng(seed)
         samples = [gross_outlier(s, rng) if i % 4 == 0 else s for i, s in enumerate(clean)]
         batch = with_noise(samples, camera, 0.05, rng)
@@ -397,7 +397,7 @@ def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
     residuals, the Jacobian and the objective at one theta share that call."""
     refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=1)
-    clean, gt = generate_discrete(spec, model)
+    clean, gt = generate_discrete(spec)
     rng = np.random.default_rng(1)
     samples = with_noise(clean, camera, 0.5, rng)
     start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
@@ -440,7 +440,7 @@ def test_ca_refine_at_zero_readout_keeps_k_and_polishes():
     camera = CameraConfig(gamma=0.0, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0, width=900)
     for seed in range(3):
         spec = make_spec(camera, n_points=100, seed=seed)
-        clean, gt = generate_discrete(spec, CONST_ACCEL)
+        clean, gt = generate_discrete(spec)
         rng = np.random.default_rng(seed)
         samples = with_noise(clean, camera, 0.5, rng)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
@@ -456,7 +456,7 @@ def test_ca_refine_from_k_near_its_bound(camera):
     start objective is that of the caller's k, and the refit returns the
     clamped k with the objective, depths and validity of its own motion."""
     spec = make_spec(camera, n_points=60, k=0.1, seed=3)
-    clean, gt = generate_discrete(spec, CONST_ACCEL)
+    clean, gt = generate_discrete(spec)
     samples = with_noise(clean, camera, 0.5, np.random.default_rng(3))
     start = MotionEstimate(v=gt.motion.v, w=gt.motion.w, k=-1.995)
     state = refine(samples, start, camera, CONST_ACCEL)

@@ -29,7 +29,7 @@ from rsdiffsfm.rs_solvers import (
 )
 
 from conftest import gross_outlier, make_spec
-from oracles import k_free_hypotheses, s_to_vech, symmetric_s
+from oracles import k_free_hypotheses, reference_det_polynomial, s_to_vech, symmetric_s
 
 
 def test_scanline_factors_basic(camera):
@@ -98,7 +98,8 @@ def test_det_polynomial_properties(camera):
     samples, _ = generate_linearized(spec)
     poly = det_polynomial(samples, camera)
     assert len(poly.coeffs) <= 7  # degree <= 6
-    assert poly.remainder_ratio < 1e-8
+    _, remainder_ratio, _ = reference_det_polynomial(samples, camera)
+    assert remainder_ratio < 1e-8
     # poly equals det Z(k) / (2+k)^3 up to roundoff at the polynomial's scale
     batch = FlowBatch.of(samples)
     R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, camera))
@@ -152,7 +153,8 @@ def test_ca_needs_nine_samples(camera):
 
 
 def test_batched_ca_roots_match_det_polynomial(camera):
-    """The stacked solver's roots are those of the `det_polynomial` oracle."""
+    """The stacked solver's roots are those of the Chebyshev-fit oracle, and
+    `det_polynomial` of a subset gives its roots bit for bit."""
     spec = make_spec(camera, n_points=120, k=0.1, seed=21)
     samples, _ = generate_linearized(spec)
     rng = np.random.default_rng(21)
@@ -163,8 +165,9 @@ def test_batched_ca_roots_match_det_polynomial(camera):
     hyps = solve_stack(stack, *scanline_ab(stack.y1, stack.y2, camera))
     n_roots = 0
     for j, subset in enumerate(subsets):
-        want = det_polynomial(batch[subset], camera).real_roots()
+        _, _, want = reference_det_polynomial(batch[subset], camera)
         got = hyps.k[hyps.subset == j]
+        assert det_polynomial(batch[subset], camera).real_roots() == list(got)
         assert len(got) == len(want)
         assert (j in hyps.failures) == (not want)
         if want:
@@ -178,7 +181,7 @@ def test_roots_at_or_below_k_min_are_not_admitted():
     k at K_MIN and could not move it."""
     assert ROOT_WINDOW[0] == K_MIN
     coeffs = np.polynomial.polynomial.polyfromroots([-1.995, 0.5, 3.0])  # ascending powers
-    assert DetPolynomial(coeffs, 0.0).real_roots() == pytest.approx([0.5, 3.0])
+    assert DetPolynomial(coeffs).real_roots() == pytest.approx([0.5, 3.0])
     roots = _real_roots(np.pad(coeffs, (0, 3))[np.newaxis])[0]
     np.testing.assert_allclose(roots[~np.isnan(roots)], [0.5, 3.0])
 

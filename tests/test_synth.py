@@ -15,7 +15,7 @@ from rsdiffsfm import (
     translation_error,
 )
 from rsdiffsfm.geometry import FlowBatch, matrices_ab
-from rsdiffsfm.synth import CONST_VELOCITY, _sample_positions, beta_timestamp, scanline_pose
+from rsdiffsfm.synth import _sample_positions, beta_timestamp, scanline_pose
 
 from conftest import make_spec
 
@@ -112,7 +112,7 @@ def test_linearized_matches_per_point_loop(camera, kw):
         assert (s.y1, s.y2) == (y1, y2)
 
 
-def per_point_discrete(spec, model="ca"):
+def per_point_discrete(spec):
     """Reference for `generate_discrete`: each point's two row fixed points
     solved in its own scalar loop, one rotation per step."""
     rng = np.random.default_rng(spec.seed)
@@ -122,7 +122,7 @@ def per_point_discrete(spec, model="ca"):
     g = cfg.gamma / cfg.h
 
     def project(point, t):
-        p, r = scanline_pose(t, motion, model)
+        p, r = scanline_pose(t, motion)
         Xc = exp_so3(r).T @ (point - p)
         if Xc[2] <= 1e-9:
             return None, None
@@ -160,17 +160,18 @@ def per_point_discrete(spec, model="ca"):
     return samples, np.array(depths), discarded
 
 
-@pytest.mark.parametrize("model", ["ca", CONST_VELOCITY])
+# "cv": the scene at k = 0, as constant-velocity data is made
+@pytest.mark.parametrize("zero_k", [False, True], ids=["ca", "cv"])
 @pytest.mark.parametrize("kw", [
     dict(k=0.1, seed=9),
     dict(k=-0.4, seed=3, n_points=200),
     # points near the image border whose rows leave the image are discarded
     dict(k=0.3, seed=5, n_points=200, margin=0.0, norm_translation=0.1, w_mag_deg=8.0),
 ])
-def test_discrete_matches_per_point_loop(camera, kw, model):
-    spec = make_spec(camera, **kw)
-    samples, gt = generate_discrete(spec, model)
-    ref, depths, discarded = per_point_discrete(spec, model)
+def test_discrete_matches_per_point_loop(camera, kw, zero_k):
+    spec = make_spec(camera, **({**kw, "k": 0.0} if zero_k else kw))
+    samples, gt = generate_discrete(spec)
+    ref, depths, discarded = per_point_discrete(spec)
     assert isinstance(samples, FlowBatch)
     if kw.get("margin") == 0.0:
         assert discarded > 0
