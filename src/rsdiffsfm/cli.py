@@ -222,7 +222,10 @@ def convert(flo_path, gamma, fx, fy, cx, cy, out_path):
     """Convert a plain 2-channel .flo field into the RSFLOW1 container."""
     data = _read_or_die(iof.read_flo, flo_path, "flow")
     H, W = data.shape[:2]
-    cfg = CameraConfig(gamma=gamma, h=H, fx=fx, fy=fy, cx=cx, cy=cy, width=W)
+    try:
+        cfg = CameraConfig(gamma=gamma, h=H, fx=fx, fy=fy, cx=cx, cy=cy, width=W)
+    except ValueError as exc:
+        _input_error(exc)
     iof.write_flow(out_path, iof.FlowFile(config=cfg, width=W, height=H, dense=data))
 
 

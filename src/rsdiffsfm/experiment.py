@@ -10,7 +10,6 @@ from itertools import product
 import numpy as np
 
 from .errors import RsSfmError
-from .geometry import CameraConfig
 from .io_formats import ExperimentConfig
 from .robust import RansacConfig, ransac, refit_trimmed
 from .synth import SceneSpec, generate_discrete, rotation_error, translation_error
@@ -20,17 +19,10 @@ CSV_HEADER = "gamma,norm_translation,w_mag_deg,k,model,trans_err_deg,rot_err_deg
 logger = logging.getLogger(__name__)
 
 
-def _camera(cfg: ExperimentConfig, gamma):
-    n = cfg.image_size
-    return CameraConfig(
-        gamma=gamma, h=n, fx=cfg.focal, fy=cfg.focal, cx=n / 2.0, cy=n / 2.0, width=n
-    )
-
-
 def _scene_spec(cfg: ExperimentConfig, gamma, trans, w_mag, k, seed):
     """The scene of a sweep's (gamma, trans, w_mag, k) point with the given seed."""
     return SceneSpec(
-        config=_camera(cfg, gamma),
+        config=cfg.camera(gamma),
         n_points=cfg.n_points,
         depth_range=(cfg.depth_min, cfg.depth_max),
         norm_translation=trans,
@@ -77,7 +69,7 @@ def _run_cells(cfg: ExperimentConfig, cells, model):
     trials of every cell."""
     kept, dropped = [], [Counter() for _ in cells]  # kept: (cell, samples, result, camera, truth)
     for i, ((gamma, *_), scenes) in enumerate(cells):
-        camera = _camera(cfg, gamma)
+        camera = cfg.camera(gamma)
         for seed, samples, gt in scenes:
             if len(samples) < 9:
                 dropped[i]["too_few_samples"] += 1

@@ -198,34 +198,19 @@ class CameraConfig:
         return np.asarray(y_norm, float) * self.fy + self.cy
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    """One flow measurement: normalized position, displacement and rows.
-
-    x is the normalized image position in frame i, u the flow displacement in
-    normalized units, y1/y2 the pixel rows of the point in frames i and i+1.
-    """
-
-    x: np.ndarray
-    u: np.ndarray
-    y1: float
-    y2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class FlowBatch:
-    """N flow measurements as arrays: the library's multi-sample type.
+    """Flow measurements as arrays: the library's one flow-sample type.
 
-    Fields are those of `FlowSample`, stacked: x (N, 2), u (N, 2), y1 (N,)
-    and y2 (N,).  An integer index gives a `FlowSample`, and so does
-    iteration; a slice or an index array gives a sub-batch.  An (S, m)
-    index array gives a stack of S subsets, whose fields carry the leading
+    x is the normalized image position in frame i, u the flow displacement
+    in normalized units, y1/y2 the pixel rows of the point in frames i and
+    i+1.  N samples have fields x (N, 2), u (N, 2), y1 (N,) and y2 (N,); one
+    sample, `FlowSample`, is the batch whose fields have the leading shape
+    (): x (2,), u (2,) and scalar rows.  An index gives a sub-batch with the
+    index's shape, so an integer gives one sample, as does iteration, and an
+    (S, m) index array a stack of S subsets, whose fields carry the leading
     shape (S, m); the row and solver kernels take such stacks, `len` of one
-    is S.
+    is S.  The entry points stack a sequence of samples once, with `of`.
     """
 
     x: np.ndarray
@@ -233,9 +218,13 @@ class FlowBatch:
     y1: np.ndarray
     y2: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+
     @classmethod
     def of(cls, samples):
-        """The batch itself, or the stacked arrays of a sequence of FlowSample."""
+        """The batch itself, or the stacked arrays of a sequence of samples."""
         if isinstance(samples, cls):
             return samples
         return cls(
@@ -249,8 +238,6 @@ class FlowBatch:
         return len(self.y1)
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return FlowSample(x=self.x[i], u=self.u[i], y1=float(self.y1[i]), y2=float(self.y2[i]))
         return FlowBatch(x=self.x[i], u=self.u[i], y1=self.y1[i], y2=self.y2[i])
 
     def rescaled(self, scales):
@@ -258,6 +245,10 @@ class FlowBatch:
         at the measured flow midpoint, where the constraint rows are evaluated."""
         u = self.u / scales[..., None]
         return FlowBatch(x=self.x + 0.5 * (self.u - u), u=u, y1=self.y1, y2=self.y2)
+
+
+# one flow measurement: a batch of leading shape ()
+FlowSample = FlowBatch
 
 
 # the solvers admit the roots k > K_MIN and refinement holds k >= K_MIN,

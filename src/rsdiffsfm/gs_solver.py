@@ -14,7 +14,6 @@ import numpy as np
 
 from .geometry import (
     GLOBAL_SHUTTER,
-    FlowBatch,
     MotionEstimate,
     depth_terms,
     inv_depth,
@@ -23,14 +22,13 @@ from .geometry import (
 )
 
 
-def gs_rows(samples):
+def gs_rows(batch):
     """Constraint rows (..., 9): coefficients of u^T v^ x~ - x~^T s x~ in e-ordering.
 
     The constraint is evaluated at the flow midpoint x + u/2.  Off-diagonal
     s coefficients are doubled so that the s-block dot product reproduces
     x~^T s x~ exactly.
     """
-    batch = FlowBatch.of(samples)
     px, py = np.moveaxis(midpoint(batch), -1, 0)
     ux, uy = np.moveaxis(batch.u, -1, 0)
     # u^T v^ x~ = v . (x~ x u~) with x~ = (px, py, 1), u~ = (ux, uy, 0)
@@ -67,12 +65,11 @@ def _w_from_s(v, s_vech):
     return np.linalg.solve(Mt @ M, Mt @ s_vech[..., None])[..., 0]
 
 
-def cheirality_vote(samples, v, w):
+def cheirality_vote(batch, v, w):
     """Number of samples whose closed-form depth is positive under (v, w).
 
     For a (H, m) stack, v and w are (H, 3) and the result holds H counts.
     """
-    batch = FlowBatch.of(samples)
     # motion components first, with an axis to broadcast over the samples
     v, w = (np.moveaxis(np.asarray(t, dtype=float), -1, 0)[..., None] for t in (v, w))
     _, valid = inv_depth(*depth_terms(*np.moveaxis(batch.x, -1, 0), *np.moveaxis(batch.u, -1, 0),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import CameraConfig
+from .robust import MINIMAL_SIZE, RansacConfig
 
 FLOW_MAGIC = b"RSFLOW1"
 _HEADER = struct.Struct("<7sII dI dddd B")
@@ -276,6 +277,25 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "list" and not getattr(self, f.name):  # annotations are strings here
                 raise ValueError(f"config list '{f.name}' must be non-empty")
+        unknown = [model for model in self.models if model not in MINIMAL_SIZE]
+        if unknown:
+            raise ValueError(f"unknown models {unknown} in config: choose from "
+                             f"{', '.join(MINIMAL_SIZE)}")
+        if self.n_points < 0:
+            raise ValueError(f"config n_points must be >= 0, got {self.n_points}")
+        # the camera and RANSAC settings of every cell, checked by their own types
+        try:
+            for gamma in self.gammas:
+                self.camera(gamma)
+            RansacConfig(iterations=self.ransac_iters, threshold=self.threshold)
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from exc
+
+    def camera(self, gamma):
+        """The sweep's square camera at readout ratio gamma."""
+        n = self.image_size
+        return CameraConfig(gamma=gamma, h=n, fx=self.focal, fy=self.focal, cx=n / 2.0,
+                            cy=n / 2.0, width=n)
 
     @classmethod
     def from_file(cls, path):

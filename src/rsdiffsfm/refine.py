@@ -51,9 +51,8 @@ class SampleBlocks(namedtuple("SampleBlocks", "A B u a b")):
     the flows u (P, N, 2) and the scanline factors a and b (P, N)."""
 
     @classmethod
-    def of(cls, problems, model=CONST_ACCEL):
-        """The blocks of a sequence of (samples, config) problems."""
-        batches = [(FlowBatch.of(samples), config) for samples, config in problems]
+    def of(cls, batches, model=CONST_ACCEL):
+        """The blocks of a sequence of (batch, config) problems."""
         ends = np.cumsum([len(batch) for batch, _ in batches], dtype=int)
         P, n = len(batches), max((len(batch) for batch, _ in batches), default=0)
         out = cls(np.zeros((P, 3, n, 2)), np.zeros((P, 3, n, 2)), np.zeros((P, n, 2)),
@@ -181,10 +180,11 @@ def refine_stack(problems, model: str = CONST_ACCEL, max_cycles: int = 400) -> l
     start = np.array([_start(initial, model) for _, initial, _ in problems]).reshape(-1, 7)
     terms = _reduced_terms(blocks, start[:, :3], start[:, 3:6], start[:, 6])
     n_unknowns, states, loop = 7 if model == CONST_ACCEL else 6, [], []
-    for p, (batch, obj) in enumerate(zip(batches, _objectives(terms))):
+    for p, (batch, (_, initial, _), obj) in enumerate(zip(batches, problems, _objectives(terms))):
         n = len(batch)
         state = RefineState(
-            motion=MotionEstimate(v=start[p, :3], w=start[p, 3:6], k=float(start[p, 6])),
+            motion=MotionEstimate(v=start[p, :3], w=start[p, 3:6], k=float(start[p, 6]),
+                                  v_reliable=initial.v_reliable),
             inv_depths=terms.rho[p, :n], valid=terms.valid[p, :n], objective=obj,
             start_objective=obj, n_cycles=0, converged=False, stop_reason="zero_objective",
             polished=False, lm_iterations=0)
@@ -210,7 +210,7 @@ def refine_stack(problems, model: str = CONST_ACCEL, max_cycles: int = 400) -> l
             states[p], n_cycles=int(n_evals[i]), converged=bool(converged[i]),
             lm_iterations=int(n_steps[i]), stop_reason="converged" if converged[i] else "cycle_cap")
         if obj < state.start_objective:  # also rejects a NaN objective
-            m = MotionEstimate(v=final.v[i], w=final.w[i], k=float(final.k[i]))
+            m = replace(state.motion, v=final.v[i], w=final.w[i], k=float(final.k[i]))
             # back to a unit v: the depths absorb the scale
             state = replace(state, motion=m.normalized(), valid=final.valid[i, :n],
                             inv_depths=final.rho[i, :n] * np.linalg.norm(m.v), objective=obj,

@@ -126,7 +126,7 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
     the rolling-shutter scanline factor otherwise.
     """
     coefs = _coefficients(motion.v[np.newaxis], motion.w[np.newaxis], np.array([motion.k]))
-    return _residual_vector(_sample_terms(samples, config, model), coefs)
+    return _residual_vector(_sample_terms(FlowBatch.of(samples), config, model), coefs)
 
 
 # the row groups of a `_sample_terms` table that the products of
@@ -135,7 +135,7 @@ def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
 _GROUPS = (slice(0, 7), slice(7, 14), slice(14, 16), slice(14, 16), slice(16, 18))
 
 
-def _sample_terms(samples, config, model):
+def _sample_terms(batch, config, model):
     """(18, N) table of the per-sample features of the residual kernel.
 
     With the flow midpoint (xm, ym), the flow (ux, uy) and the scanline
@@ -144,7 +144,6 @@ def _sample_terms(samples, config, model):
     c_y: uy, a (1 + ym^2), a xm ym, -a xm, b (1 + ym^2), b xm ym, -b xm;
     P: xm, ym;  beta: a, b.
     """
-    batch = FlowBatch.of(samples)
     a, b = scanline_ab(batch.y1, batch.y2, config, model)
     xm, ym = midpoint(batch).T
     ux, uy = batch.u.T
@@ -360,11 +359,13 @@ def refit_trimmed(samples, result, model: str, config: CameraConfig | None):
 
 
 def _trimmed(samples, result: RansacResult, model):
-    """The best-scoring half of the inlier set of a RANSAC result, and its motion."""
+    """The best-scoring half of the inlier set of a RANSAC result, as a batch
+    of only those samples, and its motion."""
     idx = result.inliers
     order = np.argsort(result.residuals[idx], kind="stable")
-    n_keep = max(MINIMAL_SIZE[model], int(round(0.5 * len(idx))))
-    return FlowBatch.of(samples)[idx[order[:n_keep]]], result.motion
+    keep = idx[order[:max(MINIMAL_SIZE[model], int(round(0.5 * len(idx))))]]
+    kept = samples[keep] if isinstance(samples, FlowBatch) else [samples[i] for i in keep]
+    return FlowBatch.of(kept), result.motion
 
 
 def forward_backward_error(forward, backward):
@@ -433,17 +434,18 @@ def samples_from_pixels(cols, rows, flow_x, flow_y, config: CameraConfig, max_sa
                         seed=0):
     """Flow batch of pixels (cols, rows) with pixel-unit flows (flow_x, flow_y).
 
-    Keeps, in the given order, the finite entries whose destination row
-    rows + flow_y (computed in the precision of the inputs) lies in
-    [0, h).  When more than `max_samples` (if nonzero) remain, a seeded
-    random subset of that size is kept, still in order.  Raises
-    EmptySelection when no entry is kept.
+    Keeps, in the given order, the finite entries whose source row rows
+    and destination row rows + flow_y (computed in the precision of the
+    inputs) both lie in [0, h).  When more than `max_samples` (if nonzero)
+    remain, a seeded random subset of that size is kept, still in order.
+    Raises EmptySelection when no entry is kept.
     """
     y2 = rows + flow_y
-    keep = np.flatnonzero(np.isfinite(cols) & np.isfinite(flow_x) & (y2 >= 0) & (y2 < config.h))
+    inside = (rows >= 0) & (rows < config.h) & (y2 >= 0) & (y2 < config.h)
+    keep = np.flatnonzero(np.isfinite(cols) & np.isfinite(flow_x) & inside)
     if not len(keep):
-        raise EmptySelection(f"none of {len(cols)} flow samples has a finite flow that "
-                             f"ends inside the image rows [0, {config.h})")
+        raise EmptySelection(f"none of {len(cols)} flow samples has a finite flow that starts "
+                             f"and ends inside the image rows [0, {config.h})")
     if max_samples and len(keep) > max_samples:
         rng = np.random.default_rng(seed)
         keep = keep[np.sort(rng.choice(len(keep), max_samples, replace=False))]

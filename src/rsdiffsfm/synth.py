@@ -8,10 +8,10 @@ rotations, matching the linearized model only to second order in the motion
 magnitude; it is the independent oracle for the small-motion approximation.
 
 Both return (samples, truth): the samples as one `FlowBatch`, whose integer
-indexing and iteration give `FlowSample`s, and a `GroundTruth` with the
-motion and the depth of each sample.  Both iterate all points of a scene
-together, each point on its own convergence test, so a scene of a few
-thousand points takes milliseconds.
+indexing and iteration give single samples (batches of leading shape ()),
+and a `GroundTruth` with the motion and the depth of each sample.  Both
+iterate all points of a scene together, each point on its own convergence
+test, so a scene of a few thousand points takes milliseconds.
 """
 
 from __future__ import annotations

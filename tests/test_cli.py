@@ -271,7 +271,8 @@ def test_depth_invalid_scanline_pair_is_input_error(runner, tmp_path):
     assert "rows (20.0, -40.0)" in res.output  # the offending pixel's (y1, y2)
 
 
-@pytest.mark.parametrize("content, message", [(None, "not found"), ("vx=1\n", "'vy'")])
+@pytest.mark.parametrize("content, message", [(None, "not found"), ("vx=1\n", "'vy'"),
+                                              ("vx=abc\n", "'abc'")])
 def test_depth_bad_motion_file_is_input_error(runner, tmp_path, content, message):
     cam = CameraConfig(gamma=0.8, h=12, fx=11.0, fy=11.0, cx=6.0, cy=6.0, width=12)
     flow, mpath = tmp_path / "d.rsflow", tmp_path / "m.txt"
@@ -382,6 +383,81 @@ def test_estimate_too_few_samples_is_input_error(runner, tmp_path, model):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [5000.0, -3000.0])
+def test_estimate_drops_source_rows_outside_the_image(runner, tmp_path, row):
+    """A sparse entry whose source row lies outside [0, h) is dropped, as one
+    whose destination row does: its destination row is inside the image."""
+    cfg = tmp_path / "exp.cfg"
+    write_config(cfg, image_size=600, focal=540.0, n_points=60)
+    flow, out = tmp_path / "f.rsflow", tmp_path / "m.txt"
+    run_ok(runner, ["synth", "--config", str(cfg), "--out-flow", str(flow),
+                    "--out-truth", str(tmp_path / "truth.txt")])
+    good = read_flow(flow)
+    bad = np.array([[300.0, row, 0.5, 10.0 - row]], dtype=np.float32)  # ends at row 10
+    write_flow(flow, FlowFile(config=good.config, width=600, height=600,
+                              sparse=np.concatenate([good.sparse, bad])))
+    run_ok(runner, ["estimate", "--flow", str(flow), "--ransac-iters", "30", "--out", str(out)])
+    assert int(read_keyvalues(out)["n_samples"]) == len(good.sparse)
+
+
+def test_estimate_without_a_model_is_estimation_failure(runner, tmp_path):
+    """Zero flows leave every subset degenerate: RANSAC finds no model and
+    `estimate` exits 1."""
+    cam = CameraConfig(gamma=0.8, h=32, fx=30.0, fy=30.0, cx=16.0, cy=16.0, width=32)
+    rng = np.random.default_rng(0)
+    sparse = np.column_stack([rng.uniform(0, 32, (50, 2)), np.zeros((50, 2))])
+    flow, out = tmp_path / "s.rsflow", tmp_path / "m.txt"
+    write_flow(flow, FlowFile(config=cam, width=32, height=32, sparse=sparse.astype(np.float32)))
+    res = runner.invoke(main, ["estimate", "--flow", str(flow), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "estimation failed: no RANSAC iteration produced a valid model" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("convert", ("--gamma", "2"), "gamma must lie in [0, 1]"),
+    ("convert", ("--fx", "0"), "focal lengths must be positive"),
+    ("sweep", "models=xx", "unknown models ['xx']"),
+    ("sweep", "gammas=1.5", "gamma must lie in [0, 1], got 1.5"),
+    ("sweep", "n_points=-5", "n_points must be >= 0"),
+    ("sweep", "ransac_iters=0", "iterations must be an integer >= 1"),
+    ("sweep", "threshold=-1", "threshold must be positive"),
+    ("sweep", None, "config file not found"),
+    ("synth", "gammas=1.5", "gamma must lie in [0, 1], got 1.5"),
+    ("synth", "n_points=-5", "n_points must be >= 0"),
+    ("rectify", "gamma=2", "gamma must lie in [0, 1], got 2.0"),
+])
+def test_malformed_config_or_camera_is_input_error(runner, tmp_path, command, setting, message):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+    if command == "convert":
+        flo = tmp_path / "x.flo"
+        flo.write_bytes(b"PIEH" + struct.pack("<ii", 2, 2) + np.zeros(8, "<f4").tobytes())
+        camera = {"--gamma": "0.5", "--fx": "7.0", "--fy": "7.0", "--cx": "1.0", "--cy": "1.0"}
+        camera.update([setting])
+        args = ["--flo", str(flo), *(x for item in camera.items() for x in item), "--out", str(out)]
+    elif command == "rectify":
+        ipath, dpath, mpath = tmp_path / "img.pgm", tmp_path / "d.pfm", tmp_path / "m.txt"
+        write_pnm(ipath, np.zeros((20, 20), dtype=np.uint8))
+        write_pfm(dpath, np.full((20, 20), 5.0, dtype=np.float32))
+        camera = dict(gamma=0.8, h=20, fx=19.0, fy=19.0, cx=10.0, cy=10.0)
+        camera.update([setting.split("=")])
+        write_motion(mpath, MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3)),
+                     extra=camera)
+        args = ["--image", str(ipath), "--depth", str(dpath), "--motion", str(mpath),
+                "--out", str(out)]
+    else:
+        if setting is not None:
+            key, value = setting.split("=")
+            write_config(cfg, **{key: value})
+        args = ["--config", str(cfg)] + (["--out", str(out)] if command == "sweep" else
+                                         ["--out-flow", str(out), "--out-truth", str(out) + "t"])
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and message in res.output
+    assert not out.exists()
+
+
 def test_rectify_shape_mismatch(runner, tmp_path):
     ipath = tmp_path / "img.pgm"
     dpath = tmp_path / "d.pfm"
@@ -461,7 +537,7 @@ def reference_samples(flow, max_samples, seed):
     out = []
     for c, r, u_px, v_px in entries:
         y2 = r + v_px
-        if 0 <= y2 < cfg.h:
+        if 0 <= r < cfg.h and 0 <= y2 < cfg.h:
             x, y = cfg.pixel_to_normalized(float(c), float(r))
             out.append((float(x), float(y), float(u_px / cfg.fx), float(v_px / cfg.fy),
                         float(r), float(y2)))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rsdiffsfm.geometry import (
     CameraConfig,
+    FlowBatch,
     FlowSample,
     MotionEstimate,
     beta,
@@ -102,6 +103,34 @@ def test_row_of_matches_pixel_mapping(camera):
     assert np.isclose(camera.row_of(y), 321.0)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"gamma": -0.1}, r"gamma must lie in \[0, 1\]"),
+    ({"gamma": 1.5}, r"gamma must lie in \[0, 1\]"),
+    ({"h": 1}, "h must be >= 2"),
+    ({"fx": 0.0}, "focal lengths must be positive"),
+    ({"fy": -1.0}, "focal lengths must be positive"),
+])
+def test_camera_config_rejects_bad_values(setting, message):
+    values = dict(gamma=0.5, h=10, fx=9.0, fy=9.0, cx=5.0, cy=5.0)
+    values.update(setting)
+    with pytest.raises(ValueError, match=message):
+        CameraConfig(**values)
+
+
+def test_flow_sample_is_a_batch_of_shape_nothing():
+    """One flow sample is the batch whose fields have the leading shape ();
+    integer indexing and iteration of a batch give such samples."""
+    assert FlowSample is FlowBatch
+    s = FlowSample(x=[0.1, 0.2], u=[0.02, -0.04], y1=10.0, y2=8.0)
+    assert s.x.dtype == s.u.dtype == float and s.x.shape == s.u.shape == (2,)
+    batch = FlowBatch.of([s, s])
+    assert batch.x.shape == (2, 2) and np.array_equal(batch.y1, [10.0, 10.0])
+    for got in (batch[1], *batch):
+        assert isinstance(got, FlowBatch) and got.x.shape == (2,) and np.ndim(got.y1) == 0
+        assert np.array_equal(got.x, s.x) and (got.y1, got.y2) == (10.0, 8.0)
+    assert len(list(batch)) == 2
+
+
 def test_midpoint():
     s = FlowSample(x=np.array([0.1, 0.2]), u=np.array([0.02, -0.04]), y1=10.0, y2=8.0)
     assert np.allclose(midpoint(s), [0.11, 0.18])
@@ -139,7 +168,7 @@ def test_flow_model_consumers_agree(pixels, v, w, k):
         field[r, c] = fx_px, fy_px
         samples.append(FlowSample(x=cam.pixel_to_normalized(float(c), float(r)),
                                   u=[fx_px / cam.fx, fy_px / cam.fy], y1=float(r), y2=r + fy_px))
-    terms = _reduced_terms(SampleBlocks.of([(samples, cam)]), *motion_stack(motion))
+    terms = _reduced_terms(SampleBlocks.of([(FlowBatch.of(samples), cam)]), *motion_stack(motion))
     valid, rho = terms.valid[0], terms.rho[0]
     depth, dense_valid = dense_depth(field, motion, cam)
     g = cam.gamma / cam.h

@@ -42,7 +42,7 @@ def test_gs_row_annihilates_true_epipolar_vector():
     v = np.array([0.6, -0.3, 0.1])
     w = np.array([0.02, 0.01, -0.015])
     e = np.concatenate([v, s_to_vech(symmetric_s(v, w))])
-    assert np.max(np.abs(gs_rows(gs_samples(v, w, n=10)) @ e)) < 1e-12
+    assert np.max(np.abs(gs_rows(FlowBatch.of(gs_samples(v, w, n=10))) @ e)) < 1e-12
 
 
 def test_exact_recovery():
@@ -73,7 +73,7 @@ def test_cheirality_sign_resolution():
     m = solve_gs(samples)
     # sign must match the positive-depth interpretation, not its mirror
     assert m.v @ v > 0
-    assert cheirality_vote(samples, m.v, m.w) == len(samples)
+    assert cheirality_vote(FlowBatch.of(samples), m.v, m.w) == len(samples)
 
 
 def test_closed_form_depth_recovers_truth():

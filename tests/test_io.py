@@ -57,6 +57,14 @@ def test_flow_bad_magic(tmp_path):
         read_flow(path)
 
 
+def test_flow_header_with_invalid_camera(tmp_path):
+    path = tmp_path / "bad.rsflow"
+    path.write_bytes(struct.pack("<7sII dI dddd B I", b"RSFLOW1", 8, 8,
+                                 1.5, 48, 40.0, 40.0, 24.0, 24.0, 0, 0))
+    with pytest.raises(ValueError, match=r"bad\.rsflow: gamma must lie in \[0, 1\]"):
+        read_flow(path)
+
+
 def test_flow_truncated(tmp_path, cam):
     path = tmp_path / "f.rsflow"
     dense = np.zeros((48, 64, 2), dtype=np.float32)
@@ -200,6 +208,10 @@ def test_pnm_roundtrip(tmp_path):
     write_pnm(tmp_path / "c.ppm", color)
     assert np.array_equal(read_pnm(tmp_path / "g.pgm"), gray)
     assert np.array_equal(read_pnm(tmp_path / "c.ppm"), color)
+    # comment lines after the magic number are skipped
+    data = (tmp_path / "g.pgm").read_bytes()
+    (tmp_path / "gc.pgm").write_bytes(data.replace(b"P5\n", b"P5\n# one\n# two\n", 1))
+    assert np.array_equal(read_pnm(tmp_path / "gc.pgm"), gray)
 
 
 def test_pnm_float_input_clipped(tmp_path):
@@ -215,6 +227,9 @@ def test_keyvalues_roundtrip(tmp_path):
     write_keyvalues(path, {"a": 1.5, "b": "text", "c": 7})
     kv = read_keyvalues(path)
     assert kv == {"a": "1.5", "b": "text", "c": "7"}
+    # comment and blank lines are skipped
+    path.write_text("# written by hand\n\n" + path.read_text() + "  # trailing\n")
+    assert read_keyvalues(path) == kv
 
 
 def test_keyvalues_malformed(tmp_path):
@@ -256,3 +271,19 @@ def test_experiment_config_unknown_key(tmp_path):
 def test_experiment_config_empty_list():
     with pytest.raises(ValueError):
         ExperimentConfig(models=[])
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"models": ["gs", "xx"]}, r"unknown models \['xx'\]"),
+    ({"gammas": [0.5, 1.5]}, r"gamma must lie in \[0, 1\], got 1.5"),
+    ({"image_size": 1}, "h must be >= 2"),
+    ({"focal": 0.0}, "focal lengths must be positive"),
+    ({"n_points": -5}, "n_points must be >= 0"),
+    ({"ransac_iters": 0}, "iterations must be an integer >= 1"),
+    ({"threshold": -1.0}, "threshold must be positive"),
+])
+def test_experiment_config_rejects_what_a_sweep_cannot_run(setting, message):
+    """A config is checked when it is built, by the camera's and RANSAC's
+    own checks where they apply."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**setting)

@@ -103,3 +103,19 @@ def test_every_private_function_and_class_is_used():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert private and not [name for name in private if name not in referenced]
+
+
+def test_samples_are_stacked_only_where_they_enter():
+    """`FlowBatch.of` is called only by the functions that take samples from
+    outside the library; the kernels behind them take batches."""
+    callers = set()
+    for path in sorted(Path(rsdiffsfm.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "of"
+                    and isinstance(node.value, ast.Name) and node.value.id == "FlowBatch"
+                    for node in ast.walk(func)):
+                callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"robust.ransac", "robust.score_motion", "robust._trimmed",
+                       "refine.refine_stack", "rs_solvers._solve_one",
+                       "rs_solvers.det_polynomial"}

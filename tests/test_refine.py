@@ -142,6 +142,18 @@ def test_polish_failure_keeps_descent_result(camera, monkeypatch):
         refine(clean, start, camera, CONST_ACCEL)
 
 
+@pytest.mark.parametrize("reliable", [False, True])
+def test_refine_keeps_the_start_v_reliable(camera, reliable):
+    """The refit's motion carries its start's v_reliable flag, whether the
+    loop's result is accepted or the start is returned."""
+    clean, gt = generate_discrete(make_spec(camera, n_points=40, k=0.1, seed=3))
+    start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w, k=0.0, v_reliable=reliable)
+    states = refine_stack([(clean, start, camera), (clean[:3], start, camera)], CONST_ACCEL)
+    assert [(s.stop_reason, s.polished) for s in states] == [
+        ("converged", True), ("invalid_start", False)]
+    assert [s.motion.v_reliable for s in states] == [reliable, reliable]
+
+
 def assert_same_state(a, b):
     """Two refine states are equal, bit for bit."""
     for field in ("v", "w"):
