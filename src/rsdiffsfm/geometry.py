@@ -234,6 +234,14 @@ class FlowBatch:
             y2=np.array([s.y2 for s in samples], dtype=float),
         )
 
+    @classmethod
+    def concatenate(cls, batches):
+        """The batches joined along their leading axis."""
+        return cls(x=np.concatenate([b.x for b in batches]),
+                   u=np.concatenate([b.u for b in batches]),
+                   y1=np.concatenate([b.y1 for b in batches]),
+                   y2=np.concatenate([b.y2 for b in batches]))
+
     def __len__(self):
         return len(self.y1)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import CameraConfig
-from .robust import MINIMAL_SIZE, RansacConfig
+from .robust import MINIMAL_SIZE, RansacConfig, _is_integer
 
 FLOW_MAGIC = b"RSFLOW1"
 _HEADER = struct.Struct("<7sII dI dddd B")
@@ -281,8 +281,10 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown models {unknown} in config: choose from "
                              f"{', '.join(MINIMAL_SIZE)}")
-        if self.n_points < 0:
-            raise ValueError(f"config n_points must be >= 0, got {self.n_points}")
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"config trials must be an integer >= 1, got {self.trials!r}")
+        if self.n_points < 1:
+            raise ValueError(f"config n_points must be >= 1, got {self.n_points}")
         # the camera and RANSAC settings of every cell, checked by their own types
         try:
             for gamma in self.gammas:

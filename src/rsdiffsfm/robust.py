@@ -13,6 +13,10 @@ the best count of the earlier blocks.  This bail-out is exact: a dropped
 hypothesis could not have won, and only hypotheses scored on every sample
 compete.  RansacResult.n_scored_full counts them.
 
+`ransac_stack` runs this loop over many problems at once: each problem
+draws and scores as `ransac` does, and a block of each of several problems
+is solved in one `solve_stack` call.  `ransac` is that loop on one problem.
+
 Scoring evaluates the squared distance (c x P)^2 / |P|^2, with P = A v and
 c = u - beta B w at the flow midpoint: the closed-form depth residual
 |c - rho q| of `geometry.depth_terms` and `geometry.inv_depth` (q = beta P)
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySelection, RobustFailure
+from .errors import EmptySelection, RobustFailure, RsSfmError
 from .geometry import (
     CONST_ACCEL,
     CONST_VELOCITY,
@@ -61,6 +65,10 @@ MINIMAL_SIZE = {GLOBAL_SHUTTER: 8, CONST_VELOCITY: 8, CONST_ACCEL: 9}
 # several times the memory of a 60-subset one
 SOLVE_BLOCK = 64
 BLOCK_RESIDUALS = 2 ** 13
+# `ransac_stack` solves the blocks of several problems in one stack of at
+# most STACK_SUBSETS subsets: fewer calls cost less, and the cap keeps the
+# stack's memory at a few blocks' whatever the number of problems
+STACK_SUBSETS = 4 * SOLVE_BLOCK
 # the share of a dense flow pair's pixels that `ranked_pixels` keeps
 KEEP_FRACTION = 0.2
 
@@ -101,7 +109,9 @@ class RansacResult:
     is the share of the full scoring work the bail-out left; failures
     counts the subsets that gave none, by the name of the error the solver
     raised for them.  draw_s, solve_s and score_s are the seconds (wall
-    clock) spent drawing subsets, solving them and scoring hypotheses.
+    clock) spent drawing subsets, solving them and scoring hypotheses; a
+    problem of `ransac_stack` has, of each stacked solve, the share of its
+    subsets in the stack.
     """
 
     motion: MotionEstimate
@@ -270,70 +280,152 @@ def ransac(samples, model: str, config: CameraConfig | None, ransac_config: Rans
     Deterministic under a fixed seed.  For the constant-acceleration model
     every real root of the minimal solver is scored as its own hypothesis.
     The best hypothesis has the most inliers, then the lowest mean inlier
-    residual, then the earliest subset.
+    residual, then the earliest subset.  This is `ransac_stack` of one
+    problem; its library error is raised.
     """
-    rc = ransac_config or RansacConfig()
-    samples = FlowBatch.of(samples)
-    m = MINIMAL_SIZE[model]
-    if len(samples) < m:
-        raise RobustFailure(f"model {model} needs at least {m} samples, got {len(samples)}")
-    rng = np.random.default_rng(rc.seed)
-    terms = _sample_terms(samples, config, model)
-    a, b = terms[_GROUPS[-1]]
-    failures = Counter()
-    n_hypotheses = n_scored_full = n_residuals = 0
-    seconds = np.zeros(3)  # drawing, solving, scoring
-    best_count, best_mean, best_motion, best_errs = 0, np.inf, None, None
-    for start in range(0, rc.iterations, SOLVE_BLOCK):
+    [result] = ransac_stack([(samples, config, ransac_config)], model)
+    if isinstance(result, RsSfmError):
+        raise result
+    return result
+
+
+def ransac_stack(problems, model: str) -> list:
+    """`ransac` of each (samples, config, ransac_config) problem, in one
+    loop: per problem, the RansacResult that `ransac` returns or the library
+    error (an RsSfmError) that it raises.
+
+    Each problem draws its subsets from its own generator and scores its
+    hypotheses against its own samples, incumbent and bail-out.  Only the
+    solves are shared: the problems are taken in runs whose first blocks
+    hold at most STACK_SUBSETS subsets together, and each block of a run is
+    one `solve_stack` call.  A subset's hypotheses do not depend on its
+    stack, so each result is the one `ransac` gives the problem alone.
+    """
+    problems = [(FlowBatch.of(samples), config, rc or RansacConfig())
+                for samples, config, rc in problems]
+    results = [None] * len(problems)
+    for run in _runs(problems):
+        searches = []
+        for p in run:
+            try:
+                searches.append((p, _Search(*problems[p], model)))
+            except RsSfmError as exc:
+                results[p] = exc
+        live, start = [s for _, s in searches], 0
+        while live:
+            blocks = [(s, s.draw(start)) for s in live]
+            t0 = time.perf_counter()
+            stack = FlowBatch.concatenate([s.samples[sub] for s, sub in blocks])
+            # _sample_terms checked every scanline pair: no subset fails on one
+            a, b = np.concatenate([s.terms[_GROUPS[-1]][:, sub] for s, sub in blocks], axis=1)
+            hyps = solve_stack(stack, a, b)
+            solve_s = time.perf_counter() - t0
+            bounds = np.cumsum([0] + [len(sub) for _, sub in blocks])
+            for s, lo, hi in zip(live, bounds[:-1], bounds[1:]):
+                s.seconds[1] += solve_s * (hi - lo) / bounds[-1]
+                s.score(hyps.of_subsets(lo, hi))
+            start += SOLVE_BLOCK
+            live = [s for s in live if start < s.rc.iterations]
+        for p, s in searches:
+            results[p] = s.result()
+    return results
+
+
+def _runs(problems):
+    """Runs of consecutive problem indices whose first blocks hold at most
+    STACK_SUBSETS subsets together."""
+    run, size = [], 0
+    for p, (_, _, rc) in enumerate(problems):
+        block = min(SOLVE_BLOCK, rc.iterations)
+        if size + block > STACK_SUBSETS:
+            yield run
+            run, size = [], 0
+        run.append(p)
+        size += block
+    if run:
+        yield run
+
+
+class _Search:
+    """One problem of `ransac_stack`: its samples, feature table and
+    generator, its incumbent and its counts."""
+
+    def __init__(self, samples, config, rc, model):
+        self.samples = samples
+        self.model, self.rc, self.m = model, rc, MINIMAL_SIZE[model]
+        if len(self.samples) < self.m:
+            raise RobustFailure(f"model {model} needs at least {self.m} samples, "
+                                f"got {len(self.samples)}")
+        self.rng = np.random.default_rng(rc.seed)
+        self.terms = _sample_terms(self.samples, config, model)
+        self.failures = Counter()
+        self.n_hypotheses = self.n_scored_full = self.n_residuals = 0
+        self.seconds = np.zeros(3)  # drawing, solving, scoring
+        self.best_count, self.best_mean, self.best_motion, self.best_errs = 0, np.inf, None, None
+
+    def draw(self, start):
+        """The (S, m) sample indices of the block of subsets from iteration
+        start on."""
         t0 = time.perf_counter()
         # one draw per iteration, in order, so the subsets do not depend on
         # the block size
-        subsets = np.array([rng.choice(len(samples), size=m, replace=False)
-                            for _ in range(min(SOLVE_BLOCK, rc.iterations - start))])
-        t1 = time.perf_counter()
-        # _sample_terms checked every scanline pair: no subset fails on one
-        hyps = solve_stack(samples[subsets], a[subsets], b[subsets])
-        t2 = time.perf_counter()
-        failures.update(type(exc).__name__ for exc in hyps.failures.values())
-        n_hypotheses += len(hyps)
+        subsets = np.array([self.rng.choice(len(self.samples), size=self.m, replace=False)
+                            for _ in range(min(SOLVE_BLOCK, self.rc.iterations - start))])
+        self.seconds[0] += time.perf_counter() - t0
+        return subsets
+
+    def score(self, hyps):
+        """Score the hypotheses of a block, and keep the best of them if it
+        beats the incumbent."""
+        t0 = time.perf_counter()
+        self.failures.update(type(exc).__name__ for exc in hyps.failures.values())
+        self.n_hypotheses += len(hyps)
         if len(hyps):
+            terms, threshold = self.terms, self.rc.threshold
             coefs = _coefficients(hyps.v, hyps.w, hyps.k)
-            counts, sums, n_scored = _score_block(terms, coefs, rc.threshold, best_count)
-            n_scored_full += np.count_nonzero(counts >= 0)
-            n_residuals += n_scored
+            counts, sums, n_scored = _score_block(terms, coefs, threshold, self.best_count)
+            self.n_scored_full += np.count_nonzero(counts >= 0)
+            self.n_residuals += n_scored
             means = sums / np.maximum(counts, 1)
             i = np.lexsort((means, -counts))[0]  # stable: the first of equals
-            if counts[i] > best_count or (counts[i] == best_count > 0 and means[i] < best_mean):
-                best_motion = hyps.motion(i)
+            if counts[i] > self.best_count or (counts[i] == self.best_count > 0
+                                               and means[i] < self.best_mean):
+                self.best_motion = hyps.motion(i)
                 # a one-row product need not round as the block's did, so the
                 # incumbent's count and mean come from the residual vector
                 # that the result reports, which equals `score_motion`'s
-                best_errs = _residual_vector(terms, [coef[i:i + 1] for coef in coefs])
-                inl = best_errs <= rc.threshold
-                best_count = np.count_nonzero(inl)
-                best_mean = np.sum(best_errs[inl]) / max(best_count, 1)
-        seconds += (t1 - t0, t2 - t1, time.perf_counter() - t2)
-    n_valid = rc.iterations - sum(failures.values())
-    logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses, %d scored "
-                "in full, %d residuals, best %d of %d inliers; draw %.4f s, solve %.4f s, "
-                "score %.4f s", model, n_valid, rc.iterations, dict(failures), n_hypotheses,
-                n_scored_full, n_residuals, best_count, len(samples), *seconds)
-    if best_count == 0:
-        raise RobustFailure("no RANSAC iteration produced a valid model")
-    return RansacResult(
-        motion=best_motion,
-        inliers=np.flatnonzero(best_errs <= rc.threshold),
-        residuals=best_errs,
-        n_valid_iterations=n_valid,
-        n_iterations=rc.iterations,
-        n_hypotheses=n_hypotheses,
-        n_scored_full=n_scored_full,
-        n_residuals=n_residuals,
-        failures=dict(failures),
-        draw_s=float(seconds[0]),
-        solve_s=float(seconds[1]),
-        score_s=float(seconds[2]),
-    )
+                self.best_errs = _residual_vector(terms, [coef[i:i + 1] for coef in coefs])
+                inl = self.best_errs <= threshold
+                self.best_count = np.count_nonzero(inl)
+                self.best_mean = np.sum(self.best_errs[inl]) / max(self.best_count, 1)
+        self.seconds[2] += time.perf_counter() - t0
+
+    def result(self):
+        """The RansacResult of the search, or RobustFailure if no hypothesis
+        has an inlier."""
+        rc, seconds = self.rc, self.seconds
+        n_valid = rc.iterations - sum(self.failures.values())
+        logger.info("ransac %s: %d of %d subsets solved (failures %s), %d hypotheses, %d scored "
+                    "in full, %d residuals, best %d of %d inliers; draw %.4f s, solve %.4f s, "
+                    "score %.4f s", self.model, n_valid, rc.iterations, dict(self.failures),
+                    self.n_hypotheses, self.n_scored_full, self.n_residuals, self.best_count,
+                    len(self.samples), *seconds)
+        if self.best_count == 0:
+            return RobustFailure("no RANSAC iteration produced a valid model")
+        return RansacResult(
+            motion=self.best_motion,
+            inliers=np.flatnonzero(self.best_errs <= rc.threshold),
+            residuals=self.best_errs,
+            n_valid_iterations=n_valid,
+            n_iterations=rc.iterations,
+            n_hypotheses=self.n_hypotheses,
+            n_scored_full=self.n_scored_full,
+            n_residuals=self.n_residuals,
+            failures=dict(self.failures),
+            draw_s=float(seconds[0]),
+            solve_s=float(seconds[1]),
+            score_s=float(seconds[2]),
+        )
 
 
 def refit_trimmed(samples, result, model: str, config: CameraConfig | None):

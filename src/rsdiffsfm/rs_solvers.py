@@ -71,6 +71,15 @@ class Hypotheses:
     def __len__(self):
         return len(self.k)
 
+    def of_subsets(self, lo, hi) -> Hypotheses:
+        """The hypotheses of subsets lo to hi - 1, numbered from 0: those of
+        a stack of only these subsets."""
+        i, j = np.searchsorted(self.subset, [lo, hi])
+        failures = {s - lo: exc for s, exc in self.failures.items() if lo <= s < hi}
+        return Hypotheses(v=self.v[i:j], w=self.w[i:j], k=self.k[i:j],
+                          v_reliable=self.v_reliable[i:j], subset=self.subset[i:j] - lo,
+                          failures=failures)
+
     def motion(self, i) -> MotionEstimate:
         return MotionEstimate(v=self.v[i], w=self.w[i], k=float(self.k[i]),
                               v_reliable=bool(self.v_reliable[i]))

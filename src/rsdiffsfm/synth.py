@@ -168,7 +168,7 @@ def _row_fixed_point(points, rows, t0, motion, cfg):
     return x, rows, ok
 
 
-def generate_discrete(spec: SceneSpec):
+def generate_discrete(spec):
     """Exact two-view projections through per-scanline finite poses.
 
     For each 3D point, both observed rows are solved by fixed-point
@@ -181,11 +181,18 @@ def generate_discrete(spec: SceneSpec):
     attitude, and the mid-exposure frame is the one a single-frame
     differential estimate corresponds to.  At gamma = 0 this coincides with
     the frame-start pose.
+
+    spec may also be a non-empty sequence of specs with one camera and one
+    motion; their points then iterate together, and a list of the (samples,
+    truth) of each spec comes back, equal to its output alone.  Raises
+    ValueError when the specs' cameras or motions differ.
     """
-    rng = np.random.default_rng(spec.seed)
-    cfg = spec.config
-    motion = spec.motion()
-    xs, Zs = _sample_positions(spec, rng)
+    specs = [spec] if isinstance(spec, SceneSpec) else list(spec)
+    cfg, motion = specs[0].config, specs[0].motion()
+    if len({(s.config, *s.motion().v, *s.motion().w, s.k) for s in specs}) > 1:
+        raise ValueError("the specs of one generate_discrete call must share camera and motion")
+    xs, Zs = (np.concatenate(parts) for parts in
+              zip(*(_sample_positions(s, np.random.default_rng(s.seed)) for s in specs)))
     g = cfg.gamma / cfg.h
     points = Zs[:, None] * np.column_stack([xs, np.ones(len(xs))])
     # frame i: the row consistent with its own scanline pose, then the
@@ -196,9 +203,9 @@ def generate_discrete(spec: SceneSpec):
     # frame i+1, starting from the frame-i row
     x2, y2, ok = _row_fixed_point(points[keep], y1[keep], 1.0, motion, cfg)
     kept = ok & (X1[:, 2] > 1e-9) & (0 <= y2) & (y2 < cfg.h)
-    X1, x2 = X1[kept], x2[kept]
+    X1, x2, y2, source = X1[kept], x2[kept], y2[kept], keep[kept]
     x1 = X1[:, :2] / X1[:, 2:]
-    samples = FlowBatch(x=x1, u=x2 - x1, y1=y1[keep[kept]], y2=y2[kept])
+    y1 = y1[source]
     b_mid = beta_timestamp(0.5 * cfg.gamma, motion.k)
     gt_motion = MotionEstimate(
         v=exp_so3(b_mid * motion.w).T @ motion.v,
@@ -206,7 +213,15 @@ def generate_discrete(spec: SceneSpec):
         k=motion.k,
         v_reliable=True,
     )
-    return samples, GroundTruth(motion=gt_motion, depths=X1[:, 2], n_discarded=len(xs) - len(x1))
+    # each spec's points are a run of the concatenation, and so are its kept ones
+    counts = [s.n_points for s in specs]
+    bounds = np.searchsorted(source, np.cumsum([0, *counts]))
+    out = []
+    for n, lo, hi in zip(counts, bounds[:-1], bounds[1:]):
+        samples = FlowBatch(x=x1[lo:hi], u=x2[lo:hi] - x1[lo:hi], y1=y1[lo:hi], y2=y2[lo:hi])
+        out.append((samples, GroundTruth(motion=gt_motion, depths=X1[lo:hi, 2],
+                                         n_discarded=n - (hi - lo))))
+    return out[0] if isinstance(spec, SceneSpec) else out
 
 
 def translation_error(v_est, v_true):

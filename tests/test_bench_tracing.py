@@ -23,8 +23,11 @@ from conftest import make_spec
 ROOT = Path(__file__).resolve().parents[1]
 
 # wrap points the tracer still lists for functions the package no longer
-# binds in `robust`; the solver spans are taken from their defining modules
-STALE_POINTS = {"robust.solve_gs", "robust.solve_const_velocity", "robust.solve_const_accel"}
+# binds in `robust` or `experiment`; the solver spans are taken from their
+# defining modules, and a sweep calls `ransac_stack` and binds
+# `generate_discrete` as `generate_scenes`
+STALE_POINTS = {"robust.solve_gs", "robust.solve_const_velocity", "robust.solve_const_accel",
+                "experiment.ransac", "experiment.generate_discrete"}
 
 
 def bench_module(name):

@@ -419,13 +419,14 @@ def test_estimate_without_a_model_is_estimation_failure(runner, tmp_path):
     ("convert", ("--fx", "0"), "focal lengths must be positive"),
     ("sweep", "models=xx", "unknown models ['xx']"),
     ("sweep", "gammas=1.5", "gamma must lie in [0, 1], got 1.5"),
-    ("sweep", "n_points=-5", "n_points must be >= 0"),
+    ("sweep", "n_points=-5", "n_points must be >= 1"),
     ("sweep", "ransac_iters=0", "iterations must be an integer >= 1"),
     ("sweep", "threshold=-1", "threshold must be positive"),
     ("sweep", None, "config file not found"),
     ("synth", "gammas=1.5", "gamma must lie in [0, 1], got 1.5"),
-    ("synth", "n_points=-5", "n_points must be >= 0"),
+    ("synth", "n_points=-5", "n_points must be >= 1"),
     ("rectify", "gamma=2", "gamma must lie in [0, 1], got 2.0"),
+    ("sweep", "trials=0", "trials must be an integer >= 1"),
 ])
 def test_malformed_config_or_camera_is_input_error(runner, tmp_path, command, setting, message):
     cfg, out = tmp_path / "exp.cfg", tmp_path / "out"

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rsdiffsfm import experiment
 from rsdiffsfm.errors import RobustFailure
 from rsdiffsfm.io_formats import ExperimentConfig
+from rsdiffsfm.robust import RansacConfig, ransac
 
 
 def small_config():
@@ -23,10 +25,10 @@ def run_cell(cfg):
 
 
 def test_run_cell_drops_library_failures(monkeypatch, caplog):
-    def no_model(*args, **kwargs):
-        raise RobustFailure("no RANSAC iteration produced a valid model")
+    def no_model(problems, model):
+        return [RobustFailure("no RANSAC iteration produced a valid model") for _ in problems]
 
-    monkeypatch.setattr(experiment, "ransac", no_model)
+    monkeypatch.setattr(experiment, "ransac_stack", no_model)
     with caplog.at_level(logging.INFO, logger=experiment.logger.name):
         t_err, r_err, n = run_cell(small_config())
     assert n == 0 and np.isnan(t_err) and np.isnan(r_err)
@@ -53,11 +55,29 @@ def test_run_cell_logs_why_its_refits_stopped(caplog):
     assert "refits {'converged': 2} in " in record.getMessage()
 
 
+def test_run_cell_logs_its_hypotheses_and_subset_failures(caplog):
+    """The cell's log line sums what each kept trial's RANSAC reports: the
+    hypotheses solved and the subsets that gave none, by error type."""
+    cfg = dataclasses.replace(small_config(), models=["ca"], ransac_iters=200)
+    scenes = experiment._cell_scenes(cfg, *AXES)
+    alone = [ransac(samples, "ca", cfg.camera(AXES[0]),
+                    RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold,
+                                 seed=seed + 1)) for seed, samples, _ in scenes]
+    failures = sum((Counter(r.failures) for r in alone), Counter())
+    assert failures  # the ca solver finds no admissible root on some subsets
+    with caplog.at_level(logging.INFO, logger=experiment.logger.name):
+        _, _, n = experiment.run_cell(cfg, *AXES, "ca", scenes)
+    [record] = [r for r in caplog.records if r.name == experiment.logger.name]
+    assert n == len(alone)
+    assert (f"{sum(r.n_hypotheses for r in alone)} hypotheses, subset failures "
+            f"{dict(failures)}") in record.getMessage()
+
+
 def test_run_cell_propagates_program_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a library failure")
 
-    monkeypatch.setattr(experiment, "ransac", broken)
+    monkeypatch.setattr(experiment, "ransac_stack", broken)
     with pytest.raises(TypeError):
         run_cell(small_config())
 
@@ -70,14 +90,14 @@ def test_run_cell_synthesizes_its_scenes_when_not_given():
 def test_sweep_synthesizes_each_trial_once(monkeypatch):
     cfg = dataclasses.replace(small_config(), gammas=[0.4, 0.8], models=["gs", "cv"])
     single = [experiment.run_sweep(dataclasses.replace(cfg, models=[m])) for m in cfg.models]
-    generate = experiment.generate_discrete
+    generate = experiment.generate_scenes
     specs = []
 
-    def counting(spec, *args, **kwargs):
-        specs.append(spec)
-        return generate(spec, *args, **kwargs)
+    def counting(cell_specs, *args, **kwargs):
+        specs.extend(cell_specs)
+        return generate(cell_specs, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "generate_discrete", counting)
+    monkeypatch.setattr(experiment, "generate_scenes", counting)
     rows = experiment.run_sweep(cfg)
     assert len(specs) == len(cfg.gammas) * cfg.trials
     assert len({s.seed for s in specs}) == len(specs)

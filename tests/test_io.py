@@ -278,9 +278,11 @@ def test_experiment_config_empty_list():
     ({"gammas": [0.5, 1.5]}, r"gamma must lie in \[0, 1\], got 1.5"),
     ({"image_size": 1}, "h must be >= 2"),
     ({"focal": 0.0}, "focal lengths must be positive"),
-    ({"n_points": -5}, "n_points must be >= 0"),
+    ({"n_points": -5}, "n_points must be >= 1"),
     ({"ransac_iters": 0}, "iterations must be an integer >= 1"),
     ({"threshold": -1.0}, "threshold must be positive"),
+    ({"trials": 0}, "trials must be an integer >= 1"),
+    ({"n_points": 0}, "n_points must be >= 1"),
 ])
 def test_experiment_config_rejects_what_a_sweep_cannot_run(setting, message):
     """A config is checked when it is built, by the camera's and RANSAC's

@@ -116,6 +116,6 @@ def test_samples_are_stacked_only_where_they_enter():
                     and isinstance(node.value, ast.Name) and node.value.id == "FlowBatch"
                     for node in ast.walk(func)):
                 callers.add(f"{path.stem}.{func.name}")
-    assert callers == {"robust.ransac", "robust.score_motion", "robust._trimmed",
+    assert callers == {"robust.ransac_stack", "robust.score_motion", "robust._trimmed",
                        "refine.refine_stack", "rs_solvers._solve_one",
                        "rs_solvers.det_polynomial"}

@@ -185,6 +185,36 @@ def test_discrete_matches_per_point_loop(camera, kw, zero_k):
         assert (s.y1, s.y2) == (y1, y2)
 
 
+def test_discrete_spec_list_matches_each_spec(camera):
+    """A list of specs with one camera and one motion gives each spec's
+    output alone, bit for bit, whatever their seeds, point counts and
+    margins; a list that mixes cameras or motions is refused."""
+    motion = dict(k=0.3, norm_translation=0.1, w_mag_deg=8.0)
+    specs = [make_spec(camera, seed=5, n_points=200, margin=0.0, **motion),
+             make_spec(camera, seed=6, n_points=1, **motion),
+             make_spec(camera, seed=7, n_points=300, margin=0.0, **motion),
+             make_spec(camera, seed=8, n_points=40, **motion)]
+    out = generate_discrete(specs)
+    assert len(out) == len(specs)
+    assert sum(truth.n_discarded for _, truth in out) > 0
+    for spec, (samples, truth) in zip(specs, out):
+        alone, alone_truth = generate_discrete(spec)
+        for field in ("x", "u", "y1", "y2"):
+            assert np.array_equal(getattr(samples, field), getattr(alone, field))
+        assert np.array_equal(truth.depths, alone_truth.depths)
+        assert truth.n_discarded == alone_truth.n_discarded
+        assert np.array_equal(truth.motion.v, alone_truth.motion.v)
+        assert np.array_equal(truth.motion.w, alone_truth.motion.w)
+        assert truth.motion.k == alone_truth.motion.k
+    [(samples, _)] = generate_discrete(specs[:1])
+    assert np.array_equal(samples.x, generate_discrete(specs[0])[0].x)
+    for other in (make_spec(benchmark_config(0.5), seed=6, **motion),
+                  make_spec(camera, seed=6, **{**motion, "k": 0.2}),
+                  make_spec(camera, seed=6, **{**motion, "depth_range": (4.0, 9.0)})):
+        with pytest.raises(ValueError, match="share camera and motion"):
+            generate_discrete([specs[0], other])
+
+
 def test_exp_so3_stack_matches_each_vector():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-14, 0.5, (500, 1))
