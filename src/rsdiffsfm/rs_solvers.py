@@ -10,9 +10,11 @@ Where b = a (global shutter, constant velocity, and constant acceleration
 when beta does not depend on k) Z(k) = (2 + k) Z(0), so every k has the
 null vector of Z(0): the differential 8-point system of the flows scaled
 by 1/a, solved with k = 0.  Otherwise 9 samples stack to a 9x9 matrix Z(k)
-whose determinant must vanish; det Z(k) carries a structural (2 + k)^3
-factor (one per translation column) and deflating it leaves a degree-6
-polynomial whose real roots in ROOT_WINDOW are the candidate k values.
+whose determinant must vanish: the candidate k values are the real roots
+in ROOT_WINDOW of a 6x6 pencil, shifted to beta's pole k = -2, whose
+eigenvectors give their null vectors (`_pencil`; Kukelova, Bujnak and
+Pajdla, "Polynomial eigenvalue solutions to minimal problems in computer
+vision", TPAMI 2012).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev, polynomial as npoly
+from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateConfiguration, NoRealSolution
 from .geometry import (
@@ -39,15 +41,6 @@ from .gs_solver import gs_rows, recover_stack, unit_rows
 # the admissible acceleration factors (lo, hi]
 ROOT_WINDOW = (K_MIN, 10.0)
 RANK_TOL = 1e-10
-
-# det M(k) is sampled at 9 Chebyshev nodes; this fixed (7, 9) map takes the
-# samples to the power-basis coefficients of their degree-6 Chebyshev fit.
-# At these nodes T_0..T_6 are orthogonal, so the least-squares fit of
-# `chebfit` is T_j(nodes) . samples, scaled by 1/9 for j = 0 and 2/9 else.
-_NODES = chebyshev.chebpts1(9)
-_NODES_TO_COEFFS = np.column_stack(
-    [np.pad(chebyshev.cheb2poly(t), (0, 6 - j)) for j, t in enumerate(np.eye(7))]
-) @ (chebyshev.chebvander(_NODES, 6).T * np.r_[1.0, np.full(6, 2.0)][:, None] / 9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,49 +89,49 @@ def solve_stack(stack, a, b) -> Hypotheses:
     a, b (S, m) of `scanline_ab`: in subset order, those of one subset in
     ascending k.
 
-    Each subset gives candidate k values: 0 where beta does not depend on
-    k (b = a), which needs m >= 8 and a system of rank 8; otherwise, with
-    m = 9, the roots of its determinant polynomial in ROOT_WINDOW (det M(k)
-    at the Chebyshev nodes, one fixed map to the coefficients and the roots
-    as companion-matrix eigenvalues; `det_polynomial` and
-    `DetPolynomial.real_roots` are this kernel on one subset).
-    Every candidate takes its null vector from one SVD of its rows Z(k) and
-    its motion from `recover_stack` against the flows scaled by 1/beta(k).
-    A subset's hypotheses do not depend on the stack it is solved in.
+    A subset where beta does not depend on k (b = a) needs m >= 8 and rows
+    Z(0) of rank 8; its one candidate, k = 0, takes the null vector of their
+    SVD.  Otherwise, with m = 9, the candidates are the admissible roots of
+    the subset's shifted pencil and their null vectors its eigenvectors
+    (`_pencil`, from which `det_polynomial` also comes); `solve_const_accel`
+    is this kernel on one subset.  Every candidate takes its motion from `recover_stack`
+    against the flows scaled by 1/beta(k).  A subset's hypotheses do not
+    depend on the stack it is solved in.
     """
     n, m = stack.y1.shape
     flat = np.max(np.abs(b - a), axis=-1) < 1e-12
     if not flat.all() and m != 9:
         raise ValueError(f"the 9-point solver needs exactly 9 samples, got {m}")
     R0, R1 = affine_rows(stack, a, b)
-    candidates = np.full((n, 6), np.nan)  # ascending, NaN-padded
-    if m >= 8:
-        candidates[flat, 0] = 0.0
-    if not flat.all():
-        candidates[~flat] = _real_roots(_det_coefficients(R0[~flat], R1[~flat]))
-    failures = {
-        int(j): DegenerateConfiguration(f"need at least 8 samples, got {m}") if flat[j]
-        else NoRealSolution("determinant polynomial has no admissible real root")
-        for j in np.flatnonzero(np.isnan(candidates).all(axis=-1))
-    }
-    owner, slot = np.nonzero(~np.isnan(candidates))
-    k = candidates[owner, slot]
-    Z = R1[owner] * k[:, None, None]
-    Z += R0[owner]
-    _, sv, Vt = np.linalg.svd(unit_rows(Z))
-    # a root's rows are singular by construction: only the k-free
-    # candidates (none where m < 8) are tested for rank 8
-    free = np.flatnonzero(flat[owner])
-    deficient = free[sv[free, 7] <= RANK_TOL * sv[free, 0]] if len(free) else free
-    for i in deficient:
-        failures[int(owner[i])] = DegenerateConfiguration(
-            f"stacked system rank below 8 (sigma_8/sigma_1 = {sv[i, 7] / sv[i, 0]:.2e})")
-    if len(deficient):
-        owner, k, Vt = (np.delete(x, deficient, axis=0) for x in (owner, k, Vt))
+    k = np.full((n, 6), np.nan)  # candidates, ascending, NaN-padded
+    E = np.zeros((n, 6, 9))  # their null vectors
+    failures = {}
+    free, curved = np.flatnonzero(flat), np.flatnonzero(~flat)
+    if m < 8:  # every subset is k-free
+        failures = {j: DegenerateConfiguration(f"need at least 8 samples, got {m}")
+                    for j in range(n)}
+    elif len(free):
+        _, sv, Vt = np.linalg.svd(unit_rows(R0[free]))
+        ok = sv[:, 7] > RANK_TOL * sv[:, 0]
+        k[free[ok], 0] = 0.0
+        E[free[ok], 0] = Vt[ok, -1]
+        failures.update({int(j): DegenerateConfiguration(
+            f"stacked system rank below 8 (sigma_8/sigma_1 = {s[7] / s[0]:.2e})")
+            for j, s in zip(free[~ok], sv[~ok])})
+    if len(curved):
+        k[curved], E[curved], lam = _pencil(R0[curved], R1[curved])
+        failures.update({int(j): DegenerateConfiguration(
+            "singular pencil: det M(k) vanishes for every k or at -2")
+            for j in curved[np.isnan(lam).all(axis=-1)]})
+    for j in np.flatnonzero(np.isnan(k).all(axis=-1)):
+        failures.setdefault(
+            int(j), NoRealSolution("determinant polynomial has no admissible real root"))
+    owner, slot = np.nonzero(~np.isnan(k))
+    k = k[owner, slot]
     # recover (v, w) against beta(k)-rectified flows so the closed-form
     # depth votes use the right per-sample scale
     rect = stack[owner].rescaled(beta(a[owner], b[owner], k[:, None]))
-    v, w, reliable = recover_stack(canonicalize_e(Vt[:, -1]), rect)
+    v, w, reliable = recover_stack(canonicalize_e(E[owner, slot]), rect)
     return Hypotheses(v=v, w=w, k=k, v_reliable=reliable, subset=owner, failures=failures)
 
 
@@ -177,69 +170,74 @@ class DetPolynomial:
     def __call__(self, k):
         return npoly.polyval(k, self.coeffs)
 
-    def real_roots(self):
-        """Real roots inside ROOT_WINDOW, ascending: `_real_roots` of one row."""
-        roots = _real_roots(self.coeffs[np.newaxis])[0]
-        return [float(r) for r in roots[~np.isnan(roots)]]
-
 
 def det_polynomial(samples, config: CameraConfig) -> DetPolynomial:
     """Determinant polynomial of the `affine_rows` of 9 samples, with their
-    beta coefficients from the camera `config`: `solve_stack`'s kernel on
-    a stack of one."""
+    beta coefficients from the camera `config`, from the eigenvalues of its
+    shifted pencil (`_pencil`): det M(-2) prod_i (1 + lambda_i (2 + k)).
+    Samples whose pencil is singular raise DegenerateConfiguration, as
+    `solve_const_accel` does."""
     if len(samples) != 9:
         raise ValueError(f"the 9-point solver needs exactly 9 samples, got {len(samples)}")
     batch = FlowBatch.of(samples)
     R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, config))
-    return DetPolynomial(coeffs=_det_coefficients(R0[np.newaxis], R1[np.newaxis])[0])
+    _, _, lam = _pencil(R0[np.newaxis], R1[np.newaxis])
+    if np.isnan(lam).all():
+        raise DegenerateConfiguration("singular pencil: det M(k) vanishes for every k or at -2")
+    shifted = R0 - 2.0 * R1  # M(-2): Z(-2) with the translation columns of R1
+    shifted[:, :3] = R1[:, :3]
+    coeffs = np.array([np.linalg.det(shifted)])
+    for eigenvalue in lam[0]:
+        coeffs = npoly.polymul(coeffs, [1.0 + 2.0 * eigenvalue, eigenvalue])
+    return DetPolynomial(coeffs=coeffs.real)
 
 
-def _det_coefficients(R0, R1):
-    """Power-basis coefficients (S, 7) of det Z(k) / (2+k)^3 = det M(k) for
-    a stack of affine rows Z(k) = R0 + k R1, with M(k) the rows whose
-    translation columns have their (2+k) factor removed."""
-    # column equilibration; a pure per-column scale leaves roots unchanged
+def _pencil(R0, R1):
+    """Roots and null vectors of a stack of affine rows Z(k) = R0 + k R1
+    (S, 9, 9) from their pencil, shifted to beta's pole k = -2.
+
+    With the columns equilibrated by the scales col (S, 9), which leave the
+    roots unchanged, M(k) = [T, S0 + k S1] is Z(k) with the (2 + k) factor
+    taken out of its translation columns.  The full QR T = [Q1 Q2] R gives
+    Q^T M(k) = [[R, Q1^T (S0 + k S1)], [0, C + (2 + k) B]], with
+    C = Q2^T (S0 - 2 S1) and B = Q2^T S1, so det M(k) is
+    det M(-2) prod_i (1 + lambda_i (2 + k)) over the eigenvalues lambda (S, 6)
+    of C^-1 B.  Its real roots k = -2 - 1/lambda in ROOT_WINDOW, ascending
+    and NaN-padded (S, 6), are the candidates; an eigenvector of lambda is
+    the s part of the null vector, and back-substitution with R gives its
+    translation part.  Where M(-2) has sigma_9 <= RANK_TOL sigma_1, for
+    example where a sample repeats, lambda is NaN and there is no candidate.
+    Returns k, the null vectors (S, 6, 9) and lambda.
+    """
     col = np.sqrt(np.linalg.norm(R0, axis=-2) ** 2 + np.linalg.norm(R1, axis=-2) ** 2)
     col[col < 1e-300] = 1.0
-    R0e = R0 / col[:, None, :]
-    R1e = R1 / col[:, None, :]
-    # M(k) = M0 + k M1: translation columns constant, s columns affine
-    M0 = R0e.copy()
-    M1 = R1e.copy()
-    M0[..., :3] = R1e[..., :3]
-    M1[..., :3] = 0.0
-    # one node at a time: a (S, 9, 9, 9) stack of all nodes would be the
-    # largest array of a RANSAC call
-    vals = np.stack([np.linalg.det(M0 + t * M1) for t in _NODES], axis=-1)
-    # a sum, unlike a BLAS product, rounds a row alike in any stack
-    return np.sum(vals[:, None, :] * _NODES_TO_COEFFS, axis=-1) * np.prod(col, axis=-1)[:, None]
-
-
-def _real_roots(coeffs):
-    """Real roots in ROOT_WINDOW of each row of coeffs (S, d + 1), ascending
-    powers, as companion-matrix eigenvalues.
-
-    Returns (S, d): each row's real roots in ascending order, padded with
-    NaN.  Rows are grouped by degree, so each group shares one batched
-    eigenvalue call.
-    """
-    out = np.full((len(coeffs), coeffs.shape[1] - 1), np.nan)
-    nonzero = coeffs != 0
-    degree = np.where(nonzero.any(axis=1),
-                      coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    for d in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == d)
-        c = coeffs[rows, :d + 1]
-        # numpy's companion matrix (`polycompanion`), flipped as `polyroots` does
-        comp = np.zeros((len(rows), d, d))
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        r = np.linalg.eigvals(comp[:, ::-1, ::-1])
-        k = np.real(r)
-        ok = ((np.abs(np.imag(r)) < 1e-6 * (1.0 + np.abs(k)))
-              & (ROOT_WINDOW[0] < k) & (k <= ROOT_WINDOW[1]))
-        out[rows, :d] = np.where(ok, k, np.nan)
-    return np.sort(out, axis=1)
+    T = R1[..., :3] / col[:, None, :3]
+    S = np.stack([R0[..., 3:], R1[..., 3:]], axis=1) / col[:, None, None, 3:]
+    shifted = np.concatenate([T, S[:, 0] - 2.0 * S[:, 1]], axis=-1)
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    ok = sv[:, -1] > RANK_TOL * sv[:, 0]
+    Q, R = np.linalg.qr(T[ok], mode="complete")
+    # contiguous operands: a product rounds a subset alike in any stack
+    QS = np.ascontiguousarray(np.swapaxes(Q, -1, -2))[:, None] @ S[ok]  # (S, 2, 9, 6)
+    lam = np.full((len(R0), 6), np.nan, dtype=complex)
+    X = np.zeros((len(R0), 6, 6), dtype=complex)
+    lam[ok], X[ok] = np.linalg.eig(np.linalg.solve(QS[:, 0, 3:] - 2.0 * QS[:, 1, 3:],
+                                                   QS[:, 1, 3:]))
+    P = np.zeros((len(R0), 2, 3, 6))  # R^-1 Q1^T [S0, S1]
+    P[ok] = np.linalg.solve(R[:, None, :3], QS[:, :, :3])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = -2.0 - 1.0 / lam
+    k = np.where((np.abs(roots.imag) < 1e-6 * (1.0 + np.abs(roots.real)))
+                 & (ROOT_WINDOW[0] < roots.real) & (roots.real <= ROOT_WINDOW[1]),
+                 roots.real, np.nan)
+    order = np.argsort(k, axis=-1)  # NaN last
+    k = np.take_along_axis(k, order, axis=-1)
+    s = np.take_along_axis(np.swapaxes(X.real, -1, -2), order[..., None], axis=-2)
+    # the translation part of M's null vector, -(P0 + k P1) s, then Z's
+    # (2 + k) factor and the scales
+    t = -np.sum((P[:, None, 0] + k[..., None, None] * P[:, None, 1]) * s[..., None, :], axis=-1)
+    E = np.concatenate([t / (2.0 + k[..., None]), s], axis=-1) / col[:, None]
+    return k, E, lam
 
 
 def solve_const_accel(samples, config: CameraConfig):

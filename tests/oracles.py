@@ -6,8 +6,8 @@ against: exact back-projection for `warp_field`, the masked splat and
 boolean-indexed gap fill for `rectify_image`, full `np.mgrid` pixel grids
 for `warp_field` and `dense_depth`, the refinement objective, the 8-point
 solver of k-free subsets on their rescaled flows, the determinant
-polynomial of 9 samples as a Chebyshev fit of its own, and the single-point
-flow model with its epipolar constraint.
+polynomial of 9 samples as a Chebyshev fit of its own with Newton-polished
+roots, and the single-point flow model with its epipolar constraint.
 """
 
 import numpy as np
@@ -108,8 +108,9 @@ def reference_det_polynomial(samples, config):
     fitted by `chebfit`.  remainder_ratio is the largest remainder of three
     divisions by (k + 2) of the degree-9 interpolant of det Z(k), relative
     to its largest coefficient: it vanishes only when the sample set is
-    numerically sound.  roots are the real roots in ROOT_WINDOW of
-    `npoly.polyroots`, ascending.
+    numerically sound.  roots are the real roots of the fit by
+    `npoly.polyroots`, each polished by two Newton steps on det M(k) itself,
+    that lie in ROOT_WINDOW, ascending.
     """
     batch = FlowBatch.of(samples)
     R0, R1 = affine_rows(batch, *scanline_ab(batch.y1, batch.y2, config))
@@ -143,10 +144,19 @@ def reference_det_polynomial(samples, config):
 
     c = np.trim_zeros(coeffs, "b")
     roots = [] if len(c) <= 1 else sorted(
-        float(r.real) for r in npoly.polyroots(c)
-        if abs(r.imag) < 1e-6 * (1.0 + abs(r.real))
-        and ROOT_WINDOW[0] < r.real <= ROOT_WINDOW[1])
+        polished for r in npoly.polyroots(c) if abs(r.imag) < 1e-6 * (1.0 + abs(r.real))
+        for polished in [_newton_det(M0, M1, float(r.real))]
+        if ROOT_WINDOW[0] < polished <= ROOT_WINDOW[1])
     return coeffs, rem_max, roots
+
+
+def _newton_det(M0, M1, k):
+    """k after two Newton steps on det(M0 + k M1), whose derivative is taken
+    by a complex step: Im det(M0 + (k + ih) M1) / h."""
+    h = 1e-20
+    for _ in range(2):
+        k -= np.linalg.det(M0 + k * M1) * h / np.linalg.det(M0 + complex(k, h) * M1).imag
+    return float(k)
 
 
 def motion_stack(motion):

@@ -12,7 +12,8 @@ import rsdiffsfm
 # the per-model stack solvers and scanline checks that `solve_stack` and
 # `scanline_ab` replace, and the separate k-free and root solvers that the
 # single path of `solve_stack` replaces (`Hypotheses` and `RANK_TOL` moved
-# to rs_solvers), and `filter_flows`, which was `samples_from_pixels` of
+# to rs_solvers), the Chebyshev fit and companion roots that the shifted
+# pencil replaces, and `filter_flows`, which was `samples_from_pixels` of
 # `ranked_pixels`
 REMOVED = {
     "": ["EpipolarVector", "epipolar_residual", "log_so3", "project_flow", "recover_motion",
@@ -25,7 +26,8 @@ REMOVED = {
     "robust": ["residual", "filter_flows"],
     "rs_solvers": ["solve_const_velocity_stack", "solve_const_accel_stack",
                    "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL", "AccelCandidate", "_accel_roots",
-                   "_divide_linear"],
+                   "_divide_linear", "_NODES", "_NODES_TO_COEFFS", "_det_coefficients",
+                   "_real_roots"],
     "refine": ["_flow_errors", "objective", "reduced_jacobian", "reduced_residuals",
                "update_depths"],
 }
@@ -59,6 +61,7 @@ def test_det_polynomial_holds_only_its_coefficients():
     from rsdiffsfm.rs_solvers import DetPolynomial
 
     assert list(DetPolynomial.__dataclass_fields__) == ["coeffs"]
+    assert not hasattr(DetPolynomial, "real_roots")
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -19,14 +19,7 @@ from rsdiffsfm.geometry import (
     scanline_ab,
 )
 from rsdiffsfm.gs_solver import gs_rows, solve_gs, unit_rows
-from rsdiffsfm.rs_solvers import (
-    ROOT_WINDOW,
-    DetPolynomial,
-    _real_roots,
-    affine_rows,
-    det_polynomial,
-    solve_stack,
-)
+from rsdiffsfm.rs_solvers import ROOT_WINDOW, _pencil, affine_rows, det_polynomial, solve_stack
 
 from conftest import gross_outlier, make_spec
 from oracles import k_free_hypotheses, reference_det_polynomial, s_to_vech, symmetric_s
@@ -153,8 +146,9 @@ def test_ca_needs_nine_samples(camera):
 
 
 def test_batched_ca_roots_match_det_polynomial(camera):
-    """The stacked solver's roots are those of the Chebyshev-fit oracle, and
-    `det_polynomial` of a subset gives its roots bit for bit."""
+    """The stacked solver's roots are the oracle's Newton-polished roots of
+    det M(k), `solve_const_accel` of a subset gives them bit for bit, and
+    `det_polynomial` of the subset vanishes at them."""
     spec = make_spec(camera, n_points=120, k=0.1, seed=21)
     samples, _ = generate_linearized(spec)
     rng = np.random.default_rng(21)
@@ -167,7 +161,14 @@ def test_batched_ca_roots_match_det_polynomial(camera):
     for j, subset in enumerate(subsets):
         _, _, want = reference_det_polynomial(batch[subset], camera)
         got = hyps.k[hyps.subset == j]
-        assert det_polynomial(batch[subset], camera).real_roots() == list(got)
+        if j in hyps.failures:
+            with pytest.raises(type(hyps.failures[j])):
+                solve_const_accel(batch[subset], camera)
+        else:
+            assert [m.k for m in solve_const_accel(batch[subset], camera)] == list(got)
+        poly = det_polynomial(batch[subset], camera)
+        scale = max(abs(poly(k)) for k in np.linspace(-1.5, 3.0, 13))
+        assert all(abs(poly(k)) < 1e-9 * scale for k in got)
         assert len(got) == len(want)
         assert (j in hyps.failures) == (not want)
         if want:
@@ -178,12 +179,52 @@ def test_batched_ca_roots_match_det_polynomial(camera):
 
 def test_roots_at_or_below_k_min_are_not_admitted():
     """A root in (-2, K_MIN] lies outside the root window: refinement holds
-    k at K_MIN and could not move it."""
+    k at K_MIN and could not move it.  Complex and infinite roots are not
+    candidates either."""
     assert ROOT_WINDOW[0] == K_MIN
-    coeffs = np.polynomial.polynomial.polyfromroots([-1.995, 0.5, 3.0])  # ascending powers
-    assert DetPolynomial(coeffs).real_roots() == pytest.approx([0.5, 3.0])
-    roots = _real_roots(np.pad(coeffs, (0, 3))[np.newaxis])[0]
-    np.testing.assert_allclose(roots[~np.isnan(roots)], [0.5, 3.0])
+    # rows whose pencil is diagonal but for a rotation block: det M(k) has
+    # the roots -1.995, 0.5 and 3.0, the complex pair 1 +- 0.5i from the
+    # rotation block, and one at infinity from its constant last entry
+    R1 = np.zeros((9, 9))
+    R1[:3, :3] = np.eye(3)
+    R1[3:, 3:] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    R0 = 2.0 * R1
+    R0[3:, 3:] = np.diag([1.995, -0.5, -3.0, -1.0, -1.0, 1.0])
+    R0[6, 7], R0[7, 6] = -0.5, 0.5
+    k, E, lam = _pencil(R0[np.newaxis], R1[np.newaxis])
+    np.testing.assert_allclose(k[0, :2], [0.5, 3.0], rtol=1e-12)
+    assert np.isnan(k[0, 2:]).all()
+    # every root but the infinite one is an eigenvalue lambda = -1 / (2 + k)
+    assert np.count_nonzero(lam[0] == 0) == 1
+    np.testing.assert_allclose(np.sort_complex(-2.0 - 1.0 / lam[0][lam[0] != 0]),
+                               [-1.995, 0.5, 1.0 - 0.5j, 1.0 + 0.5j, 3.0], rtol=1e-12)
+    for root, e in zip(k[0, :2], E[0]):
+        assert np.linalg.norm((R0 + root * R1) @ e) < 1e-12 * np.linalg.norm(e)
+
+
+def test_ca_subsets_singular_for_every_k_fail(camera):
+    """A curved subset whose rows are rank-deficient for every k, because a
+    sample repeats or because no sample moves, fails with
+    DegenerateConfiguration and gives no hypotheses."""
+    samples, _ = generate_linearized(make_spec(camera, n_points=120, k=0.1, seed=23))
+    rng = np.random.default_rng(23)
+    subsets = np.array([rng.choice(len(samples), size=9, replace=False) for _ in range(200)])
+    moving = samples[subsets[:20]]
+    still = FlowBatch(x=moving.x, u=np.zeros_like(moving.u), y1=moving.y1, y2=moving.y1)
+    subsets[:, 8] = subsets[:, rng.integers(0, 8)]
+    for part in (samples[subsets], still):
+        hyps = solve_stack(part, *scanline_ab(part.y1, part.y2, camera))
+        assert len(hyps) == 0
+        assert set(failure_types(hyps).values()) == {DegenerateConfiguration}
+        assert set(hyps.failures) == set(range(len(part.y1)))
+
+
+def test_ca_finds_k_zero(camera):
+    """Exact ca data with k = 0 has a candidate at k = 0, where an unshifted
+    pencil would be singular."""
+    for seed in range(20):
+        samples, _ = generate_linearized(make_spec(camera, n_points=9, k=0.0, seed=seed))
+        assert min(abs(m.k) for m in solve_const_accel(samples, camera)) < 1e-9
 
 
 def failure_types(hyps):
