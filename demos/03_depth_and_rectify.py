@@ -19,7 +19,7 @@ from rsdiffsfm import (
     warp_field,
     write_pnm,
 )
-from rsdiffsfm.rectify import beta_first_scanline
+from rsdiffsfm.geometry import beta_timestamp
 
 H = W = 300
 camera = CameraConfig(gamma=0.8, h=H, fx=270.0, fy=270.0, cx=W / 2, cy=H / 2, width=W)
@@ -32,7 +32,7 @@ motion = MotionEstimate(v=v, w=w, k=0.1)
 # render the plane scanline by scanline through each scanline's own pose
 py, px = np.mgrid[0:H, 0:W].astype(float)
 x, y = camera.pixel_to_normalized(px, py)
-betas = beta_first_scanline(np.arange(H), motion.k, camera.gamma, camera.h)
+betas = beta_timestamp(camera.timestamp(np.arange(H)), motion.k)
 depth = np.empty((H, W))
 gsx = np.empty((H, W))
 for r in range(H):

@@ -104,19 +104,19 @@ def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
     """Coefficients (a, b) of beta for flows from row y1 to row y2 under a model.
 
     The coefficients are where the model is chosen: a = b = 1 (beta = 1)
-    for the global-shutter model, without a camera and at gamma = 0; b = a
+    for the global-shutter model, the only one that needs no camera; b = a
     (beta = alpha for every k) for the constant-velocity model; a = t2 - t1
-    and b = t2^2 - t1^2 for the constant-acceleration model.  Raises
-    InvalidScanlinePair where a <= 0.
+    and b = t2^2 - t1^2 for the constant-acceleration model, t1 and t2 the
+    camera's timestamps of y1 in frame 0 and y2 in frame 1 (so a = b = 1 at
+    gamma = 0).  Raises InvalidScanlinePair where a <= 0.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    if model == GLOBAL_SHUTTER or config is None or config.gamma == 0:
-        ones = np.ones_like(y1 + y2)
+    if model == GLOBAL_SHUTTER:
+        ones = np.ones(np.broadcast(y1, y2).shape)
         return ones, ones
-    g = config.gamma / config.h
-    t1 = g * y1
-    t2 = 1.0 + g * y2
+    t1 = config.timestamp(y1)
+    t2 = config.timestamp(y2, 1.0)
     a = t2 - t1
     if np.any(a <= 0):
         y1, y2 = np.broadcast_arrays(y1, y2)  # rows may come as an (H, 1) column
@@ -197,6 +197,10 @@ class CameraConfig:
         """Pixel row of a normalized y coordinate, or of an array of them."""
         return np.asarray(y_norm, float) * self.fy + self.cy
 
+    def timestamp(self, rows, frame=0.0):
+        """Exposure time of pixel rows of frame `frame`, in frame periods."""
+        return frame + self.gamma / self.h * np.asarray(rows, float)
+
 
 @dataclass(frozen=True, eq=False)
 class FlowBatch:
@@ -221,6 +225,9 @@ class FlowBatch:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        # [()]: one sample's rows stay numpy scalars, a third the size of 0-d arrays
+        object.__setattr__(self, "y1", np.asarray(self.y1, dtype=float)[()])
+        object.__setattr__(self, "y2", np.asarray(self.y2, dtype=float)[()])
 
     @classmethod
     def of(cls, samples):

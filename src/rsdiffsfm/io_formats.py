@@ -77,6 +77,7 @@ def read_flow(path) -> FlowFile:
         magic, width, height, gamma, h, fx, fy, cx, cy, dense_flag = _HEADER.unpack(head)
         if magic != FLOW_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
+        _check_size(path, width, height)
         try:
             config = CameraConfig(gamma=gamma, h=h, fx=fx, fy=fy, cx=cx, cy=cy, width=width)
         except ValueError as exc:
@@ -171,17 +172,31 @@ def write_pnm(path, image):
         f.write(np.ascontiguousarray(img).tobytes())
 
 
+def _pnm_header(f):
+    """The magic, width, height and maxval of a PNM header, split at whitespace
+    and `#` comments, b"" past the end of the file; f is left at the raster,
+    after the one whitespace byte that ends maxval."""
+    tokens, token = [], bytearray()
+    while len(tokens) < 4:
+        c = f.read(1)
+        if c == b"#":
+            f.readline()
+            c = b"\n"
+        if c and not c.isspace():
+            token += c
+        elif token or not c:
+            tokens.append(bytes(token))
+            token.clear()
+    return tokens
+
+
 def read_pnm(path):
     with open(path, "rb") as f:
-        magic = f.readline().strip()
+        magic, *size = _pnm_header(f)
         if magic not in (b"P5", b"P6"):
             raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
-        line = f.readline()
-        while line.startswith(b"#"):
-            line = f.readline()
         try:
-            width, height = map(int, line.split())
-            maxval = int(f.readline())
+            width, height, maxval = map(int, size)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed PNM header ({exc})") from exc
         _check_size(path, width, height)

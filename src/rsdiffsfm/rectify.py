@@ -45,11 +45,6 @@ class WarpField:
     valid: np.ndarray  # (H, W) bool
 
 
-def beta_first_scanline(rows, k, gamma, h):
-    """Pose fraction beta1 of scanline `rows` relative to the first scanline."""
-    return beta_timestamp(gamma * np.asarray(rows, dtype=float) / h, k)
-
-
 def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField:
     """Rectifying displacement field from a dense depth map.
 
@@ -63,7 +58,7 @@ def warp_field(depth, motion: MotionEstimate, config: CameraConfig) -> WarpField
     py = np.arange(H, dtype=float)[:, None]
     px = np.arange(W, dtype=float)[None, :]
     x, y = config.pixel_to_normalized(px, py)
-    beta1 = beta_first_scanline(py, motion.k, config.gamma, config.h)
+    beta1 = beta_timestamp(config.timestamp(py), motion.k)
     valid = np.isfinite(depth) & (depth > 0)
     rho = np.where(valid, 1.0 / np.where(valid, depth, 1.0), 0.0)
     ax, ay = translation_flow(x, y, motion.v)

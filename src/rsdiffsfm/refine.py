@@ -156,8 +156,8 @@ class RefineState:
     lm_iterations: int
 
 
-def refine(samples, initial: MotionEstimate, config: CameraConfig | None = None,
-           model: str = CONST_ACCEL, max_cycles: int = 400) -> RefineState:
+def refine(samples, initial: MotionEstimate, config: CameraConfig, model: str = CONST_ACCEL,
+           max_cycles: int = 400) -> RefineState:
     """Levenberg-Marquardt from `initial` with the depths eliminated.
 
     The gauge freedom (v, Z) -> (cv, cZ) is fixed by a unit-norm v, the

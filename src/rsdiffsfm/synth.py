@@ -107,7 +107,6 @@ def generate_linearized(spec: SceneSpec):
     cfg = spec.config
     motion = spec.motion()
     xs, Zs = _sample_positions(spec, rng)
-    g = cfg.gamma / cfg.h
     y1 = cfg.row_of(xs[:, 1])
     y2 = y1.copy()
     u = np.zeros_like(xs)
@@ -119,7 +118,8 @@ def generate_linearized(spec: SceneSpec):
         xa, ua, y2a = xs[active], u[active], y2[active]
         A, B = matrices_ab(xa + 0.5 * ua)
         base = A @ motion.v / Zs[active, None] + B @ motion.w
-        bt = beta_timestamp(1.0 + g * y2a, motion.k) - beta_timestamp(g * y1[active], motion.k)
+        bt = (beta_timestamp(cfg.timestamp(y2a, 1.0), motion.k)
+              - beta_timestamp(cfg.timestamp(y1[active]), motion.k))
         u_new = bt[:, None] * base
         y2_new = cfg.row_of(xa[:, 1] + u_new[:, 1])
         done = (np.max(np.abs(u_new - ua), axis=1) < 1e-15) & (np.abs(y2_new - y2a) < 1e-12)
@@ -141,13 +141,12 @@ def _camera_points(points, t, motion):
 def _row_fixed_point(points, rows, t0, motion, cfg):
     """Rows at which each world point is seen by the scanline exposing it.
 
-    Iterates row <- row of the projection at timestamp t0 + g row, for all
-    points together, each until its own row changes by less than 1e-12 or
-    for 50 steps.  Returns (x, rows, ok): x is each point's projection at
-    the row before its last update, and ok is False for a point that fell
-    behind the camera, which stops iterating there.
+    Iterates row <- row of the projection at the row's timestamp in frame
+    t0, for all points together, each until its own row changes by less
+    than 1e-12 or for 50 steps.  Returns (x, rows, ok): x is each point's
+    projection at the row before its last update, and ok is False for a
+    point that fell behind the camera, which stops iterating there.
     """
-    g = cfg.gamma / cfg.h
     rows = rows.copy()
     x = np.zeros((len(rows), 2))
     ok = np.ones(len(rows), dtype=bool)
@@ -155,7 +154,7 @@ def _row_fixed_point(points, rows, t0, motion, cfg):
     for _ in range(50):
         if not active.size:
             break
-        Xc = _camera_points(points[active], t0 + g * rows[active], motion)
+        Xc = _camera_points(points[active], cfg.timestamp(rows[active], t0), motion)
         behind = Xc[:, 2] <= 1e-9
         ok[active[behind]] = False
         active, Xc = active[~behind], Xc[~behind]
@@ -193,13 +192,12 @@ def generate_discrete(spec):
         raise ValueError("the specs of one generate_discrete call must share camera and motion")
     xs, Zs = (np.concatenate(parts) for parts in
               zip(*(_sample_positions(s, np.random.default_rng(s.seed)) for s in specs)))
-    g = cfg.gamma / cfg.h
     points = Zs[:, None] * np.column_stack([xs, np.ones(len(xs))])
     # frame i: the row consistent with its own scanline pose, then the
     # projection at that row
     _, y1, ok = _row_fixed_point(points, cfg.row_of(xs[:, 1]), 0.0, motion, cfg)
     keep = np.flatnonzero(ok & (0 <= y1) & (y1 < cfg.h))
-    X1 = _camera_points(points[keep], g * y1[keep], motion)
+    X1 = _camera_points(points[keep], cfg.timestamp(y1[keep]), motion)
     # frame i+1, starting from the frame-i row
     x2, y2, ok = _row_fixed_point(points[keep], y1[keep], 1.0, motion, cfg)
     kept = ok & (X1[:, 2] > 1e-9) & (0 <= y2) & (y2 < cfg.h)

@@ -18,6 +18,7 @@ from rsdiffsfm.geometry import (
     CONST_ACCEL,
     FlowBatch,
     beta,
+    beta_timestamp,
     canonicalize_e,
     exp_so3,
     matrices_ab,
@@ -27,7 +28,7 @@ from rsdiffsfm.geometry import (
     translation_flow,
 )
 from rsdiffsfm.gs_solver import gs_rows, recover_stack, unit_rows
-from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
+from rsdiffsfm.rectify import WarpField, _fill_holes
 from rsdiffsfm.refine import SampleBlocks, _terms, depth_terms, inv_depth
 from rsdiffsfm.rs_solvers import RANK_TOL, ROOT_WINDOW, Hypotheses, affine_rows
 
@@ -189,7 +190,7 @@ def warp_field_backprojection(depth, motion, config):
     Z = np.where(valid, depth, 1.0)
     du = np.zeros((H, W))
     dv = np.zeros((H, W))
-    betas = beta_first_scanline(np.arange(H), motion.k, config.gamma, config.h)[:, None]
+    betas = beta_timestamp(config.timestamp(np.arange(H)), motion.k)[:, None]
     Rs = exp_so3(betas * motion.w)  # (H, 3, 3): one scanline pose per row
     ps = betas * motion.v
     for r in range(H):
@@ -210,7 +211,7 @@ def mgrid_warp_field(depth, motion, config):
     H, W = depth.shape
     py, px = np.mgrid[0:H, 0:W].astype(float)
     x, y = config.pixel_to_normalized(px, py)
-    beta1 = beta_first_scanline(py, motion.k, config.gamma, config.h)
+    beta1 = beta_timestamp(config.timestamp(py), motion.k)
     valid = np.isfinite(depth) & (depth > 0)
     rho = np.where(valid, 1.0 / np.where(valid, depth, 1.0), 0.0)
     ax, ay = translation_flow(x, y, motion.v)

@@ -32,7 +32,6 @@ from rsdiffsfm import (
 from rsdiffsfm.experiment import run_sweep
 from rsdiffsfm.geometry import matrices_ab
 from rsdiffsfm.io_formats import ExperimentConfig
-from rsdiffsfm.rectify import beta_first_scanline
 from rsdiffsfm.robust import refit_trimmed, score_motion
 from rsdiffsfm.rs_solvers import det_polynomial
 from rsdiffsfm.synth import CONST_ACCEL, CONST_VELOCITY, GLOBAL_SHUTTER, beta_timestamp
@@ -248,7 +247,7 @@ def _render_checkerboard_scene(cfg, motion, Z0=6.0):
     H, W = cfg.h, cfg.width
     py, px = np.mgrid[0:H, 0:W].astype(float)
     x, y = cfg.pixel_to_normalized(px, py)
-    betas = beta_first_scanline(np.arange(H), motion.k, cfg.gamma, cfg.h)
+    betas = beta_timestamp(cfg.timestamp(np.arange(H)), motion.k)
     depth = np.empty((H, W))
     gsx = np.empty((H, W))
     gsy = np.empty((H, W))

@@ -271,6 +271,22 @@ def test_depth_invalid_scanline_pair_is_input_error(runner, tmp_path):
     assert "rows (20.0, -40.0)" in res.output  # the offending pixel's (y1, y2)
 
 
+def test_depth_of_an_empty_flow_is_input_error(runner, tmp_path):
+    """A dense flow of height 0 is refused as it is read, with the image size
+    message of the other readers, and writes no depth map."""
+    cam = CameraConfig(gamma=0.8, h=24, fx=22.0, fy=22.0, cx=12.0, cy=12.0, width=4)
+    flow, mpath, out = tmp_path / "d.rsflow", tmp_path / "m.txt", tmp_path / "depth.pfm"
+    write_flow(flow, FlowFile(config=cam, width=4, height=0,
+                              dense=np.zeros((0, 4, 2), dtype=np.float32)))
+    write_motion(mpath, MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0))
+    res = runner.invoke(main, ["depth", "--flow", str(flow), "--motion", str(mpath),
+                               "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and "bad image size 4 x 0" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content, message", [(None, "not found"), ("vx=1\n", "'vy'"),
                                               ("vx=abc\n", "'abc'")])
 def test_depth_bad_motion_file_is_input_error(runner, tmp_path, content, message):

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsdiffsfm.geometry import (
+    CONST_ACCEL,
+    CONST_VELOCITY,
+    GLOBAL_SHUTTER,
     CameraConfig,
     FlowBatch,
     FlowSample,
@@ -129,6 +132,11 @@ def test_flow_sample_is_a_batch_of_shape_nothing():
         assert isinstance(got, FlowBatch) and got.x.shape == (2,) and np.ndim(got.y1) == 0
         assert np.array_equal(got.x, s.x) and (got.y1, got.y2) == (10.0, 8.0)
     assert len(list(batch)) == 2
+    # rows given as lists are arrays too, so a stack index reaches them
+    listed = FlowBatch(x=[[0.1, 0.2], [0.3, 0.4]], u=[[0.0, 0.1], [0.1, 0.0]],
+                       y1=[1.0, 2.0], y2=[1.0, 2.0])
+    stack = listed[np.array([[0, 1]])]
+    assert stack.y1.dtype == float and np.array_equal(stack.y2, [[1.0, 2.0]])
 
 
 def test_midpoint():
@@ -147,6 +155,43 @@ def test_motion_estimate_normalized():
     n = m.normalized()
     assert np.isclose(np.linalg.norm(n.v), 1.0)
     assert n.k == m.k
+
+
+MODELS = st.sampled_from([GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+rows = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(rows, rows, MODELS)
+@settings(max_examples=200, deadline=None)
+def test_scanline_factors_at_gamma_zero_are_one(y1, y2, model):
+    """At gamma = 0 every row of a frame is exposed at the frame's start,
+    t1 = 0 and t2 = 1, so every model has a = b = 1 bit for bit."""
+    camera = CameraConfig(gamma=0.0, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0)
+    t1, t2 = camera.timestamp(y1), camera.timestamp(y2, 1.0)
+    assert (t1, t2) == (0.0, 1.0)
+    a, b = scanline_ab(y1, y2, camera, model)
+    assert a == b == t2 - t1 == t2 * t2 - t1 * t1 == 1.0
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 899.0), st.floats(0.0, 899.0))
+@settings(max_examples=200, deadline=None)
+def test_scanline_factors_come_from_the_camera_clock(gamma, y1, y2):
+    """(a, b) are the differences of the camera's timestamps of row y1 in
+    frame 0 and row y2 in frame 1, bit for bit."""
+    camera = CameraConfig(gamma=gamma, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0)
+    t1, t2 = camera.timestamp(y1), camera.timestamp(y2, 1.0)
+    assert t1 == gamma / 900 * y1 and t2 == 1.0 + gamma / 900 * y2
+    assert scanline_ab(y1, y2, camera, CONST_ACCEL) == (t2 - t1, t2 * t2 - t1 * t1)
+    assert scanline_ab(y1, y2, camera, CONST_VELOCITY) == (t2 - t1, t2 - t1)
+
+
+@pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
+def test_rolling_shutter_factors_need_a_camera(model):
+    """Only the global-shutter model gives beta = 1 without a camera; the
+    rolling-shutter models fail rather than fall back to it."""
+    assert scanline_ab(10.0, 12.0, None, GLOBAL_SHUTTER) == (1.0, 1.0)
+    with pytest.raises(AttributeError, match="timestamp"):
+        scanline_ab(10.0, 12.0, None, model)
 
 
 KERNEL_CAMERA = CameraConfig(gamma=0.8, h=24, fx=20.0, fy=20.0, cx=12.0, cy=12.0, width=24)

@@ -212,6 +212,19 @@ def test_pnm_roundtrip(tmp_path):
     data = (tmp_path / "g.pgm").read_bytes()
     (tmp_path / "gc.pgm").write_bytes(data.replace(b"P5\n", b"P5\n# one\n# two\n", 1))
     assert np.array_equal(read_pnm(tmp_path / "gc.pgm"), gray)
+    # the header is whitespace-separated tokens, with comments before maxval
+    raster = data[len(b"P5\n6 11\n255\n"):]
+    for header in (b"P5 6 11 255\n", b"P5\n6\n11\n255\n", b"P5\n6 11\n# maxval\n255\n",
+                   b"P5\t6 # width\n11\r255 "):
+        (tmp_path / "gh.pgm").write_bytes(header + raster)
+        assert np.array_equal(read_pnm(tmp_path / "gh.pgm"), gray)
+    for header, message in ((b"P4\n6 11\n255\n", "magic"), (b"P5x 6 11 255\n", "magic"),
+                            (b"P5\n6 x\n255\n", "malformed"), (b"P5\n6 11\n", "malformed"),
+                            (b"P5\n0 11\n255\n", "size"), (b"P5\n6 11\n65535\n", "8-bit"),
+                            (b"", "magic")):
+        (tmp_path / "gh.pgm").write_bytes(header)
+        with pytest.raises(ValueError, match=message):
+            read_pnm(tmp_path / "gh.pgm")
 
 
 def test_pnm_float_input_clipped(tmp_path):

@@ -13,8 +13,9 @@ import rsdiffsfm
 # `scanline_ab` replace, and the separate k-free and root solvers that the
 # single path of `solve_stack` replaces (`Hypotheses` and `RANK_TOL` moved
 # to rs_solvers), the Chebyshev fit and companion roots that the shifted
-# pencil replaces, and `filter_flows`, which was `samples_from_pixels` of
-# `ranked_pixels`
+# pencil replaces, `filter_flows`, which was `samples_from_pixels` of
+# `ranked_pixels`, and `beta_first_scanline`, which `CameraConfig.timestamp`
+# replaces
 REMOVED = {
     "": ["EpipolarVector", "epipolar_residual", "log_so3", "project_flow", "recover_motion",
          "solve_linear", "symmetric_s", "filter_flows"],
@@ -28,6 +29,7 @@ REMOVED = {
                    "DEFAULT_ROOT_WINDOW", "DEFLATION_TOL", "AccelCandidate", "_accel_roots",
                    "_divide_linear", "_NODES", "_NODES_TO_COEFFS", "_det_coefficients",
                    "_real_roots"],
+    "rectify": ["beta_first_scanline"],
     "refine": ["_flow_errors", "objective", "reduced_jacobian", "reduced_residuals",
                "update_depths"],
 }

@@ -11,7 +11,8 @@ from rsdiffsfm import (
     rectify_image,
     warp_field,
 )
-from rsdiffsfm.rectify import WarpField, _fill_holes, beta_first_scanline
+from rsdiffsfm.geometry import beta_timestamp
+from rsdiffsfm.rectify import WarpField, _fill_holes
 
 from oracles import masked_rectify_image, mgrid_warp_field, warp_field_backprojection
 
@@ -38,7 +39,7 @@ def render_plane_scene(cfg, motion, Z0=6.0, texture=None):
     H, W = cfg.h, cfg.width
     py, px = np.mgrid[0:H, 0:W].astype(float)
     x, y = cfg.pixel_to_normalized(px, py)
-    betas = beta_first_scanline(np.arange(H), motion.k, cfg.gamma, cfg.h)
+    betas = beta_timestamp(cfg.timestamp(np.arange(H)), motion.k)
     depth = np.empty((H, W))
     gsx = np.empty((H, W))
     for r in range(H):
@@ -53,8 +54,9 @@ def render_plane_scene(cfg, motion, Z0=6.0, texture=None):
 
 
 def test_beta_first_scanline_zero_at_top():
-    assert beta_first_scanline(0, 0.2, 0.8, 900) == 0.0
-    assert beta_first_scanline(0.0, 0.0, 0.0, 900) == 0.0
+    """The first scanline is exposed at timestamp 0, where beta vanishes."""
+    assert beta_timestamp(small_camera(0.8, 900).timestamp(0), 0.2) == 0.0
+    assert beta_timestamp(small_camera(0.0, 900).timestamp(0.0), 0.0) == 0.0
 
 
 def test_warp_identity_at_zero_motion():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -113,6 +114,15 @@ def test_refine_cv_model_keeps_k_zero(camera):
     assert state.objective < 1e-16
 
 
+def test_refine_needs_a_camera(camera):
+    """No model is refined under a guessed camera: the camera is required."""
+    samples, gt = generate_linearized(make_spec(camera, n_points=20, seed=8))
+    with pytest.raises(TypeError, match="config"):
+        refine(samples, gt.motion)
+    with pytest.raises(TypeError, match="config"):
+        refine(samples, gt.motion, model=CONST_ACCEL)
+
+
 def test_polish_failure_keeps_descent_result(camera, monkeypatch):
     """A start with a non-finite residual returns the start, reported as an
     invalid start; an error raised in the Levenberg-Marquardt loop
@@ -171,7 +181,7 @@ def test_stacked_refits_equal_refits_alone(camera, model):
     """In one stack padded to its largest problem, each problem gets the
     state `refine` gives it alone, bit for bit: noisy problems of 25 to 60
     samples (one ca start below the k bound), too few samples for the
-    unknowns, a reversed translation and an exact fit without a camera."""
+    unknowns, a reversed translation and an exact fit at gamma 0."""
     problems = []
     for seed, n, k in ((5, 40, 0.0), (6, 25, -1.995), (7, 60, 0.0)):
         spec = make_spec(camera, n_points=n, k=0.1 if model == CONST_ACCEL else 0.0, seed=seed)
@@ -186,7 +196,7 @@ def test_stacked_refits_equal_refits_alone(camera, model):
     exact = FlowBatch(x=m / 2, u=m, y1=np.zeros(10), y2=np.zeros(10))
     forward = MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0)
     problems[1:1] = [(few, problems[0][1], camera), (problems[2][0], flipped, camera),
-                     (exact, forward, None)]
+                     (exact, forward, dataclasses.replace(camera, gamma=0.0))]
     stacked = refine_stack(problems, model)
     assert [s.stop_reason for s in stacked] == [
         "converged", "invalid_start", "no_valid_depth", "zero_objective", "converged", "converged"]
