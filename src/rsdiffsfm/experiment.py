@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 
 from .errors import RsSfmError
+from .geometry import CONST_ACCEL
 from .io_formats import ExperimentConfig
 from .robust import RansacConfig, ransac_stack, refit_trimmed
 # a sweep synthesizes each cell's scenes in one call on their spec list,
@@ -63,60 +64,75 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
     """
     if scenes is None:
         scenes = _cell_scenes(cfg, gamma, trans, w_mag, k)
-    return _run_cells(cfg, [((gamma, trans, w_mag, k), scenes)], model)[0]
+    return _run_cells(cfg, [((gamma, trans, w_mag, k), scenes)], [model])[0][0]
 
 
-def _run_cells(cfg: ExperimentConfig, cells, model):
-    """`run_cell` of each (axes, scenes) cell under one model: one stacked
-    `ransac_stack` over the trials of every cell, then one stacked
-    `refit_trimmed` of the kept ones."""
-    problems, owners, dropped = [], [], [Counter() for _ in cells]
+def _run_cells(cfg: ExperimentConfig, cells, models):
+    """`run_cell` of each (axes, scenes) cell under each model, as one list
+    of rows per model: per model one stacked `ransac_stack` over the trials
+    of every cell, then one stacked `refit_trimmed` of the kept trials of
+    all models of one parameter count (gs and cv have 6, ca has 7)."""
+    problems, owners, few = [], [], [Counter() for _ in cells]
     for i, ((gamma, *_), scenes) in enumerate(cells):
         camera = cfg.camera(gamma)
         for seed, samples, gt in scenes:
             if len(samples) < 9:
-                dropped[i]["too_few_samples"] += 1
+                few[i]["too_few_samples"] += 1
                 continue
             rc = RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold, seed=seed + 1)
             problems.append((samples, camera, rc))
             owners.append((i, gt.motion))
-    kept = []  # (cell, samples, result, camera, truth)
-    for (samples, camera, _), (i, truth), result in zip(problems, owners,
-                                                        ransac_stack(problems, model)):
-        if isinstance(result, RsSfmError):
-            dropped[i][type(result).__name__] += 1
-        else:
-            kept.append((i, samples, result, camera, truth))
-    states = [None] * len(kept)
-    if cfg.use_refine and kept:
-        _, samples, results, cameras, _ = zip(*kept)
-        states = refit_trimmed(samples, results, model, cameras)
-    rows = []
-    for i, ((gamma, trans, w_mag, k), scenes) in enumerate(cells):
-        mine = [(state, result, gt) for (j, _, result, _, gt), state in zip(kept, states) if j == i]
-        refits = [state for state, _, _ in mine if state]
-        failures = sum((Counter(result.failures) for _, result, _ in mine), Counter())
-        logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
-                    "dropped %s; %d hypotheses, subset failures %s; refits %s in %d cycles", gamma,
-                    trans, w_mag, k, model, len(mine), len(scenes), dict(dropped[i]),
-                    sum(result.n_hypotheses for _, result, _ in mine), dict(failures),
-                    dict(Counter(s.stop_reason for s in refits)), sum(s.n_cycles for s in refits))
-        t_errs = [translation_error((state or result).motion.v, gt.v) for state, result, gt in mine]
-        r_errs = [rotation_error((state or result).motion.w, gt.w) for state, result, gt in mine]
-        rows.append((float(np.mean(t_errs)), float(np.mean(r_errs)), len(mine)) if mine
-                    else (np.nan, np.nan, 0))
-    return rows
+    trials = {(m, i): [] for m in range(len(models)) for i in range(len(cells))}
+    dropped = {(m, i): few[i].copy() for m, i in trials}
+    for m, model in enumerate(models):
+        for (samples, camera, _), (i, truth), result in zip(problems, owners,
+                                                            ransac_stack(problems, model)):
+            if isinstance(result, RsSfmError):
+                dropped[m, i][type(result).__name__] += 1
+            else:
+                trials[m, i].append([model, samples, camera, result, truth, None])
+    if cfg.use_refine:
+        kept = [trial for cell in trials.values() for trial in cell]
+        for ca in (False, True):  # one stack of 6 unknowns (gs, cv), one of 7 (ca)
+            group = [trial for trial in kept if (trial[0] == CONST_ACCEL) == ca]
+            if group:
+                group_models, samples, cameras, results, _, _ = zip(*group)
+                for trial, state in zip(group, refit_trimmed(samples, results, group_models,
+                                                             cameras)):
+                    trial[-1] = state
+    return [[_cell_row(axes, model, len(scenes), dropped[m, i],
+                       [(state, result, truth) for *_, result, truth, state in trials[m, i]])
+             for i, (axes, scenes) in enumerate(cells)] for m, model in enumerate(models)]
+
+
+def _cell_row(axes, model, n_scenes, dropped, mine):
+    """The (trans_err, rot_err, trials) row of a cell under a model from the
+    (refit state, RANSAC result, truth) of its kept trials, after the
+    cell's log line."""
+    refits = [state for state, _, _ in mine if state]
+    failures = sum((Counter(result.failures) for _, result, _ in mine), Counter())
+    logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
+                "dropped %s; %d hypotheses, subset failures %s; refits %s in %d cycles", *axes,
+                model, len(mine), n_scenes, dict(dropped),
+                sum(result.n_hypotheses for _, result, _ in mine), dict(failures),
+                dict(Counter(s.stop_reason for s in refits)), sum(s.n_cycles for s in refits))
+    if not mine:
+        return np.nan, np.nan, 0
+    t_errs = [translation_error((state or result).motion.v, gt.v) for state, result, gt in mine]
+    r_errs = [rotation_error((state or result).motion.w, gt.w) for state, result, gt in mine]
+    return float(np.mean(t_errs)), float(np.mean(r_errs)), len(mine)
 
 
 def run_sweep(cfg: ExperimentConfig):
     """All cells of the sweep; rows in deterministic axis order.
 
     Each trial scene is synthesized once and estimated with every model;
-    each model refits the trials of all cells as one stack.
+    the kept trials of all cells and models of one parameter count are
+    refit as one stack.
     """
     cells = [(axes, _cell_scenes(cfg, *axes))
              for axes in product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks)]
-    by_model = [_run_cells(cfg, cells, model) for model in cfg.models]
+    by_model = _run_cells(cfg, cells, cfg.models)
     return [(*axes, model, *rows[i]) for i, (axes, _) in enumerate(cells)
             for model, rows in zip(cfg.models, by_model)]
 

@@ -108,13 +108,17 @@ def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
     (beta = alpha for every k) for the constant-velocity model; a = t2 - t1
     and b = t2^2 - t1^2 for the constant-acceleration model, t1 and t2 the
     camera's timestamps of y1 in frame 0 and y2 in frame 1 (so a = b = 1 at
-    gamma = 0).  Raises InvalidScanlinePair where a <= 0.
+    gamma = 0).  Raises InvalidScanlinePair where a <= 0, and TypeError for
+    a rolling-shutter model without a camera.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     if model == GLOBAL_SHUTTER:
         ones = np.ones(np.broadcast(y1, y2).shape)
         return ones, ones
+    if config is None:
+        raise TypeError(f"model {model} needs a camera (config), got None: its scanline "
+                        f"factor reads the camera's row times")
     t1 = config.timestamp(y1)
     t2 = config.timestamp(y2, 1.0)
     a = t2 - t1

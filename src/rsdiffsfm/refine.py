@@ -52,7 +52,9 @@ class SampleBlocks(namedtuple("SampleBlocks", "A B u a b")):
 
     @classmethod
     def of(cls, batches, model=CONST_ACCEL):
-        """The blocks of a sequence of (batch, config) problems."""
+        """The blocks of a sequence of (batch, config) problems under one
+        model, or under a sequence of models, one per problem."""
+        models = [model] * len(batches) if isinstance(model, str) else model
         ends = np.cumsum([len(batch) for batch, _ in batches], dtype=int)
         P, n = len(batches), max((len(batch) for batch, _ in batches), default=0)
         out = cls(np.zeros((P, 3, n, 2)), np.zeros((P, 3, n, 2)), np.zeros((P, n, 2)),
@@ -64,7 +66,7 @@ class SampleBlocks(namedtuple("SampleBlocks", "A B u a b")):
             out.A[p, :, :m] = A[rows].transpose(2, 0, 1)
             out.B[p, :, :m] = B[rows].transpose(2, 0, 1)
             out.u[p, :m] = batch.u
-            out.a[p, :m], out.b[p, :m] = scanline_ab(batch.y1, batch.y2, config, model)
+            out.a[p, :m], out.b[p, :m] = scanline_ab(batch.y1, batch.y2, config, models[p])
         return out
 
 
@@ -168,18 +170,26 @@ def refine(samples, initial: MotionEstimate, config: CameraConfig, model: str = 
     return refine_stack([(samples, initial, config)], model, max_cycles)[0]
 
 
-def refine_stack(problems, model: str = CONST_ACCEL, max_cycles: int = 400) -> list[RefineState]:
+def refine_stack(problems, model=CONST_ACCEL, max_cycles: int = 400) -> list[RefineState]:
     """`refine` of each (samples, initial, config) problem, in one stacked
     loop: a list of the states that `refine` gives the problems alone.
 
-    The problems whose start has no valid depth, fits exactly or is invalid
-    are sorted out before the loop and stay out of it.
+    model is one model for every problem or a sequence of one per problem,
+    of one parameter count: gs and cv problems (6 unknowns) share a stack,
+    ca problems (7) take their own; a mix raises ValueError.  The problems
+    whose start has no valid depth, fits exactly or is invalid are sorted
+    out before the loop and stay out of it.
     """
+    models = [model] * len(problems) if isinstance(model, str) else list(model)
+    if len({m == CONST_ACCEL for m in models}) > 1:
+        raise ValueError(f"models {sorted(set(models))} differ in parameter count: "
+                         f"one stack refines 6 unknowns (gs, cv) or 7 (ca), not both")
     batches = [FlowBatch.of(samples) for samples, _, _ in problems]
-    blocks = SampleBlocks.of([(b, config) for b, (_, _, config) in zip(batches, problems)], model)
-    start = np.array([_start(initial, model) for _, initial, _ in problems]).reshape(-1, 7)
+    blocks = SampleBlocks.of([(b, config) for b, (_, _, config) in zip(batches, problems)], models)
+    start = np.array([_start(initial, m) for (_, initial, _), m
+                      in zip(problems, models, strict=True)]).reshape(-1, 7)
     terms = _reduced_terms(blocks, start[:, :3], start[:, 3:6], start[:, 6])
-    n_unknowns, states, loop = 7 if model == CONST_ACCEL else 6, [], []
+    n_unknowns, states, loop = 7 if CONST_ACCEL in models else 6, [], []
     for p, (batch, (_, initial, _), obj) in enumerate(zip(batches, problems, _objectives(terms))):
         n = len(batch)
         state = RefineState(
@@ -279,24 +289,37 @@ def _normal_equations(J, r):
     return np.einsum("pmi,pmj->pij", J, J), np.einsum("pmi,pm->pi", J, r)
 
 
-def gauss_newton_step(J, r, damping=0.0, normal=None):
+def gauss_newton_step(J, r, theta, damping=0.0, normal=None):
     """Least-squares solutions s (P, n) of [J; sqrt(diag(damping))] s = [r; 0]
-    for a stack J (P, M, n), r (P, M), damping (P, n) or 0, from the normal
-    equations; normal holds their `_normal_equations` if the caller has them.
+    off the scale gauge, for a stack J (P, M, n), r (P, M) at thetas (P, n),
+    damping (P, n) or 0, from the normal equations; normal holds their
+    `_normal_equations` if the caller has them.
 
     `einsum` without `optimize` never calls BLAS, whose product with a 2N x 7
     Jacobian wakes OpenBLAS's worker threads to spin for about 0.1 s of CPU.
     With the sample axis of J before its parameter axis, `einsum` adds the
     samples up one at a time, in order, so padding changes no bit of a step.
-    One round of iterative refinement on the residual undoes the squared
-    condition number of J^T J.  The systems are solved with one batched
-    pseudo-inverse at `lstsq`'s rank cutoff, n eps of the largest singular
-    value: the residual does not change under v -> s v, so J^T J is singular
-    along (v, 0, 0), and only the cutoff keeps the step off that gauge.
+    The residual does not change under v -> s v, so J g = 0 along the gauge
+    g = (v / |v|, 0, 0[, 0]), and J^T J is singular there.  The matrix that
+    is inverted takes s g g^T, s its largest diagonal entry, which leaves
+    J^T J's other eigenvalues as they are and makes the solve as well
+    conditioned as J is off the gauge.  One round of iterative refinement
+    on the residual of the normal equations without that term then undoes
+    the squared condition number of J^T J, and reaches the least-squares
+    step, whose g component is 0 up to the rounding of J.  The systems are
+    solved with one batched pseudo-inverse at `lstsq`'s rank cutoff, n eps
+    of the largest singular value, which keeps a zero column fixed: k's at
+    gamma = 0.
     """
     n = J.shape[-1]
     JtJ, Jtr = _normal_equations(J, r) if normal is None else normal
-    inverse = np.linalg.pinv(JtJ + np.asarray(damping)[..., None] * np.eye(n),
+    v = theta[:, :3]
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    g = np.zeros_like(theta)
+    np.divide(v, norm, out=g[:, :3], where=norm > 0)
+    g *= np.sqrt(JtJ.diagonal(0, 1, 2).max(axis=1, keepdims=True))
+    inverse = np.linalg.pinv(JtJ + g[:, :, None] * g[:, None, :]
+                             + np.asarray(damping)[..., None] * np.eye(n),
                              rcond=n * np.finfo(float).eps)
     step = np.einsum("pij,pj->pi", inverse, Jtr)
     rest = np.einsum("pmi,pm->pi", J, r - np.einsum("pmi,pi->pm", J, step)) - damping * step
@@ -332,10 +355,10 @@ def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
             rows = np.flatnonzero(converged)
             if rows.size:
                 sub = _rows(blocks, rows)
-                at = theta[rows] - gauss_newton_step(J[rows], _flat(terms.r[rows]),
+                at = theta[rows] - gauss_newton_step(J[rows], _flat(terms.r[rows]), theta[rows],
                                                      normal=(JtJ[rows], Jtr[rows]))
                 at_terms = _reduced_terms(sub, *_motion(at))
-                at -= gauss_newton_step(_jacobian(at, sub, at_terms), _flat(at_terms.r))
+                at -= gauss_newton_step(_jacobian(at, sub, at_terms), _flat(at_terms.r), at)
                 for x, y in zip(terms, _reduced_terms(sub, *_motion(at))):
                     x[rows] = y
             for x, y in zip((*final, *counts), (*terms, steps, evals, converged)):
@@ -348,7 +371,7 @@ def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
             return final, counts[0], counts[1], counts[2].astype(bool)
         # D is 0 on a column that never moves the residual, k at gamma = 0:
         # only the rank cutoff of `gauss_newton_step` keeps that k fixed
-        step = gauss_newton_step(J, _flat(terms.r), lam[:, None] * D, (JtJ, Jtr))
+        step = gauss_newton_step(J, _flat(terms.r), theta, lam[:, None] * D, (JtJ, Jtr))
         trial = theta - step
         trial_terms = _reduced_terms(blocks, *_motion(trial))
         trial_cost = _cost(trial_terms)

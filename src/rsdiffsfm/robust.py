@@ -128,12 +128,13 @@ class RansacResult:
     score_s: float = 0.0
 
 
-def score_motion(samples, motion: MotionEstimate, config: CameraConfig | None,
+def score_motion(samples, motion: MotionEstimate, config: CameraConfig,
                  model: str = CONST_ACCEL):
     """Residual vector of a motion hypothesis over all samples.
 
     Flows are scaled by the model's beta: 1 for the global-shutter model,
-    the rolling-shutter scanline factor otherwise.
+    which alone takes config None, the rolling-shutter scanline factor of
+    the camera's row times otherwise.
     """
     coefs = _coefficients(motion.v[np.newaxis], motion.w[np.newaxis], np.array([motion.k]))
     return _residual_vector(_sample_terms(FlowBatch.of(samples), config, model), coefs)
@@ -274,14 +275,16 @@ def _score_block(terms, coefs, threshold, best_count):
     return counts, sums, n_residuals
 
 
-def ransac(samples, model: str, config: CameraConfig | None, ransac_config: RansacConfig | None = None) -> RansacResult:
+def ransac(samples, model: str, config: CameraConfig,
+           ransac_config: RansacConfig | None = None) -> RansacResult:
     """Robust motion estimate from contaminated flow samples.
 
     Deterministic under a fixed seed.  For the constant-acceleration model
     every real root of the minimal solver is scored as its own hypothesis.
     The best hypothesis has the most inliers, then the lowest mean inlier
-    residual, then the earliest subset.  This is `ransac_stack` of one
-    problem; its library error is raised.
+    residual, then the earliest subset.  Only the gs model takes config
+    None.  This is `ransac_stack` of one problem; its library error is
+    raised.
     """
     [result] = ransac_stack([(samples, config, ransac_config)], model)
     if isinstance(result, RsSfmError):
@@ -331,6 +334,27 @@ def ransac_stack(problems, model: str) -> list:
     return results
 
 
+def draw_subsets(rng, n, m, size):
+    """(size, m) indices into n >= m samples, each row m distinct ones drawn
+    uniformly over the ordered m-subsets.
+
+    One integer draw for the whole block, then a redraw of only the rows
+    that repeat an index, until none does: each row is a uniform m-tuple
+    conditioned on distinct entries.  The subsets of a generator depend on
+    the block sizes it is asked for.
+    """
+    if n < m:
+        raise ValueError(f"cannot draw {m} distinct indices from {n}")
+    subsets = rng.integers(0, n, (size, m))
+    rows = np.arange(size)
+    while True:
+        ordered = np.sort(subsets[rows], axis=1)
+        rows = rows[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        if not rows.size:
+            return subsets
+        subsets[rows] = rng.integers(0, n, (rows.size, m))
+
+
 def _runs(problems):
     """Runs of consecutive problem indices whose first blocks hold at most
     STACK_SUBSETS subsets together."""
@@ -367,10 +391,8 @@ class _Search:
         """The (S, m) sample indices of the block of subsets from iteration
         start on."""
         t0 = time.perf_counter()
-        # one draw per iteration, in order, so the subsets do not depend on
-        # the block size
-        subsets = np.array([self.rng.choice(len(self.samples), size=self.m, replace=False)
-                            for _ in range(min(SOLVE_BLOCK, self.rc.iterations - start))])
+        subsets = draw_subsets(self.rng, len(self.samples), self.m,
+                               min(SOLVE_BLOCK, self.rc.iterations - start))
         self.seconds[0] += time.perf_counter() - t0
         return subsets
 
@@ -428,7 +450,7 @@ class _Search:
         )
 
 
-def refit_trimmed(samples, result, model: str, config: CameraConfig | None):
+def refit_trimmed(samples, result, model, config: CameraConfig):
     """Nonlinear refit on the best-scoring half of the inlier set.
 
     Samples just under the threshold can be geometrically consistent with
@@ -436,18 +458,21 @@ def refit_trimmed(samples, result, model: str, config: CameraConfig | None):
     near-ambiguity between translation and rotation amplifies their pull on
     a full-inlier refit.  Trimming to the best half (by residual
     under the selected hypothesis) drops them; with genuinely noisy data
-    this is an ordinary trimmed least-squares refit.
+    this is an ordinary trimmed least-squares refit.  Only the gs model
+    takes config None.
 
     samples, result and config may also be equal-length sequences, one
-    entry per problem: the refits then run as one `refine.refine_stack`,
-    and a list of their states comes back.
+    entry per problem, and so may model: the refits then run as one
+    `refine.refine_stack`, which takes models of one parameter count, and a
+    list of their states comes back.
     """
     from .refine import refine, refine_stack
 
     if isinstance(result, RansacResult):
         return refine(*_trimmed(samples, result, model), config, model)
-    return refine_stack([(*_trimmed(s, r, model), c)
-                         for s, r, c in zip(samples, result, config, strict=True)], model)
+    models = [model] * len(result) if isinstance(model, str) else model
+    return refine_stack([(*_trimmed(s, r, m), c) for s, r, m, c
+                         in zip(samples, result, models, config, strict=True)], models)
 
 
 def _trimmed(samples, result: RansacResult, model):

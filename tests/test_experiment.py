@@ -106,3 +106,23 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
     assert [r[:5] for r in rows] == [r[:5] for r in expected]
     assert experiment.sweep_csv(rows) == experiment.sweep_csv(expected)
     assert all(r[7] == cfg.trials for r in rows)
+
+
+def test_sweep_refits_each_parameter_count_in_one_stack(monkeypatch):
+    """A sweep refits the kept trials of gs and cv (6 unknowns) in one
+    `refit_trimmed` call and those of ca (7) in another, and its rows are
+    those of the single-model sweeps."""
+    cfg = dataclasses.replace(small_config(), gammas=[0.4, 0.8], models=["gs", "cv", "ca"],
+                              use_refine=True, ransac_iters=30)
+    single = [experiment.run_sweep(dataclasses.replace(cfg, models=[m])) for m in cfg.models]
+    refit, calls = experiment.refit_trimmed, []
+
+    def recording(samples, results, models, cameras):
+        calls.append(sorted(set(models)))
+        return refit(samples, results, models, cameras)
+
+    monkeypatch.setattr(experiment, "refit_trimmed", recording)
+    rows = experiment.run_sweep(cfg)
+    assert calls == [["cv", "gs"], ["ca"]]
+    expected = [row for triple in zip(*single) for row in triple]
+    assert experiment.sweep_csv(rows) == experiment.sweep_csv(expected)

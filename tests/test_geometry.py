@@ -190,7 +190,7 @@ def test_rolling_shutter_factors_need_a_camera(model):
     """Only the global-shutter model gives beta = 1 without a camera; the
     rolling-shutter models fail rather than fall back to it."""
     assert scanline_ab(10.0, 12.0, None, GLOBAL_SHUTTER) == (1.0, 1.0)
-    with pytest.raises(AttributeError, match="timestamp"):
+    with pytest.raises(TypeError, match=f"model {model} needs a camera"):
         scanline_ab(10.0, 12.0, None, model)
 
 

@@ -226,6 +226,37 @@ def test_refit_trimmed_on_sequences_equals_single_refits(camera):
         refit_trimmed(batches, results[:2], CONST_ACCEL, cameras)
 
 
+def test_refit_trimmed_stacks_gs_and_cv_problems(camera):
+    """gs and cv problems (6 unknowns each) in one stack get, bit for bit,
+    the states of one stack per model; a stack that mixes in a ca problem
+    (7 unknowns) raises ValueError naming the models."""
+    samples, results, cameras, models = [], [], [], []
+    for seed, gamma in ((1, 0.8), (2, 0.4), (3, 1.0)):
+        cam = dataclasses.replace(camera, gamma=gamma)
+        clean, _ = generate_discrete(make_spec(cam, n_points=50 + 20 * seed, seed=seed))
+        rng = np.random.default_rng(seed)
+        batch = with_noise([gross_outlier(s, rng) if i % 5 == 0 else s
+                            for i, s in enumerate(clean)], cam, 0.5, rng)
+        for model in (GLOBAL_SHUTTER, CONST_VELOCITY):
+            samples.append(batch)
+            results.append(ransac(batch, model, cam, RansacConfig(iterations=50, seed=seed)))
+            cameras.append(cam)
+            models.append(model)
+    states = refit_trimmed(samples, results, models, cameras)
+    for model in (GLOBAL_SHUTTER, CONST_VELOCITY):
+        mine = [p for p, m in enumerate(models) if m == model]
+        alone = refit_trimmed([samples[p] for p in mine], [results[p] for p in mine], model,
+                              [cameras[p] for p in mine])
+        for p, state in zip(mine, alone, strict=True):
+            assert_same_state(states[p], state)
+    assert {s.stop_reason for s in states} == {"converged"}
+    with pytest.raises(ValueError, match="'ca'"):
+        refit_trimmed(samples[:2], results[:2], [CONST_VELOCITY, CONST_ACCEL], cameras[:2])
+    with pytest.raises(ValueError, match="'cv'"):
+        refine_stack([(samples[0], results[0].motion, cameras[0])] * 2,
+                     [CONST_ACCEL, CONST_VELOCITY])
+
+
 def test_stacked_refits_run_on_one_thread(camera):
     """Every product of the stacked loop is an `einsum` or a batched
     pseudo-inverse of 6 x 6 or 7 x 7 systems, too small to wake OpenBLAS's
@@ -397,7 +428,7 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
         theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
         blocks = SampleBlocks.of([(inliers, camera)], model)
         J, r = jacobian(theta, blocks), residual_vector(theta, blocks)
-        step = gauss_newton_step(J[None], r[None])[0]
+        step = gauss_newton_step(J[None], r[None], theta[None])[0]
         expected = np.linalg.lstsq(J, r, rcond=None)[0]
         assert np.linalg.norm(step - expected) < 1e-12 * np.linalg.norm(expected)
         assert abs(step[:3] @ start.v) < 1e-12 * np.linalg.norm(step)

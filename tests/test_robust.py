@@ -41,6 +41,7 @@ from rsdiffsfm.robust import (
     _coefficients,
     _sample_terms,
     _score_block,
+    draw_subsets,
     ranked_pixels,
     ransac_stack,
     refit_trimmed,
@@ -225,13 +226,17 @@ def test_ransac_same_on_list_and_batch(camera):
 
 
 def sequential_ransac(samples, model, camera, rc):
-    """Reference RANSAC: per iteration one draw, one single-subset solve and
-    one `score_motion` per hypothesis; returns (inliers, n_valid_iterations)."""
+    """Reference RANSAC: the subsets drawn block by block with
+    `draw_subsets`, as `ransac` draws them, then per subset one
+    single-subset solve and one `score_motion` per hypothesis; returns
+    (inliers, n_valid_iterations)."""
     batch = FlowBatch.of(samples)
     rng = np.random.default_rng(rc.seed)
+    subsets = np.concatenate([
+        draw_subsets(rng, len(batch), MINIMAL_SIZE[model], min(SOLVE_BLOCK, rc.iterations - start))
+        for start in range(0, rc.iterations, SOLVE_BLOCK)])
     best, n_valid = None, 0
-    for _ in range(rc.iterations):
-        subset = batch[rng.choice(len(batch), size=MINIMAL_SIZE[model], replace=False)]
+    for subset in batch[subsets]:
         try:
             if model == GLOBAL_SHUTTER:
                 motions = [solve_gs(subset)]
@@ -287,10 +292,37 @@ def test_ransac_matches_sequential_reference(camera, caplog, model, n_points, it
         assert r.n_residuals == r.n_hypotheses * len(samples)
 
 
+@given(m=st.sampled_from([8, 9]), extra=st.integers(0, 2000), size=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_draw_subsets_rows_hold_distinct_indices(m, extra, size, seed):
+    """Every row of a block holds m distinct indices of the n >= m samples."""
+    n = m + extra
+    subsets = draw_subsets(np.random.default_rng(seed), n, m, size)
+    assert subsets.shape == (size, m)
+    assert subsets.min() >= 0 and subsets.max() < n
+    assert all(len(set(row)) == m for row in subsets.tolist())
+
+
+@pytest.mark.parametrize("n, m", [(100, 8), (2000, 9), (12, 8)])
+def test_draw_subsets_is_uniform(n, m):
+    """At a fixed seed, each index is drawn as often as a uniform draw over
+    the m-subsets draws it, in m / n of the rows, within 5 binomial standard
+    deviations: also where most rows are redrawn (n = 12, m = 8 keeps 5 %
+    of the rows of a draw)."""
+    rng = np.random.default_rng(3)
+    rows = np.concatenate([draw_subsets(rng, n, m, SOLVE_BLOCK) for _ in range(200)])
+    counts = np.bincount(rows.ravel(), minlength=n)
+    p = m / n
+    assert np.all(np.abs(counts - len(rows) * p) <= 5 * np.sqrt(len(rows) * p * (1 - p)))
+    with pytest.raises(ValueError):
+        draw_subsets(rng, m - 1, m, 1)
+
+
 def ca_block(camera, seed=11, n_points=2000, noise_px=0.05):
     """A contaminated ca scene of n_points samples with noisy inlier flows,
     its `_sample_terms` table and the hypotheses of one SOLVE_BLOCK of
-    minimal subsets, drawn and solved as `ransac` does."""
+    minimal subsets, drawn one at a time and solved as one stack."""
     samples, _, _ = contaminated_scene(camera, seed=seed, n_points=n_points,
                                        n_out=int(0.3 * n_points), k=0.1)
     batch = FlowBatch.of(samples)
@@ -460,6 +492,20 @@ def test_ransac_stack_matches_ransac_alone(camera, monkeypatch):
         if model == CONST_ACCEL:  # the bail-out dropped hypotheses past the first block
             assert any(r.n_iterations > SOLVE_BLOCK and r.n_scored_full < r.n_hypotheses
                        for r in done)
+
+
+@pytest.mark.parametrize("model", [CONST_VELOCITY, CONST_ACCEL])
+def test_rolling_shutter_models_need_a_camera(camera, model):
+    """Without a camera, RANSAC and scoring under a cv or ca model fail with
+    a TypeError that names the model and the camera; gs needs none."""
+    samples, gt = generate_linearized(make_spec(camera, n_points=30, seed=15))
+    with pytest.raises(TypeError, match=f"model {model} needs a camera"):
+        ransac(samples, model, None, RansacConfig(iterations=5))
+    with pytest.raises(TypeError, match=f"model {model} needs a camera"):
+        score_motion(samples, gt.motion, None, model)
+    assert np.array_equal(score_motion(samples, gt.motion, None, GLOBAL_SHUTTER),
+                          score_motion(samples, gt.motion, camera, GLOBAL_SHUTTER))
+    ransac(samples, GLOBAL_SHUTTER, None, RansacConfig(iterations=5))
 
 
 def test_ransac_too_few_samples(camera):
