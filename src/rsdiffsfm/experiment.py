@@ -112,10 +112,11 @@ def _cell_row(axes, model, n_scenes, dropped, mine):
     refits = [state for state, _, _ in mine if state]
     failures = sum((Counter(result.failures) for _, result, _ in mine), Counter())
     logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
-                "dropped %s; %d hypotheses, subset failures %s; refits %s in %d cycles", *axes,
-                model, len(mine), n_scenes, dict(dropped),
+                "dropped %s; %d hypotheses, subset failures %s; refits %s in %d cycles, "
+                "%d accepted steps", *axes, model, len(mine), n_scenes, dict(dropped),
                 sum(result.n_hypotheses for _, result, _ in mine), dict(failures),
-                dict(Counter(s.stop_reason for s in refits)), sum(s.n_cycles for s in refits))
+                dict(Counter(s.stop_reason for s in refits)), sum(s.n_cycles for s in refits),
+                sum(s.lm_iterations for s in refits))
     if not mine:
         return np.nan, np.nan, 0
     t_errs = [translation_error((state or result).motion.v, gt.v) for state, result, gt in mine]

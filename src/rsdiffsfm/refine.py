@@ -4,8 +4,11 @@ The flow model is u_i = beta_i(k) (A_i v rho_i + B_i w) in the inverse
 depths rho_i.  `refine` minimizes its squared error with Levenberg-Marquardt
 over (v, w[, k]) alone, the depths eliminated in closed form: variable
 projection (Golub and Pereyra, 2003) with an analytic Jacobian, in
-Marquardt's loop scaled as by More (1978); two Gauss-Newton steps finish
-it.  Two sums of the same per-sample errors are in play:
+Marquardt's loop scaled as by More (1978).  The loop stops, as MINPACK
+does, once the decrease a step's linear model predicts is below the
+rounding of the cost, before the trial is evaluated; two Gauss-Newton
+steps finish it, taken once for every problem that converged.  Two sums
+of the same per-sample errors are in play:
 
 - the loop minimizes the error over every sample, a sample whose optimal
   inverse depth is undefined (at the translation epipole) or not positive
@@ -332,46 +335,52 @@ def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
     problem that converged; returns the `Terms` of the final thetas and, per
     problem, its accepted steps, cost evaluations and whether it converged.
 
-    A step solves [J; sqrt(lam D)] s = [r; 0], D the running maximum of
+    A step s solves [J; sqrt(lam D)] s = [r; 0], D the running maximum of
     diag(J^T J) (More, 1978); lam falls tenfold on a step that lowers the
-    cost, else rises tenfold.  A step that lowers the cost by at most 1e-15
-    of it, or that shrinks to 1e-15 |theta|, converges the loop; max_evals
-    cost evaluations, the start's included, stop it unconverged.  A problem
-    that stops leaves the stack, whose rows are then only those that change.
+    cost, else rises tenfold.  Before its trial is evaluated, a step whose
+    linear model predicts a decrease 2 s.J^T r - s.J^T J s of at most 1e-15
+    of the cost converges the loop untried: no step can then lower the
+    cost by more than its rounding.  A trial that lowers the cost by at most
+    1e-15 of it, or a step that shrinks to 1e-15 |theta|, converges it too;
+    max_evals cost evaluations, the start's included, stop it unconverged.
+    A problem that stops leaves the stack, whose rows are then only those
+    that change.  The problems that converged are polished in one stack at
+    the end, from the theta, Jacobian and normal equations they stopped at;
+    every kernel is row by row, so a problem's polish does not depend on
+    when it converged or what it is stacked with.
     """
-    final, ids = terms, np.arange(len(theta))  # final's rows are written as problems leave
+    # the rows of final, and of the arrays a problem stops at, are written as
+    # problems leave the stack
+    final, ids = terms, np.arange(len(theta))
     counts = np.zeros((3, len(ids)), dtype=int)  # accepted steps, cost evaluations, converged
     steps, evals, converged = (np.full(len(ids), x) for x in (0, 1, False))
     J = _jacobian(theta, blocks, terms)
     JtJ, Jtr = _normal_equations(J, _flat(terms.r))
+    stopped, all_blocks = (theta, J, JtJ, Jtr), blocks
     D, cost, lam = JtJ.diagonal(0, 1, 2).copy(), _cost(terms), np.full(len(ids), 1e-3)
+    step = None  # the damped step of each problem in the stack, once solved
     while True:
         done = converged | (evals >= max_evals)
         if done.any():
-            # steps taken only on a decrease the rounded cost resolves leave the
-            # flat translation/rotation valley settled to about 1e-9; Gauss-Newton
-            # steps compare no costs, and two of them reach the stationary point
-            # to about 1e-12, so that refits of nearly equal flows agree
-            rows = np.flatnonzero(converged)
-            if rows.size:
-                sub = _rows(blocks, rows)
-                at = theta[rows] - gauss_newton_step(J[rows], _flat(terms.r[rows]), theta[rows],
-                                                     normal=(JtJ[rows], Jtr[rows]))
-                at_terms = _reduced_terms(sub, *_motion(at))
-                at -= gauss_newton_step(_jacobian(at, sub, at_terms), _flat(at_terms.r), at)
-                for x, y in zip(terms, _reduced_terms(sub, *_motion(at))):
-                    x[rows] = y
-            for x, y in zip((*final, *counts), (*terms, steps, evals, converged)):
+            for x, y in zip((*final, *counts, *stopped),
+                            (*terms, steps, evals, converged, theta, J, JtJ, Jtr)):
                 x[ids[done]] = y[done]
             keep = ~done
             ids, theta, J, JtJ, Jtr, D, cost, lam, steps, evals, converged = (
                 x[keep] for x in (ids, theta, J, JtJ, Jtr, D, cost, lam, steps, evals, converged))
             terms, blocks = _rows(terms, keep), _rows(blocks, keep)
+            step = None if step is None else step[keep]
         if not ids.size:
-            return final, counts[0], counts[1], counts[2].astype(bool)
-        # D is 0 on a column that never moves the residual, k at gamma = 0:
-        # only the rank cutoff of `gauss_newton_step` keeps that k fixed
-        step = gauss_newton_step(J, _flat(terms.r), theta, lam[:, None] * D, (JtJ, Jtr))
+            break
+        if step is None:
+            # D is 0 on a column that never moves the residual, k at gamma = 0:
+            # only the rank cutoff of `gauss_newton_step` keeps that k fixed
+            step = gauss_newton_step(J, _flat(terms.r), theta, lam[:, None] * D, (JtJ, Jtr))
+            predicted = np.einsum("pi,pi->p", step,
+                                  2.0 * Jtr - np.einsum("pij,pj->pi", JtJ, step))
+            converged = predicted <= 1e-15 * cost
+            if converged.any():
+                continue  # those leave untried, the others keep their steps
         trial = theta - step
         trial_terms = _reduced_terms(blocks, *_motion(trial))
         trial_cost = _cost(trial_terms)
@@ -390,6 +399,21 @@ def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
             steps += better
             D = np.maximum(D, JtJ.diagonal(0, 1, 2))
         converged |= np.sum(step * step, axis=1) <= 1e-30 * np.sum(theta * theta, axis=1)
+        step = None
+    # steps taken only on a decrease the rounded cost resolves leave the flat
+    # translation/rotation valley settled to about 1e-9; Gauss-Newton steps
+    # compare no costs, and two of them reach the stationary point to about
+    # 1e-12, so that refits of nearly equal flows agree
+    rows = np.flatnonzero(counts[2])
+    if rows.size:
+        theta, J, JtJ, Jtr = (x[rows] for x in stopped)
+        blocks = _rows(all_blocks, rows)
+        at = theta - gauss_newton_step(J, _flat(final.r[rows]), theta, normal=(JtJ, Jtr))
+        at_terms = _reduced_terms(blocks, *_motion(at))
+        at -= gauss_newton_step(_jacobian(at, blocks, at_terms), _flat(at_terms.r), at)
+        for x, y in zip(final, _reduced_terms(blocks, *_motion(at))):
+            x[rows] = y
+    return final, counts[0], counts[1], counts[2].astype(bool)
 
 
 def dense_depth(flow, motion: MotionEstimate, config: CameraConfig):

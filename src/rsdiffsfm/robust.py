@@ -338,21 +338,32 @@ def draw_subsets(rng, n, m, size):
     """(size, m) indices into n >= m samples, each row m distinct ones drawn
     uniformly over the ordered m-subsets.
 
-    One integer draw for the whole block, then a redraw of only the rows
-    that repeat an index, until none does: each row is a uniform m-tuple
-    conditioned on distinct entries.  The subsets of a generator depend on
-    the block sizes it is asked for.
+    One integer draw for the whole block, then up to eight redraws of only
+    the rows that repeat an index: a row kept on a draw is a uniform m-tuple
+    conditioned on distinct entries.  A row that still repeats one takes
+    the first m entries of a uniform random permutation, which is uniform
+    over the ordered m-subsets too, so the bound changes no distribution;
+    it caps the work where n is close to m (n = m = 9 keeps a row with
+    probability 9! / 9^9 = 1e-3).  The subsets of a generator depend on the
+    block sizes it is asked for.
     """
     if n < m:
         raise ValueError(f"cannot draw {m} distinct indices from {n}")
-    subsets = rng.integers(0, n, (size, m))
-    rows = np.arange(size)
-    while True:
+
+    def repeating(rows):
         ordered = np.sort(subsets[rows], axis=1)
-        rows = rows[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        return rows[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+
+    subsets = rng.integers(0, n, (size, m))
+    rows = repeating(np.arange(size))
+    for _ in range(8):
         if not rows.size:
             return subsets
         subsets[rows] = rng.integers(0, n, (rows.size, m))
+        rows = repeating(rows)
+    if rows.size:
+        subsets[rows] = rng.permuted(np.tile(np.arange(n), (rows.size, 1)), axis=1)[:, :m]
+    return subsets
 
 
 def _runs(problems):

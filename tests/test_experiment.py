@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 from collections import Counter
 
 import numpy as np
@@ -53,6 +54,10 @@ def test_run_cell_logs_why_its_refits_stopped(caplog):
     [record] = [r for r in caplog.records if r.name == experiment.logger.name]
     assert n == 2 and "2 of 2 trials kept" in record.getMessage()
     assert "refits {'converged': 2} in " in record.getMessage()
+    # each refit's start is one cost evaluation and no step
+    cycles, steps = map(int, re.search(r"in (\d+) cycles, (\d+) accepted steps",
+                                       record.getMessage()).groups())
+    assert 0 < steps <= cycles - 2
 
 
 def test_run_cell_logs_its_hypotheses_and_subset_failures(caplog):

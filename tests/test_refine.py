@@ -180,8 +180,10 @@ def assert_same_state(a, b):
 def test_stacked_refits_equal_refits_alone(camera, model):
     """In one stack padded to its largest problem, each problem gets the
     state `refine` gives it alone, bit for bit: noisy problems of 25 to 60
-    samples (one ca start below the k bound), too few samples for the
-    unknowns, a reversed translation and an exact fit at gamma 0."""
+    samples (one ca start below the k bound, one farther from the truth),
+    too few samples for the unknowns, a reversed translation and an exact
+    fit at gamma 0.  The noisy problems converge on three different loop
+    iterations, and their single polish stack changes no bit either."""
     problems = []
     for seed, n, k in ((5, 40, 0.0), (6, 25, -1.995), (7, 60, 0.0)):
         spec = make_spec(camera, n_points=n, k=0.1 if model == CONST_ACCEL else 0.0, seed=seed)
@@ -195,11 +197,16 @@ def test_stacked_refits_equal_refits_alone(camera, model):
     m = np.random.default_rng(0).uniform(-0.3, 0.3, (10, 2))
     exact = FlowBatch(x=m / 2, u=m, y1=np.zeros(10), y2=np.zeros(10))
     forward = MotionEstimate(v=np.array([0.0, 0.0, 1.0]), w=np.zeros(3), k=0.0)
+    rng = np.random.default_rng(8)
+    far = MotionEstimate(v=gt.motion.v * (1.0 + 0.5 * rng.normal(size=3)),
+                         w=gt.motion.w + 0.05 * rng.normal(size=3), k=0.0)
     problems[1:1] = [(few, problems[0][1], camera), (problems[2][0], flipped, camera),
                      (exact, forward, dataclasses.replace(camera, gamma=0.0))]
+    problems.append((problems[-1][0], far, camera))
     stacked = refine_stack(problems, model)
     assert [s.stop_reason for s in stacked] == [
-        "converged", "invalid_start", "no_valid_depth", "zero_objective", "converged", "converged"]
+        "converged", "invalid_start", "no_valid_depth", "zero_objective"] + ["converged"] * 3
+    assert len({s.n_cycles for s in stacked if s.converged}) == 3
     for state, (samples, start, config) in zip(stacked, problems, strict=True):
         assert_same_state(state, refine(samples, start, config, model))
 
@@ -376,21 +383,41 @@ def with_noise(samples, camera, noise_px, rng):
     return FlowBatch(x=batch.x, u=batch.u + e / camera.fx, y1=batch.y1, y2=batch.y2 + e[:, 1])
 
 
+def perturbed_problem(camera, model, seed):
+    """Noisy samples of a 100-point scene, a start perturbed from its true
+    motion, and that motion."""
+    spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=seed)
+    clean, gt = generate_discrete(spec)
+    rng = np.random.default_rng(seed)
+    samples = with_noise(clean, camera, 0.5, rng)
+    start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
+                           w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
+    return samples, start, gt
+
+
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
 def test_few_cycles_reach_the_long_descent_objective(camera, model):
     """From a perturbed start the refit ends at the objective that the refit
     started from the true motion ends at."""
     for seed in range(3):
-        spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=seed)
-        clean, gt = generate_discrete(spec)
-        rng = np.random.default_rng(seed)
-        samples = with_noise(clean, camera, 0.5, rng)
-        start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
-                               w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
+        samples, start, gt = perturbed_problem(camera, model, seed)
         perturbed = refine(samples, start, camera, model)
         truth = refine(samples, gt.motion, camera, model)
         assert perturbed.converged and perturbed.polished
         assert abs(perturbed.objective - truth.objective) <= 1e-9 * truth.objective
+
+
+@pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
+def test_converged_refit_ends_without_a_tail_of_rejected_trials(camera, model):
+    """Once no step's linear model predicts a decrease the rounded cost can
+    resolve, the loop stops before evaluating the trial: from a perturbed
+    start it rejects at most one trial, where raising lam until the step
+    vanished rejected up to 16."""
+    for seed in range(6):
+        samples, start, _ = perturbed_problem(camera, model, seed)
+        state = refine(samples, start, camera, model)
+        assert state.converged and state.polished
+        assert state.n_cycles - 1 - state.lm_iterations <= 1
 
 
 @pytest.mark.parametrize("model", [GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL])
@@ -447,14 +474,16 @@ def row_keys(v, w, k):
 def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
     """A refit evaluates the flow model once per theta: `_terms` runs once
     for each distinct motion, the start and the final one included, and the
-    residuals, the Jacobian and the objective at one theta share that call."""
+    residuals, the Jacobian and the objective at one theta share that call:
+    the loop's cost evaluations and the two polish steps' motions.  The
+    start is far enough from the truth for the loop to reject some steps."""
     refine_module = importlib.import_module("rsdiffsfm.refine")
     spec = make_spec(camera, n_points=100, k=0.2 if model == CONST_ACCEL else 0.0, seed=1)
     clean, gt = generate_discrete(spec)
     rng = np.random.default_rng(1)
     samples = with_noise(clean, camera, 0.5, rng)
-    start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
-                           w=gt.motion.w + 0.005 * rng.normal(size=3), k=0.0)
+    start = MotionEstimate(v=gt.motion.v * (1.0 + 2.0 * rng.normal(size=3)),
+                           w=gt.motion.w + 0.1 * rng.normal(size=3), k=0.0)
     expected = refine(samples, start, camera, model)
     keys = []  # the motion of each `_terms` call, as bytes
     terms, jacobian = refine_module._terms, refine_module._jacobian
@@ -478,6 +507,7 @@ def test_polish_evaluates_terms_once_per_theta(camera, model, monkeypatch):
     assert np.array_equal(state.motion.v, expected.motion.v)
     assert np.array_equal(state.motion.w, expected.motion.w) and state.motion.k == expected.motion.k
     assert len(keys) > 10 and len(set(keys)) == len(keys)
+    assert len(keys) == state.n_cycles + 2 and state.lm_iterations < state.n_cycles - 1
     unit = start.normalized()
     assert keys[0] == motion_key(MotionEstimate(v=unit.v, w=unit.w, k=0.0))
     v, w, k = keys[-1]

@@ -319,6 +319,33 @@ def test_draw_subsets_is_uniform(n, m):
         draw_subsets(rng, m - 1, m, 1)
 
 
+def test_draw_subsets_bounds_its_redraws_at_n_close_to_m():
+    """At n = m = 9 a uniform 9-tuple holds distinct indices with
+    probability 9! / 9^9 = 1e-3, so nearly every row ends in the bounded
+    redraws' permutation fallback: each row is a permutation of the nine
+    samples, and each sample comes first in 1 / 9 of the rows, within 5
+    binomial standard deviations.  A block takes at most ten calls of the
+    generator, not the thousands that unbounded rejection takes."""
+
+    class Counting:
+        """A generator that counts the draws asked of it."""
+
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            self.calls += 1
+            return getattr(self.rng, name)
+
+    rng = Counting(np.random.default_rng(5))
+    rows = np.concatenate([draw_subsets(rng, 9, 9, SOLVE_BLOCK) for _ in range(200)])
+    assert rng.calls <= 10 * 200
+    assert np.array_equal(np.sort(rows, axis=1), np.tile(np.arange(9), (len(rows), 1)))
+    counts = np.bincount(rows[:, 0], minlength=9)
+    p = 1 / 9
+    assert np.all(np.abs(counts - len(rows) * p) <= 5 * np.sqrt(len(rows) * p * (1 - p)))
+
+
 def ca_block(camera, seed=11, n_points=2000, noise_px=0.05):
     """A contaminated ca scene of n_points samples with noisy inlier flows,
     its `_sample_terms` table and the hypotheses of one SOLVE_BLOCK of
