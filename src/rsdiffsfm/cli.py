@@ -173,7 +173,7 @@ def rectify(image_path, depth_path, motion_path, out_path):
 @click.option("--out-truth", "truth_path", required=True)
 def synth(config_path, flow_path, truth_path):
     """Generate a synthetic sparse flow file with a ground-truth sidecar."""
-    cfg = _load_config(config_path)
+    cfg = _read_or_die(iof.ExperimentConfig.from_file, config_path, "config")
     spec = _scene_spec(cfg, cfg.gammas[0], cfg.translations[0], cfg.w_mags[0], cfg.ks[0],
                        cfg.seed)
     camera = spec.config
@@ -188,23 +188,12 @@ def synth(config_path, flow_path, truth_path):
     })
 
 
-def _load_config(path):
-    try:
-        return iof.ExperimentConfig.from_file(path)
-    except FileNotFoundError:
-        _input_error(f"config file not found: {path}")
-    except KeyError as exc:
-        _input_error(f"unknown config key {exc.args[0]!r}")
-    except ValueError as exc:
-        _input_error(exc)
-
-
 @main.command()
 @click.option("--config", "config_path", required=True)
 @click.option("--out", "out_path", required=True)
 def sweep(config_path, out_path):
     """Run a benchmark sweep and write mean errors per cell to CSV."""
-    cfg = _load_config(config_path)
+    cfg = _read_or_die(iof.ExperimentConfig.from_file, config_path, "config")
     rows = run_sweep(cfg)
     with open(out_path, "w") as f:
         f.write(sweep_csv(rows))

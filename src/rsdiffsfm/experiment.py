@@ -10,7 +10,6 @@ from itertools import product
 import numpy as np
 
 from .errors import RsSfmError
-from .geometry import CONST_ACCEL
 from .io_formats import ExperimentConfig
 from .robust import RansacConfig, ransac_stack, refit_trimmed
 # a sweep synthesizes each cell's scenes in one call on their spec list,
@@ -69,10 +68,9 @@ def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
 
 def _run_cells(cfg: ExperimentConfig, cells, models):
     """`run_cell` of each (axes, scenes) cell under each model, as one list
-    of rows per model: per model one stacked `ransac_stack` over the trials
-    of every cell, then one stacked `refit_trimmed` of the kept trials of
-    all models of one parameter count (gs and cv have 6, ca has 7)."""
-    problems, owners, few = [], [], [Counter() for _ in cells]
+    of rows per model: one `ransac_stack` over the trials of every cell and
+    model, then one `refit_trimmed` of every kept trial."""
+    trials, few = [], [Counter() for _ in cells]
     for i, ((gamma, *_), scenes) in enumerate(cells):
         camera = cfg.camera(gamma)
         for seed, samples, gt in scenes:
@@ -80,28 +78,25 @@ def _run_cells(cfg: ExperimentConfig, cells, models):
                 few[i]["too_few_samples"] += 1
                 continue
             rc = RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold, seed=seed + 1)
-            problems.append((samples, camera, rc))
-            owners.append((i, gt.motion))
-    trials = {(m, i): [] for m in range(len(models)) for i in range(len(cells))}
-    dropped = {(m, i): few[i].copy() for m, i in trials}
-    for m, model in enumerate(models):
-        for (samples, camera, _), (i, truth), result in zip(problems, owners,
-                                                            ransac_stack(problems, model)):
-            if isinstance(result, RsSfmError):
-                dropped[m, i][type(result).__name__] += 1
-            else:
-                trials[m, i].append([model, samples, camera, result, truth, None])
-    if cfg.use_refine:
-        kept = [trial for cell in trials.values() for trial in cell]
-        for ca in (False, True):  # one stack of 6 unknowns (gs, cv), one of 7 (ca)
-            group = [trial for trial in kept if (trial[0] == CONST_ACCEL) == ca]
-            if group:
-                group_models, samples, cameras, results, _, _ = zip(*group)
-                for trial, state in zip(group, refit_trimmed(samples, results, group_models,
-                                                             cameras)):
-                    trial[-1] = state
+            trials.append((i, samples, camera, rc, gt.motion))
+    # model by model, so that the problems of one subset size run together
+    problems = [(m, model, trial) for m, model in enumerate(models) for trial in trials]
+    results = ransac_stack([(samples, model, camera, rc)
+                            for _, model, (_, samples, camera, rc, _) in problems])
+    kept = {(m, i): [] for m in range(len(models)) for i in range(len(cells))}
+    dropped = {(m, i): few[i].copy() for m, i in kept}
+    for (m, model, (i, samples, camera, _, truth)), result in zip(problems, results):
+        if isinstance(result, RsSfmError):
+            dropped[m, i][type(result).__name__] += 1
+        else:
+            kept[m, i].append([model, samples, camera, result, truth, None])
+    refits = [trial for cell in kept.values() for trial in cell]
+    if cfg.use_refine and refits:
+        refit_models, samples, cameras, results, _, _ = zip(*refits)
+        for trial, state in zip(refits, refit_trimmed(samples, results, refit_models, cameras)):
+            trial[-1] = state
     return [[_cell_row(axes, model, len(scenes), dropped[m, i],
-                       [(state, result, truth) for *_, result, truth, state in trials[m, i]])
+                       [(state, result, truth) for *_, result, truth, state in kept[m, i]])
              for i, (axes, scenes) in enumerate(cells)] for m, model in enumerate(models)]
 
 
@@ -128,8 +123,7 @@ def run_sweep(cfg: ExperimentConfig):
     """All cells of the sweep; rows in deterministic axis order.
 
     Each trial scene is synthesized once and estimated with every model;
-    the kept trials of all cells and models of one parameter count are
-    refit as one stack.
+    the kept trials of all cells and models are refit as one stack.
     """
     cells = [(axes, _cell_scenes(cfg, *axes))
              for axes in product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks)]

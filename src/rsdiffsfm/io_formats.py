@@ -317,12 +317,13 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         """The config of a key=value file; each value is parsed as the type
-        of its field's default, and a list as comma-separated entries."""
+        of its field's default, and a list as comma-separated entries.
+        Raises ValueError for a key that is no field."""
         defaults = cls()
         kwargs = {}
         for key, val in read_keyvalues(path).items():
             if key not in cls.__dataclass_fields__:
-                raise KeyError(key)
+                raise ValueError(f"{path}: unknown config key {key!r}")
             default = getattr(defaults, key)
             if isinstance(default, list):
                 kwargs[key] = [type(default[0])(x.strip()) for x in val.split(",")]
@@ -331,11 +332,3 @@ class ExperimentConfig:
             else:
                 kwargs[key] = type(default)(val)
         return cls(**kwargs)
-
-    def to_file(self, path):
-        def text(value):
-            if isinstance(value, list):
-                return ",".join(v if isinstance(v, str) else repr(v) for v in value)
-            return int(value) if isinstance(value, bool) else value
-
-        write_keyvalues(path, {f.name: text(getattr(self, f.name)) for f in fields(self)})

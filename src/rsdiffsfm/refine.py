@@ -2,7 +2,7 @@
 
 The flow model is u_i = beta_i(k) (A_i v rho_i + B_i w) in the inverse
 depths rho_i.  `refine` minimizes its squared error with Levenberg-Marquardt
-over (v, w[, k]) alone, the depths eliminated in closed form: variable
+over (v, w, k) alone, the depths eliminated in closed form: variable
 projection (Golub and Pereyra, 2003) with an analytic Jacobian, in
 Marquardt's loop scaled as by More (1978).  The loop stops, as MINPACK
 does, once the decrease a step's linear model predicts is below the
@@ -16,14 +16,20 @@ of the same per-sample errors are in play:
 - the objective that `refine` reports, and compares to accept the loop's
   result, sums the error over the samples with a valid depth only.
 
-`refine_stack` refines P problems in one loop, and `refine` is a stack of
-one.  Every array carries a leading problem axis, each problem keeps its own
-damping, scaling, cost and stop flags, and a problem that stops leaves the
-stack.  Each problem is padded with zero rows to the largest sample count
-N: a zero row has beta = 0, so q = c = 0, no valid depth, a zero residual
-and a zero Jacobian row, and it adds nothing to any sum.  The small damped
-systems of all problems are solved with one batched pseudo-inverse at
-`lstsq`'s rank cutoff (see `gauss_newton_step`).
+Every model has the same unknowns (v, w, k).  The gs and cv models have
+b = a in beta = (2 a + k b) / (2 + k), so dbeta/dk = 2 (b - a) / (2 + k)^2
+is exactly 0, as it is for ca at gamma = 0.  The k column of the Jacobian
+is then zero, and the rank cutoff of `gauss_newton_step` holds k at its
+start, 0 for gs and cv.
+
+`refine_stack` refines P problems of any models in one loop, and `refine`
+is a stack of one.  Every array carries a leading problem axis, each
+problem keeps its own damping, scaling, cost and stop flags, and a problem
+that stops leaves the stack.  Each problem is padded with zero rows to the
+largest sample count N: a zero row has beta = 0, so q = c = 0, no valid
+depth, a zero residual and a zero Jacobian row, and it adds nothing to any
+sum.  The small damped systems of all problems are solved with one
+batched pseudo-inverse at `lstsq`'s rank cutoff (see `gauss_newton_step`).
 """
 
 from __future__ import annotations
@@ -54,22 +60,21 @@ class SampleBlocks(namedtuple("SampleBlocks", "A B u a b")):
     the flows u (P, N, 2) and the scanline factors a and b (P, N)."""
 
     @classmethod
-    def of(cls, batches, model=CONST_ACCEL):
-        """The blocks of a sequence of (batch, config) problems under one
-        model, or under a sequence of models, one per problem."""
-        models = [model] * len(batches) if isinstance(model, str) else model
-        ends = np.cumsum([len(batch) for batch, _ in batches], dtype=int)
-        P, n = len(batches), max((len(batch) for batch, _ in batches), default=0)
+    def of(cls, batches):
+        """The blocks of a sequence of (batch, config, model) problems."""
+        ends = np.cumsum([len(batch) for batch, _, _ in batches], dtype=int)
+        P, n = len(batches), max((len(batch) for batch, _, _ in batches), default=0)
         out = cls(np.zeros((P, 3, n, 2)), np.zeros((P, 3, n, 2)), np.zeros((P, n, 2)),
                   np.zeros((P, n)), np.zeros((P, n)))
         # one call of the kernel for the samples of every problem
-        A, B = matrices_ab(np.concatenate([np.zeros((0, 2))] + [midpoint(b) for b, _ in batches]))
-        for p, (batch, config) in enumerate(batches):
+        A, B = matrices_ab(np.concatenate([np.zeros((0, 2))]
+                                          + [midpoint(b) for b, _, _ in batches]))
+        for p, (batch, config, model) in enumerate(batches):
             rows, m = slice(ends[p] - len(batch), ends[p]), len(batch)
             out.A[p, :, :m] = A[rows].transpose(2, 0, 1)
             out.B[p, :, :m] = B[rows].transpose(2, 0, 1)
             out.u[p, :m] = batch.u
-            out.a[p, :m], out.b[p, :m] = scanline_ab(batch.y1, batch.y2, config, models[p])
+            out.a[p, :m], out.b[p, :m] = scanline_ab(batch.y1, batch.y2, config, model)
         return out
 
 
@@ -141,12 +146,13 @@ class RefineState:
 
     stop_reason says why refinement stopped: "converged" or "cycle_cap" (the
     Levenberg-Marquardt loop converged, or made max_cycles cost evaluations
-    first), "invalid_start" (the start has fewer residuals than unknowns or
-    non-finite ones), "zero_objective" (the start fits exactly) or
-    "no_valid_depth" (no sample has a valid depth at the start; both
-    objectives are then inf).  n_cycles counts the loop's cost evaluations
-    and lm_iterations the steps it accepted; polished says whether its
-    result was accepted over the start, whose objective is start_objective.
+    first), "invalid_start" (the start has fewer residuals than the model
+    has free unknowns, or non-finite ones), "zero_objective" (the start
+    fits exactly) or "no_valid_depth" (no sample has a valid depth at the
+    start; both objectives are then inf).  n_cycles counts the loop's cost
+    evaluations and lm_iterations the steps it accepted; polished says
+    whether its result was accepted over the start, whose objective is
+    start_objective.
     """
 
     motion: MotionEstimate
@@ -170,30 +176,23 @@ def refine(samples, initial: MotionEstimate, config: CameraConfig, model: str = 
     evaluations.  Its result is accepted only when it lowers the objective
     of the start; otherwise the start is returned.
     """
-    return refine_stack([(samples, initial, config)], model, max_cycles)[0]
+    return refine_stack([(samples, initial, config, model)], max_cycles)[0]
 
 
-def refine_stack(problems, model=CONST_ACCEL, max_cycles: int = 400) -> list[RefineState]:
-    """`refine` of each (samples, initial, config) problem, in one stacked
-    loop: a list of the states that `refine` gives the problems alone.
-
-    model is one model for every problem or a sequence of one per problem,
-    of one parameter count: gs and cv problems (6 unknowns) share a stack,
-    ca problems (7) take their own; a mix raises ValueError.  The problems
-    whose start has no valid depth, fits exactly or is invalid are sorted
-    out before the loop and stay out of it.
+def refine_stack(problems, max_cycles: int = 400) -> list[RefineState]:
+    """`refine` of each (samples, initial, config, model) problem, in one
+    stacked loop: a list of the states that `refine` gives the problems
+    alone.  The problems whose start has no valid depth, fits exactly or is
+    invalid are sorted out before the loop and stay out of it.
     """
-    models = [model] * len(problems) if isinstance(model, str) else list(model)
-    if len({m == CONST_ACCEL for m in models}) > 1:
-        raise ValueError(f"models {sorted(set(models))} differ in parameter count: "
-                         f"one stack refines 6 unknowns (gs, cv) or 7 (ca), not both")
-    batches = [FlowBatch.of(samples) for samples, _, _ in problems]
-    blocks = SampleBlocks.of([(b, config) for b, (_, _, config) in zip(batches, problems)], models)
-    start = np.array([_start(initial, m) for (_, initial, _), m
-                      in zip(problems, models, strict=True)]).reshape(-1, 7)
+    batches = [FlowBatch.of(samples) for samples, _, _, _ in problems]
+    blocks = SampleBlocks.of([(b, config, model) for b, (_, _, config, model)
+                              in zip(batches, problems)])
+    start = np.array([_start(initial, model) for _, initial, _, model in problems]).reshape(-1, 7)
     terms = _reduced_terms(blocks, start[:, :3], start[:, 3:6], start[:, 6])
-    n_unknowns, states, loop = 7 if CONST_ACCEL in models else 6, [], []
-    for p, (batch, (_, initial, _), obj) in enumerate(zip(batches, problems, _objectives(terms))):
+    states, loop = [], []
+    for p, (batch, (_, initial, _, model), obj) in enumerate(zip(batches, problems,
+                                                                 _objectives(terms))):
         n = len(batch)
         state = RefineState(
             motion=MotionEstimate(v=start[p, :3], w=start[p, 3:6], k=float(start[p, 6]),
@@ -205,14 +204,15 @@ def refine_stack(problems, model=CONST_ACCEL, max_cycles: int = 400) -> list[Ref
             # the objective over no samples would read 0, as if the fit were exact
             state = replace(state, objective=np.inf, start_objective=np.inf,
                             stop_reason="no_valid_depth")
-        elif obj != 0 and (2 * n < n_unknowns or not np.isfinite(terms.r[p, :n]).all()):
+        elif obj != 0 and (2 * n < (7 if model == CONST_ACCEL else 6)
+                           or not np.isfinite(terms.r[p, :n]).all()):
             state = replace(state, stop_reason="invalid_start")
         elif obj != 0:
             loop.append(p)
         states.append(state)
     if not loop:
         return states
-    theta, terms, blocks = start[loop, :n_unknowns], _rows(terms, loop), _rows(blocks, loop)
+    theta, terms, blocks = start[loop], _rows(terms, loop), _rows(blocks, loop)
     clamped = _motion(theta)[2] != terms.k  # the loop starts at k clamped to K_MIN
     if clamped.any():
         for x, y in zip(terms, _reduced_terms(_rows(blocks, clamped), *_motion(theta[clamped]))):
@@ -240,15 +240,13 @@ def _start(initial: MotionEstimate, model):
 
 
 def _motion(theta):
-    """(v, w, k) of parameter vectors theta (P, 6) of (v, w), or (P, 7) of
-    (v, w, k) for the constant acceleration model; k is kept >= K_MIN."""
-    k = np.maximum(theta[:, 6], K_MIN) if theta.shape[1] == 7 else np.zeros(len(theta))
-    return theta[:, :3], theta[:, 3:6], k
+    """(v, w, k) of parameter vectors theta (P, 7); k is kept >= K_MIN."""
+    return theta[:, :3], theta[:, 3:6], np.maximum(theta[:, 6], K_MIN)
 
 
 def _jacobian(theta, blocks: SampleBlocks, terms: Terms):
-    """Analytic Jacobians (P, 2N, n) of the flow errors r, raveled per
-    problem, of the `_reduced_terms` of theta (P, n).
+    """Analytic Jacobians (P, 2N, 7) of the flow errors r, raveled per
+    problem, of the `_reduced_terms` of theta (P, 7).
 
     With q = beta A v, c = u - beta B w, r = c - rho q and the projection
     P = I - q q^T / (q . q), a valid sample has
@@ -275,16 +273,14 @@ def _jacobian(theta, blocks: SampleBlocks, terms: Terms):
 
     bt = terms.bt[:, None, :, None]
     zero = np.zeros(2)
-    jac = [columns(bt * blocks.A, zero), columns(zero, -bt * blocks.B)]
-    n = theta.shape[1]
-    if n == 7:
-        # dbeta/dk, zero at or below K_MIN, where `_motion` holds k at K_MIN
-        dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + terms.k[:, None]) ** 2 * (theta[:, 6:] > K_MIN)
-        dbt = dbt[:, None, :, None]
-        jac.append(columns(dbt * _apply(blocks.A, terms.v)[:, None],
-                           -dbt * _apply(blocks.B, terms.w)[:, None]))
+    # dbeta/dk, zero at or below K_MIN, where `_motion` holds k at K_MIN
+    dbt = 2.0 * (blocks.b - blocks.a) / (2.0 + terms.k[:, None]) ** 2 * (theta[:, 6:] > K_MIN)
+    dbt = dbt[:, None, :, None]
+    jac = [columns(bt * blocks.A, zero), columns(zero, -bt * blocks.B),
+           columns(dbt * _apply(blocks.A, terms.v)[:, None],
+                   -dbt * _apply(blocks.B, terms.w)[:, None])]
     jac = np.ascontiguousarray(np.moveaxis(np.concatenate(jac, axis=1), 1, -1))
-    return jac.reshape(len(theta), -1, n)
+    return jac.reshape(len(theta), -1, 7)
 
 
 def _normal_equations(J, r):
@@ -303,7 +299,7 @@ def gauss_newton_step(J, r, theta, damping=0.0, normal=None):
     With the sample axis of J before its parameter axis, `einsum` adds the
     samples up one at a time, in order, so padding changes no bit of a step.
     The residual does not change under v -> s v, so J g = 0 along the gauge
-    g = (v / |v|, 0, 0[, 0]), and J^T J is singular there.  The matrix that
+    g = (v / |v|, 0, 0), and J^T J is singular there.  The matrix that
     is inverted takes s g g^T, s its largest diagonal entry, which leaves
     J^T J's other eigenvalues as they are and makes the solve as well
     conditioned as J is off the gauge.  One round of iterative refinement
@@ -311,8 +307,8 @@ def gauss_newton_step(J, r, theta, damping=0.0, normal=None):
     the squared condition number of J^T J, and reaches the least-squares
     step, whose g component is 0 up to the rounding of J.  The systems are
     solved with one batched pseudo-inverse at `lstsq`'s rank cutoff, n eps
-    of the largest singular value, which keeps a zero column fixed: k's at
-    gamma = 0.
+    of the largest singular value, which keeps a zero column fixed: k's for
+    gs and cv, and for ca at gamma = 0.
     """
     n = J.shape[-1]
     JtJ, Jtr = _normal_equations(J, r) if normal is None else normal
@@ -330,7 +326,7 @@ def gauss_newton_step(J, r, theta, damping=0.0, normal=None):
 
 
 def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
-    """Marquardt's loop on each problem's reduced cost from theta (P, n),
+    """Marquardt's loop on each problem's reduced cost from theta (P, 7),
     whose `_reduced_terms` are terms, then two Gauss-Newton steps on each
     problem that converged; returns the `Terms` of the final thetas and, per
     problem, its accepted steps, cost evaluations and whether it converged.
@@ -373,7 +369,7 @@ def _levenberg_marquardt(theta, terms: Terms, blocks: SampleBlocks, max_evals):
         if not ids.size:
             break
         if step is None:
-            # D is 0 on a column that never moves the residual, k at gamma = 0:
+            # D is 0 on a column that never moves the residual, a zero k column:
             # only the rank cutoff of `gauss_newton_step` keeps that k fixed
             step = gauss_newton_step(J, _flat(terms.r), theta, lam[:, None] * D, (JtJ, Jtr))
             predicted = np.einsum("pi,pi->p", step,

@@ -13,9 +13,10 @@ the best count of the earlier blocks.  This bail-out is exact: a dropped
 hypothesis could not have won, and only hypotheses scored on every sample
 compete.  RansacResult.n_scored_full counts them.
 
-`ransac_stack` runs this loop over many problems at once: each problem
-draws and scores as `ransac` does, and a block of each of several problems
-is solved in one `solve_stack` call.  `ransac` is that loop on one problem.
+`ransac_stack` runs this loop over many problems at once, each under its
+own model: each problem draws and scores as `ransac` does, and a block of
+each of several problems of one subset size is solved in one `solve_stack`
+call.  `ransac` is that loop on one problem.
 
 Scoring evaluates the squared distance (c x P)^2 / |P|^2, with P = A v and
 c = u - beta B w at the flow midpoint: the closed-form depth residual
@@ -286,32 +287,33 @@ def ransac(samples, model: str, config: CameraConfig,
     None.  This is `ransac_stack` of one problem; its library error is
     raised.
     """
-    [result] = ransac_stack([(samples, config, ransac_config)], model)
+    [result] = ransac_stack([(samples, model, config, ransac_config)])
     if isinstance(result, RsSfmError):
         raise result
     return result
 
 
-def ransac_stack(problems, model: str) -> list:
-    """`ransac` of each (samples, config, ransac_config) problem, in one
-    loop: per problem, the RansacResult that `ransac` returns or the library
-    error (an RsSfmError) that it raises.
+def ransac_stack(problems) -> list:
+    """`ransac` of each (samples, model, config, ransac_config) problem, in
+    one loop: per problem, the RansacResult that `ransac` returns or the
+    library error (an RsSfmError) that it raises.
 
     Each problem draws its subsets from its own generator and scores its
     hypotheses against its own samples, incumbent and bail-out.  Only the
-    solves are shared: the problems are taken in runs whose first blocks
-    hold at most STACK_SUBSETS subsets together, and each block of a run is
-    one `solve_stack` call.  A subset's hypotheses do not depend on its
-    stack, so each result is the one `ransac` gives the problem alone.
+    solves are shared: the problems are taken in runs of one subset size
+    whose first blocks hold at most STACK_SUBSETS subsets together, and each
+    block of a run is one `solve_stack` call.  A subset's hypotheses do not
+    depend on its stack, so each result is the one `ransac` gives the
+    problem alone.
     """
-    problems = [(FlowBatch.of(samples), config, rc or RansacConfig())
-                for samples, config, rc in problems]
+    problems = [(FlowBatch.of(samples), model, config, rc or RansacConfig())
+                for samples, model, config, rc in problems]
     results = [None] * len(problems)
     for run in _runs(problems):
         searches = []
         for p in run:
             try:
-                searches.append((p, _Search(*problems[p], model)))
+                searches.append((p, _Search(*problems[p])))
             except RsSfmError as exc:
                 results[p] = exc
         live, start = [s for _, s in searches], 0
@@ -367,12 +369,13 @@ def draw_subsets(rng, n, m, size):
 
 
 def _runs(problems):
-    """Runs of consecutive problem indices whose first blocks hold at most
-    STACK_SUBSETS subsets together."""
+    """Runs of consecutive problem indices of one subset size whose first
+    blocks hold at most STACK_SUBSETS subsets together."""
     run, size = [], 0
-    for p, (_, _, rc) in enumerate(problems):
+    for p, (_, model, _, rc) in enumerate(problems):
         block = min(SOLVE_BLOCK, rc.iterations)
-        if size + block > STACK_SUBSETS:
+        if run and (size + block > STACK_SUBSETS
+                    or MINIMAL_SIZE[model] != MINIMAL_SIZE[problems[run[0]][1]]):
             yield run
             run, size = [], 0
         run.append(p)
@@ -385,7 +388,7 @@ class _Search:
     """One problem of `ransac_stack`: its samples, feature table and
     generator, its incumbent and its counts."""
 
-    def __init__(self, samples, config, rc, model):
+    def __init__(self, samples, model, config, rc):
         self.samples = samples
         self.model, self.rc, self.m = model, rc, MINIMAL_SIZE[model]
         if len(self.samples) < self.m:
@@ -472,18 +475,16 @@ def refit_trimmed(samples, result, model, config: CameraConfig):
     this is an ordinary trimmed least-squares refit.  Only the gs model
     takes config None.
 
-    samples, result and config may also be equal-length sequences, one
-    entry per problem, and so may model: the refits then run as one
-    `refine.refine_stack`, which takes models of one parameter count, and a
-    list of their states comes back.
+    samples, result, model and config may also be equal-length sequences,
+    one entry per problem: the refits then run as one `refine.refine_stack`,
+    and a list of their states comes back.
     """
     from .refine import refine, refine_stack
 
     if isinstance(result, RansacResult):
         return refine(*_trimmed(samples, result, model), config, model)
-    models = [model] * len(result) if isinstance(model, str) else model
-    return refine_stack([(*_trimmed(s, r, m), c) for s, r, m, c
-                         in zip(samples, result, models, config, strict=True)], models)
+    return refine_stack([(*_trimmed(s, r, m), c, m) for s, r, m, c
+                         in zip(samples, result, model, config, strict=True)])
 
 
 def _trimmed(samples, result: RansacResult, model):

@@ -169,7 +169,7 @@ def refine_objective(samples, motion, config, model=CONST_ACCEL):
     """The objective of `refine` at `motion`: each sample's optimal inverse
     depth, its squared flow error summed over the two components, and the
     sum over the samples with a valid depth."""
-    _, q, c = (x[0] for x in _terms(SampleBlocks.of([(samples, config)], model),
+    _, q, c = (x[0] for x in _terms(SampleBlocks.of([(samples, config, model)]),
                                     *motion_stack(motion)))
     rho, valid = inv_depth(q.T, c.T)
     errs = np.sum((c - np.where(valid, rho, 0.0)[:, None] * q) ** 2, axis=1)

@@ -26,7 +26,7 @@ def run_cell(cfg):
 
 
 def test_run_cell_drops_library_failures(monkeypatch, caplog):
-    def no_model(problems, model):
+    def no_model(problems):
         return [RobustFailure("no RANSAC iteration produced a valid model") for _ in problems]
 
     monkeypatch.setattr(experiment, "ransac_stack", no_model)
@@ -114,9 +114,9 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
 
 
 def test_sweep_refits_each_parameter_count_in_one_stack(monkeypatch):
-    """A sweep refits the kept trials of gs and cv (6 unknowns) in one
-    `refit_trimmed` call and those of ca (7) in another, and its rows are
-    those of the single-model sweeps."""
+    """A sweep refits the kept trials of every model, gs, cv and ca, in one
+    `refit_trimmed` call, and its rows are those of the single-model
+    sweeps."""
     cfg = dataclasses.replace(small_config(), gammas=[0.4, 0.8], models=["gs", "cv", "ca"],
                               use_refine=True, ransac_iters=30)
     single = [experiment.run_sweep(dataclasses.replace(cfg, models=[m])) for m in cfg.models]
@@ -128,6 +128,6 @@ def test_sweep_refits_each_parameter_count_in_one_stack(monkeypatch):
 
     monkeypatch.setattr(experiment, "refit_trimmed", recording)
     rows = experiment.run_sweep(cfg)
-    assert calls == [["cv", "gs"], ["ca"]]
+    assert calls == [["ca", "cv", "gs"]]
     expected = [row for triple in zip(*single) for row in triple]
     assert experiment.sweep_csv(rows) == experiment.sweep_csv(expected)

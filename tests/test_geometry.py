@@ -213,7 +213,8 @@ def test_flow_model_consumers_agree(pixels, v, w, k):
         field[r, c] = fx_px, fy_px
         samples.append(FlowSample(x=cam.pixel_to_normalized(float(c), float(r)),
                                   u=[fx_px / cam.fx, fy_px / cam.fy], y1=float(r), y2=r + fy_px))
-    terms = _reduced_terms(SampleBlocks.of([(FlowBatch.of(samples), cam)]), *motion_stack(motion))
+    blocks = SampleBlocks.of([(FlowBatch.of(samples), cam, CONST_ACCEL)])
+    terms = _reduced_terms(blocks, *motion_stack(motion))
     valid, rho = terms.valid[0], terms.rho[0]
     depth, dense_valid = dense_depth(field, motion, cam)
     g = cam.gamma / cam.h

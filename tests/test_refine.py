@@ -34,7 +34,7 @@ from oracles import mgrid_dense_depth, motion_stack, refine_objective
 def blocks_for(camera, seed=0, k=0.1, n=40):
     spec = make_spec(camera, n_points=n, k=k, seed=seed)
     samples, gt = generate_linearized(spec)
-    return SampleBlocks.of([(samples, camera)]), samples, gt
+    return SampleBlocks.of([(samples, camera, CONST_ACCEL)]), samples, gt
 
 
 def start_objective(samples, start, camera, model=CONST_ACCEL):
@@ -141,7 +141,8 @@ def test_polish_failure_keeps_descent_result(camera, monkeypatch):
     normalized = start.normalized()
     for field in ("v", "w", "k"):
         assert np.array_equal(getattr(state.motion, field), getattr(normalized, field))
-    rho = _reduced_terms(SampleBlocks.of([(samples, camera)]), *motion_stack(normalized)).rho[0]
+    blocks = SampleBlocks.of([(samples, camera, CONST_ACCEL)])
+    rho = _reduced_terms(blocks, *motion_stack(normalized)).rho[0]
     assert np.array_equal(state.inv_depths, rho, equal_nan=True)
 
     def raising(*args, **kwargs):
@@ -158,7 +159,8 @@ def test_refine_keeps_the_start_v_reliable(camera, reliable):
     loop's result is accepted or the start is returned."""
     clean, gt = generate_discrete(make_spec(camera, n_points=40, k=0.1, seed=3))
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w, k=0.0, v_reliable=reliable)
-    states = refine_stack([(clean, start, camera), (clean[:3], start, camera)], CONST_ACCEL)
+    states = refine_stack([(clean, start, camera, CONST_ACCEL),
+                           (clean[:3], start, camera, CONST_ACCEL)])
     assert [(s.stop_reason, s.polished) for s in states] == [
         ("converged", True), ("invalid_start", False)]
     assert [s.motion.v_reliable for s in states] == [reliable, reliable]
@@ -191,7 +193,7 @@ def test_stacked_refits_equal_refits_alone(camera, model):
         rng = np.random.default_rng(seed)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                                w=gt.motion.w + 0.005 * rng.normal(size=3), k=k)
-        problems.append((with_noise(clean, camera, 0.5, rng), start, camera))
+        problems.append((with_noise(clean, camera, 0.5, rng), start, camera, model))
     few = problems[0][0][:3 if model == CONST_ACCEL else 2]
     flipped = MotionEstimate(v=-gt.motion.v, w=gt.motion.w, k=0.1)
     m = np.random.default_rng(0).uniform(-0.3, 0.3, (10, 2))
@@ -200,15 +202,15 @@ def test_stacked_refits_equal_refits_alone(camera, model):
     rng = np.random.default_rng(8)
     far = MotionEstimate(v=gt.motion.v * (1.0 + 0.5 * rng.normal(size=3)),
                          w=gt.motion.w + 0.05 * rng.normal(size=3), k=0.0)
-    problems[1:1] = [(few, problems[0][1], camera), (problems[2][0], flipped, camera),
-                     (exact, forward, dataclasses.replace(camera, gamma=0.0))]
-    problems.append((problems[-1][0], far, camera))
-    stacked = refine_stack(problems, model)
+    problems[1:1] = [(few, problems[0][1], camera, model), (problems[2][0], flipped, camera, model),
+                     (exact, forward, dataclasses.replace(camera, gamma=0.0), model)]
+    problems.append((problems[-1][0], far, camera, model))
+    stacked = refine_stack(problems)
     assert [s.stop_reason for s in stacked] == [
         "converged", "invalid_start", "no_valid_depth", "zero_objective"] + ["converged"] * 3
     assert len({s.n_cycles for s in stacked if s.converged}) == 3
-    for state, (samples, start, config) in zip(stacked, problems, strict=True):
-        assert_same_state(state, refine(samples, start, config, model))
+    for state, problem in zip(stacked, problems, strict=True):
+        assert_same_state(state, refine(*problem))
 
 
 def test_refit_trimmed_on_sequences_equals_single_refits(camera):
@@ -225,18 +227,17 @@ def test_refit_trimmed_on_sequences_equals_single_refits(camera):
         rc = RansacConfig(iterations=50, seed=seed)
         results.append(ransac(batches[-1], CONST_ACCEL, cam, rc))
         cameras.append(cam)
-    states = refit_trimmed(batches, results, CONST_ACCEL, cameras)
+    states = refit_trimmed(batches, results, [CONST_ACCEL] * 3, cameras)
     assert len(states) == 3 and all(s.polished for s in states)
     for state, batch, result, cam in zip(states, batches, results, cameras):
         assert_same_state(state, refit_trimmed(batch, result, CONST_ACCEL, cam))
     with pytest.raises(ValueError):
-        refit_trimmed(batches, results[:2], CONST_ACCEL, cameras)
+        refit_trimmed(batches, results[:2], [CONST_ACCEL] * 3, cameras)
 
 
 def test_refit_trimmed_stacks_gs_and_cv_problems(camera):
-    """gs and cv problems (6 unknowns each) in one stack get, bit for bit,
-    the states of one stack per model; a stack that mixes in a ca problem
-    (7 unknowns) raises ValueError naming the models."""
+    """gs, cv and ca problems in one stack each get, bit for bit, the state
+    of its refit alone; the gs and cv refits keep k at exactly 0."""
     samples, results, cameras, models = [], [], [], []
     for seed, gamma in ((1, 0.8), (2, 0.4), (3, 1.0)):
         cam = dataclasses.replace(camera, gamma=gamma)
@@ -244,24 +245,17 @@ def test_refit_trimmed_stacks_gs_and_cv_problems(camera):
         rng = np.random.default_rng(seed)
         batch = with_noise([gross_outlier(s, rng) if i % 5 == 0 else s
                             for i, s in enumerate(clean)], cam, 0.5, rng)
-        for model in (GLOBAL_SHUTTER, CONST_VELOCITY):
+        for model in (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL):
             samples.append(batch)
             results.append(ransac(batch, model, cam, RansacConfig(iterations=50, seed=seed)))
             cameras.append(cam)
             models.append(model)
     states = refit_trimmed(samples, results, models, cameras)
-    for model in (GLOBAL_SHUTTER, CONST_VELOCITY):
-        mine = [p for p, m in enumerate(models) if m == model]
-        alone = refit_trimmed([samples[p] for p in mine], [results[p] for p in mine], model,
-                              [cameras[p] for p in mine])
-        for p, state in zip(mine, alone, strict=True):
-            assert_same_state(states[p], state)
+    for state, *problem in zip(states, samples, results, models, cameras, strict=True):
+        assert_same_state(state, refit_trimmed(*problem))
     assert {s.stop_reason for s in states} == {"converged"}
-    with pytest.raises(ValueError, match="'ca'"):
-        refit_trimmed(samples[:2], results[:2], [CONST_VELOCITY, CONST_ACCEL], cameras[:2])
-    with pytest.raises(ValueError, match="'cv'"):
-        refine_stack([(samples[0], results[0].motion, cameras[0])] * 2,
-                     [CONST_ACCEL, CONST_VELOCITY])
+    assert all(s.polished for s in states)
+    assert [s.motion.k == 0.0 for s in states] == [m != CONST_ACCEL for m in models]
 
 
 def test_stacked_refits_run_on_one_thread(camera):
@@ -276,8 +270,8 @@ def test_stacked_refits_run_on_one_thread(camera):
         rng = np.random.default_rng(seed)
         start = MotionEstimate(v=gt.motion.v * (1.0 + 0.2 * rng.normal(size=3)),
                                w=gt.motion.w + 0.005 * rng.normal(size=3))
-        problems.append((with_noise(clean, camera, 0.5, rng), start, camera))
-    assert cpu_per_wall(lambda: refine_stack(problems, CONST_VELOCITY), 2) <= 1.5
+        problems.append((with_noise(clean, camera, 0.5, rng), start, camera, CONST_VELOCITY))
+    assert cpu_per_wall(lambda: refine_stack(problems), 2) <= 1.5
     clean, gt = generate_discrete(make_spec(camera, n_points=2000, k=0.1, seed=1))
     rng = np.random.default_rng(1)
     samples = with_noise(clean, camera, 0.5, rng)
@@ -357,22 +351,28 @@ def test_reduced_jacobian_matches_central_differences(camera, model):
     u = batch.u.copy()
     # random flows on a fifth of the samples put some behind the camera
     u[::5] = np.random.default_rng(0).uniform(-0.06, 0.06, u[::5].shape)
-    blocks = SampleBlocks.of([(FlowBatch(x=batch.x, u=u, y1=batch.y1, y2=batch.y2), camera)], model)
+    blocks = SampleBlocks.of([(FlowBatch(x=batch.x, u=u, y1=batch.y1, y2=batch.y2), camera, model)])
     start = MotionEstimate(v=gt.motion.v + 0.01, w=gt.motion.w - 0.002,
                            k=0.15 if model == CONST_ACCEL else 0.0)
-    theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
+    theta = np.concatenate([start.v, start.w, [start.k]])
     valid = _reduced_terms(blocks, *motion_stack(start)).valid[0]
     assert 0 < np.count_nonzero(~valid) < len(valid) // 2
     jac = jacobian(theta, blocks)
-    assert jac.shape == (2 * len(valid), 7 if model == CONST_ACCEL else 6)
+    assert jac.shape == (2 * len(valid), 7)
     numeric = np.empty_like(jac)
     for j in range(len(theta)):
         e = np.zeros(len(theta))
         e[j] = 1e-6 * max(1.0, abs(theta[j]))
         diff = residual_vector(theta + e, blocks) - residual_vector(theta - e, blocks)
         numeric[:, j] = diff / (2 * e[j])
-    # each column, the k column included, on its own scale
-    assert np.all(np.linalg.norm(jac - numeric, axis=0) < 1e-6 * np.linalg.norm(jac, axis=0))
+    # each column on its own scale, ca's k column included; under gs and cv
+    # beta does not depend on k, whose column is exactly 0 (the numeric one
+    # holds the rounding of beta(a, a, k) at k != 0)
+    cols = 7 if model == CONST_ACCEL else 6
+    error = np.linalg.norm(jac - numeric, axis=0)[:cols]
+    assert np.all(error < 1e-6 * np.linalg.norm(jac, axis=0)[:cols])
+    if model != CONST_ACCEL:
+        assert not jac[:, 6].any()
 
 
 def with_noise(samples, camera, noise_px, rng):
@@ -452,8 +452,8 @@ def test_gauss_newton_step_is_the_least_squares_step_off_the_gauge(camera, model
         inliers = batch[result.inliers]
         assert refine(inliers, result.motion, camera, model).polished
         start = result.motion.normalized()  # the theta the refit starts from
-        theta = np.concatenate([start.v, start.w] + ([[start.k]] if model == CONST_ACCEL else []))
-        blocks = SampleBlocks.of([(inliers, camera)], model)
+        theta = np.concatenate([start.v, start.w, [start.k if model == CONST_ACCEL else 0.0]])
+        blocks = SampleBlocks.of([(inliers, camera, model)])
         J, r = jacobian(theta, blocks), residual_vector(theta, blocks)
         step = gauss_newton_step(J[None], r[None], theta[None])[0]
         expected = np.linalg.lstsq(J, r, rcond=None)[0]
@@ -551,6 +551,7 @@ def test_ca_refine_from_k_near_its_bound(camera):
     assert state.motion.k == -1.99 and state.objective < min(state.start_objective, clamped)
     assert state.objective == pytest.approx(
         refine_objective(samples, state.motion, camera), rel=1e-12)
-    terms = _reduced_terms(SampleBlocks.of([(samples, camera)]), *motion_stack(state.motion))
+    terms = _reduced_terms(SampleBlocks.of([(samples, camera, CONST_ACCEL)]),
+                           *motion_stack(state.motion))
     assert np.array_equal(state.valid, terms.valid[0])
     assert np.allclose(state.inv_depths, terms.rho[0], rtol=1e-12, atol=0.0, equal_nan=True)

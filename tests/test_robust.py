@@ -465,56 +465,62 @@ def test_invalid_scanline_pair_is_rejected_at_the_entry(camera, model):
 def test_ransac_stack_matches_ransac_alone(camera, monkeypatch):
     """`ransac_stack` gives each problem what `ransac` gives it alone, bit
     for bit, over several runs of STACK_SUBSETS subsets: gs, cv and ca
-    problems with mixed sample counts, ca problems of several blocks (the
-    bail-out carries from block to block), a problem with too few samples
-    and one with an invalid scanline pair, each failing on its own."""
+    problems in one call with mixed sample counts, ca problems of several
+    blocks (the bail-out carries from block to block), a problem with too
+    few samples and one with an invalid scanline pair, each failing on its
+    own.  No solve stack mixes the subset sizes of the models (8 and 9)."""
     bad, _, _ = contaminated_scene(camera, seed=21, n_points=40, n_out=10)
     bad[5] = FlowSample(x=bad[5].x, u=bad[5].u, y1=bad[5].y1,
                         y2=bad[5].y1 - 2.0 * camera.h / camera.gamma)
     few = list(generate_linearized(make_spec(camera, n_points=5, seed=22))[0])
     gamma0_camera = dataclasses.replace(camera, gamma=0.0)
+    problems = []
     for model in MODELS:
-        problems = []
         for p, n_points in enumerate((30, 60, 200, 45, 120, 60, 80, 30)):
             samples = duplicated_scene(camera, seed=30 + p, n_points=n_points,
                                        n_out=n_points // 3, k=0.1)
             iterations = 150 if model == CONST_ACCEL and p % 2 else 50 + 7 * p
-            problems.append((samples, gamma0_camera if p == 3 else camera,
+            problems.append((samples, model, gamma0_camera if p == 3 else camera,
                              RansacConfig(iterations=iterations, seed=p)))
-        problems += [(few, camera, None), (bad, camera, RansacConfig(iterations=20, seed=1))]
-        assert sum(min(SOLVE_BLOCK, (rc or RansacConfig()).iterations)
-                   for _, _, rc in problems) > STACK_SUBSETS
-        sizes = []
+        problems += [(few, model, camera, None),
+                     (bad, model, camera, RansacConfig(iterations=20, seed=1))]
+    assert sum(min(SOLVE_BLOCK, (rc or RansacConfig()).iterations)
+               for *_, rc in problems) > 3 * STACK_SUBSETS
+    shapes = []
 
-        def recording(stack, a, b):
-            sizes.append(len(stack))
-            return solve_stack(stack, a, b)
+    def recording(stack, a, b):
+        shapes.append(stack.y1.shape)
+        return solve_stack(stack, a, b)
 
-        with monkeypatch.context() as m:
-            m.setattr(robust, "solve_stack", recording)
-            results = ransac_stack(problems, model)
-        assert len(results) == len(problems)
-        # blocks of several problems share a solve, never of more than the cap
-        assert max(sizes) <= STACK_SUBSETS and max(sizes) > SOLVE_BLOCK
-        for (samples, config, rc), got in zip(problems, results):
-            try:
-                want = ransac(samples, model, config, rc)
-            except (RobustFailure, InvalidScanlinePair) as exc:
-                assert type(got) is type(exc) and str(got) == str(exc)
-                continue
-            assert np.array_equal(got.motion.v, want.motion.v)
-            assert np.array_equal(got.motion.w, want.motion.w)
-            assert (got.motion.k, got.motion.v_reliable) == (want.motion.k, want.motion.v_reliable)
-            assert np.array_equal(got.inliers, want.inliers)
-            assert np.array_equal(got.residuals, want.residuals)
-            for name in ("n_valid_iterations", "n_iterations", "n_hypotheses", "n_scored_full",
-                         "n_residuals", "failures"):
-                assert getattr(got, name) == getattr(want, name), name
-            assert min(got.draw_s, got.solve_s, got.score_s) > 0
-        assert isinstance(results[-2], RobustFailure) and "at least" in str(results[-2])
+    with monkeypatch.context() as m:
+        m.setattr(robust, "solve_stack", recording)
+        results = ransac_stack(problems)
+    assert len(results) == len(problems)
+    # blocks of several problems share a solve, never of more than the cap,
+    # and every solve holds the subsets of one size
+    assert max(n for n, _ in shapes) <= STACK_SUBSETS and max(n for n, _ in shapes) > SOLVE_BLOCK
+    assert {m for _, m in shapes} == {MINIMAL_SIZE[CONST_VELOCITY], MINIMAL_SIZE[CONST_ACCEL]}
+    for problem, got in zip(problems, results):
+        try:
+            want = ransac(*problem)
+        except (RobustFailure, InvalidScanlinePair) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert np.array_equal(got.motion.v, want.motion.v)
+        assert np.array_equal(got.motion.w, want.motion.w)
+        assert (got.motion.k, got.motion.v_reliable) == (want.motion.k, want.motion.v_reliable)
+        assert np.array_equal(got.inliers, want.inliers)
+        assert np.array_equal(got.residuals, want.residuals)
+        for name in ("n_valid_iterations", "n_iterations", "n_hypotheses", "n_scored_full",
+                     "n_residuals", "failures"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert min(got.draw_s, got.solve_s, got.score_s) > 0
+    for i, model in enumerate(MODELS):
+        mine = results[10 * i:10 * (i + 1)]
+        assert isinstance(mine[-2], RobustFailure) and "at least" in str(mine[-2])
         if model != GLOBAL_SHUTTER:
-            assert isinstance(results[-1], InvalidScanlinePair)
-        done = [r for r in results if isinstance(r, RansacResult)]
+            assert isinstance(mine[-1], InvalidScanlinePair)
+        done = [r for r in mine if isinstance(r, RansacResult)]
         assert any(r.n_valid_iterations < r.n_iterations for r in done)
         if model == CONST_ACCEL:  # the bail-out dropped hypotheses past the first block
             assert any(r.n_iterations > SOLVE_BLOCK and r.n_scored_full < r.n_hypotheses
