@@ -3,6 +3,7 @@ the trend experiments (readout-ratio and acceleration sweeps)."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from collections import Counter
 from itertools import product
@@ -49,66 +50,25 @@ def _cell_scenes(cfg: ExperimentConfig, gamma, trans, w_mag, k):
     return [(seed, *scene) for seed, scene in zip(seeds, generate_scenes(specs))]
 
 
-def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model, scenes=None):
-    """Mean errors of one sweep cell over cfg.trials seeded trials.
-
-    scenes holds the cell's trial scenes, one (seed, samples, truth) per
-    trial, as `run_sweep` passes them.  The None default, which synthesizes
-    them here, keeps the public single-cell call working.  A trial is dropped
-    when its scene has fewer than 9 samples or its RANSAC raises a library
-    error (the refit raises none on samples RANSAC took); one log line per
-    cell counts the drops by reason, the hypotheses its kept trials' RANSAC
-    solved with the subsets that gave none by error type, and the refits by
-    stop reason with their cycles.
-    """
-    if scenes is None:
-        scenes = _cell_scenes(cfg, gamma, trans, w_mag, k)
-    return _run_cells(cfg, [((gamma, trans, w_mag, k), scenes)], [model])[0][0]
+def run_cell(cfg: ExperimentConfig, gamma, trans, w_mag, k, model):
+    """Mean errors (trans_err, rot_err, trials) of one cell under one model:
+    the row of `run_sweep` on that cell alone, with the scenes and log line a
+    larger sweep gives it; only RANSAC's library errors drop a trial."""
+    return run_sweep(dataclasses.replace(cfg, gammas=[gamma], translations=[trans],
+                                         w_mags=[w_mag], ks=[k], models=[model]))[0][5:]
 
 
-def _run_cells(cfg: ExperimentConfig, cells, models):
-    """`run_cell` of each (axes, scenes) cell under each model, as one list
-    of rows per model: one `ransac_stack` over the trials of every cell and
-    model, then one `refit_trimmed` of every kept trial."""
-    trials, few = [], [Counter() for _ in cells]
-    for i, ((gamma, *_), scenes) in enumerate(cells):
-        camera = cfg.camera(gamma)
-        for seed, samples, gt in scenes:
-            if len(samples) < 9:
-                few[i]["too_few_samples"] += 1
-                continue
-            rc = RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold, seed=seed + 1)
-            trials.append((i, samples, camera, rc, gt.motion))
-    # model by model, so that the problems of one subset size run together
-    problems = [(m, model, trial) for m, model in enumerate(models) for trial in trials]
-    results = ransac_stack([(samples, model, camera, rc)
-                            for _, model, (_, samples, camera, rc, _) in problems])
-    kept = {(m, i): [] for m in range(len(models)) for i in range(len(cells))}
-    dropped = {(m, i): few[i].copy() for m, i in kept}
-    for (m, model, (i, samples, camera, _, truth)), result in zip(problems, results):
-        if isinstance(result, RsSfmError):
-            dropped[m, i][type(result).__name__] += 1
-        else:
-            kept[m, i].append([model, samples, camera, result, truth, None])
-    refits = [trial for cell in kept.values() for trial in cell]
-    if cfg.use_refine and refits:
-        refit_models, samples, cameras, results, _, _ = zip(*refits)
-        for trial, state in zip(refits, refit_trimmed(samples, results, refit_models, cameras)):
-            trial[-1] = state
-    return [[_cell_row(axes, model, len(scenes), dropped[m, i],
-                       [(state, result, truth) for *_, result, truth, state in kept[m, i]])
-             for i, (axes, scenes) in enumerate(cells)] for m, model in enumerate(models)]
-
-
-def _cell_row(axes, model, n_scenes, dropped, mine):
-    """The (trans_err, rot_err, trials) row of a cell under a model from the
-    (refit state, RANSAC result, truth) of its kept trials, after the
-    cell's log line."""
+def _cell_row(axes, model, trials):
+    """The (trans_err, rot_err, trials) row of a cell under a model from its
+    trials, each the library error of its RANSAC or the (refit state, RANSAC
+    result, truth) of a kept trial, after the cell's log line."""
+    mine = [trial for trial in trials if not isinstance(trial, RsSfmError)]
+    dropped = Counter(type(trial).__name__ for trial in trials if isinstance(trial, RsSfmError))
     refits = [state for state, _, _ in mine if state]
     failures = sum((Counter(result.failures) for _, result, _ in mine), Counter())
     logger.info("sweep cell gamma=%r trans=%r w_mag=%r k=%r model=%s: %d of %d trials kept, "
                 "dropped %s; %d hypotheses, subset failures %s; refits %s in %d cycles, "
-                "%d accepted steps", *axes, model, len(mine), n_scenes, dict(dropped),
+                "%d accepted steps", *axes, model, len(mine), len(trials), dict(dropped),
                 sum(result.n_hypotheses for _, result, _ in mine), dict(failures),
                 dict(Counter(s.stop_reason for s in refits)), sum(s.n_cycles for s in refits),
                 sum(s.lm_iterations for s in refits))
@@ -120,16 +80,35 @@ def _cell_row(axes, model, n_scenes, dropped, mine):
 
 
 def run_sweep(cfg: ExperimentConfig):
-    """All cells of the sweep; rows in deterministic axis order.
+    """One (gamma, trans, w_mag, k, model, trans_err, rot_err, trials) row
+    per cell and model, in deterministic axis order.
 
-    Each trial scene is synthesized once and estimated with every model;
-    the kept trials of all cells and models are refit as one stack.
+    Each trial scene is synthesized once and estimated with every model: one
+    `ransac_stack` over the trials of every cell and model, then one
+    `refit_trimmed` of every kept trial.  A trial is dropped only where its
+    RANSAC gives a library error, such as RobustFailure for a scene with
+    fewer samples than the model's minimal subset; the refit raises none on
+    samples RANSAC took.  One log line per cell and model counts the drops
+    by error type, the hypotheses its kept trials' RANSAC solved with the
+    subsets that gave none by error type, and the refits by stop reason with
+    their cycles.
     """
     cells = [(axes, _cell_scenes(cfg, *axes))
              for axes in product(cfg.gammas, cfg.translations, cfg.w_mags, cfg.ks)]
-    by_model = _run_cells(cfg, cells, cfg.models)
-    return [(*axes, model, *rows[i]) for i, (axes, _) in enumerate(cells)
-            for model, rows in zip(cfg.models, by_model)]
+    # model by model, so that the problems of one subset size run together
+    problems = [(samples, model, cfg.camera(axes[0]),
+                 RansacConfig(iterations=cfg.ransac_iters, threshold=cfg.threshold, seed=seed + 1))
+                for model in cfg.models for axes, scenes in cells for seed, samples, _ in scenes]
+    results = ransac_stack(problems)
+    kept = [(samples, result, model, camera) for (samples, model, camera, _), result
+            in zip(problems, results) if not isinstance(result, RsSfmError)]
+    states = iter(refit_trimmed(*zip(*kept)) if cfg.use_refine and kept else ())
+    truths = [gt.motion for _, scenes in cells for *_, gt in scenes] * len(cfg.models)
+    trials = [result if isinstance(result, RsSfmError) else (next(states, None), result, truth)
+              for result, truth in zip(results, truths)]
+    groups = [trials[p:p + cfg.trials] for p in range(0, len(trials), cfg.trials)]
+    return [(*axes, model, *_cell_row(axes, model, groups[m * len(cells) + i]))
+            for i, (axes, _) in enumerate(cells) for m, model in enumerate(cfg.models)]
 
 
 def sweep_csv(rows):

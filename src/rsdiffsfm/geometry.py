@@ -100,6 +100,13 @@ def beta_timestamp(t, k):
     return beta(t, t * t, k)
 
 
+def check_model(model):
+    """model, if it names the gs, cv or ca model; ValueError otherwise."""
+    if model not in (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL):
+        raise ValueError(f"unknown model {model!r}: choose from gs, cv, ca")
+    return model
+
+
 def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
     """Coefficients (a, b) of beta for flows from row y1 to row y2 under a model.
 
@@ -108,12 +115,12 @@ def scanline_ab(y1, y2, config: CameraConfig | None, model=CONST_ACCEL):
     (beta = alpha for every k) for the constant-velocity model; a = t2 - t1
     and b = t2^2 - t1^2 for the constant-acceleration model, t1 and t2 the
     camera's timestamps of y1 in frame 0 and y2 in frame 1 (so a = b = 1 at
-    gamma = 0).  Raises InvalidScanlinePair where a <= 0, and TypeError for
-    a rolling-shutter model without a camera.
+    gamma = 0).  Raises InvalidScanlinePair where a <= 0, TypeError for a
+    rolling-shutter model without a camera and ValueError for an unknown one.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    if model == GLOBAL_SHUTTER:
+    if check_model(model) == GLOBAL_SHUTTER:
         ones = np.ones(np.broadcast(y1, y2).shape)
         return ones, ones
     if config is None:

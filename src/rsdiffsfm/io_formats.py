@@ -304,7 +304,7 @@ class ExperimentConfig:
         try:
             for gamma in self.gammas:
                 self.camera(gamma)
-            RansacConfig(iterations=self.ransac_iters, threshold=self.threshold)
+            RansacConfig(iterations=self.ransac_iters, threshold=self.threshold, seed=self.seed)
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from exc
 

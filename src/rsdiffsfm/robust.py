@@ -51,6 +51,7 @@ from .geometry import (
     FlowBatch,
     MotionEstimate,
     beta,
+    check_model,
     midpoint,
     scanline_ab,
 )
@@ -304,9 +305,9 @@ def ransac_stack(problems) -> list:
     whose first blocks hold at most STACK_SUBSETS subsets together, and each
     block of a run is one `solve_stack` call.  A subset's hypotheses do not
     depend on its stack, so each result is the one `ransac` gives the
-    problem alone.
+    problem alone.  An unknown model raises ValueError before any run.
     """
-    problems = [(FlowBatch.of(samples), model, config, rc or RansacConfig())
+    problems = [(FlowBatch.of(samples), check_model(model), config, rc or RansacConfig())
                 for samples, model, config, rc in problems]
     results = [None] * len(problems)
     for run in _runs(problems):
@@ -492,7 +493,7 @@ def _trimmed(samples, result: RansacResult, model):
     of only those samples, and its motion."""
     idx = result.inliers
     order = np.argsort(result.residuals[idx], kind="stable")
-    keep = idx[order[:max(MINIMAL_SIZE[model], int(round(0.5 * len(idx))))]]
+    keep = idx[order[:max(MINIMAL_SIZE[check_model(model)], int(round(0.5 * len(idx))))]]
     kept = samples[keep] if isinstance(samples, FlowBatch) else [samples[i] for i in keep]
     return FlowBatch.of(kept), result.motion
 

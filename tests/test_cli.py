@@ -443,6 +443,8 @@ def test_estimate_without_a_model_is_estimation_failure(runner, tmp_path):
     ("synth", "n_points=-5", "n_points must be >= 1"),
     ("rectify", "gamma=2", "gamma must lie in [0, 1], got 2.0"),
     ("sweep", "trials=0", "trials must be an integer >= 1"),
+    ("sweep", "seed=-1", "config: seed must be a non-negative integer, got -1"),
+    ("synth", "seed=-1", "config: seed must be a non-negative integer, got -1"),
 ])
 def test_malformed_config_or_camera_is_input_error(runner, tmp_path, command, setting, message):
     cfg, out = tmp_path / "exp.cfg", tmp_path / "out"

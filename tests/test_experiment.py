@@ -21,8 +21,8 @@ AXES = (0.8, 0.025, 3.0, 0.0)
 
 
 def run_cell(cfg):
-    """One cv cell, with its scenes synthesized as `run_sweep` does."""
-    return experiment.run_cell(cfg, *AXES, "cv", experiment._cell_scenes(cfg, *AXES))
+    """The cv row of the cell at AXES."""
+    return experiment.run_cell(cfg, *AXES, "cv")
 
 
 def test_run_cell_drops_library_failures(monkeypatch, caplog):
@@ -39,12 +39,19 @@ def test_run_cell_drops_library_failures(monkeypatch, caplog):
 
 
 def test_run_cell_counts_scenes_with_too_few_samples(caplog):
+    """Only RANSAC drops a trial for too few samples: an 8-sample scene is
+    solved under cv, whose minimal subset has 8 samples, and dropped as
+    RobustFailure under ca, whose subset has 9."""
     cfg = dataclasses.replace(small_config(), n_points=8)
+    assert all(len(samples) == 8 for _, samples, _ in experiment._cell_scenes(cfg, *AXES))
     with caplog.at_level(logging.INFO, logger=experiment.logger.name):
-        t_err, _, n = run_cell(cfg)
+        cv = run_cell(cfg)
+        t_err, _, n = experiment.run_cell(cfg, *AXES, "ca")
+    assert cv[2] == cfg.trials and np.isfinite(cv[0])
     assert n == 0 and np.isnan(t_err)
-    [record] = [r for r in caplog.records if r.name == experiment.logger.name]
-    assert "{'too_few_samples': 2}" in record.getMessage()
+    cv_log, ca_log = [r.getMessage() for r in caplog.records if r.name == experiment.logger.name]
+    assert "2 of 2 trials kept, dropped {};" in cv_log
+    assert "0 of 2 trials kept, dropped {'RobustFailure': 2};" in ca_log
 
 
 def test_run_cell_logs_why_its_refits_stopped(caplog):
@@ -71,7 +78,7 @@ def test_run_cell_logs_its_hypotheses_and_subset_failures(caplog):
     failures = sum((Counter(r.failures) for r in alone), Counter())
     assert failures  # the ca solver finds no admissible root on some subsets
     with caplog.at_level(logging.INFO, logger=experiment.logger.name):
-        _, _, n = experiment.run_cell(cfg, *AXES, "ca", scenes)
+        _, _, n = experiment.run_cell(cfg, *AXES, "ca")
     [record] = [r for r in caplog.records if r.name == experiment.logger.name]
     assert n == len(alone)
     assert (f"{sum(r.n_hypotheses for r in alone)} hypotheses, subset failures "
@@ -87,9 +94,15 @@ def test_run_cell_propagates_program_errors(monkeypatch):
         run_cell(small_config())
 
 
-def test_run_cell_synthesizes_its_scenes_when_not_given():
-    cfg = small_config()
-    assert experiment.run_cell(cfg, *AXES, "cv") == run_cell(cfg)
+def test_run_cell_is_its_row_of_a_sweep():
+    """`run_cell` is a sweep of one cell: it gives, bit for bit, the row of
+    that cell and model in a sweep of several cells and models."""
+    cfg = dataclasses.replace(small_config(), gammas=[0.4, 0.8], ks=[0.0, 0.1],
+                              models=["gs", "cv", "ca"], use_refine=True, ransac_iters=30)
+    rows = experiment.run_sweep(cfg)
+    assert len(rows) == 12 and all(n == cfg.trials for *_, n in rows)
+    for gamma, trans, w_mag, k, model, *row in rows:
+        assert experiment.run_cell(cfg, gamma, trans, w_mag, k, model) == tuple(row)
 
 
 def test_sweep_synthesizes_each_trial_once(monkeypatch):

@@ -12,6 +12,7 @@ from rsdiffsfm import (
     forward_backward_error,
     generate_linearized,
     ransac,
+    refine,
     translation_error,
 )
 from rsdiffsfm.errors import (
@@ -546,6 +547,20 @@ def test_ransac_too_few_samples(camera):
     samples, _ = generate_linearized(spec)
     with pytest.raises(RobustFailure):
         ransac(samples, CONST_VELOCITY, camera)
+
+
+@pytest.mark.parametrize("entry", ["score_motion", "ransac", "refine", "refit_trimmed"])
+def test_unknown_model_is_a_value_error(camera, entry):
+    """No entry point runs an unknown model as ca, nor fails on it with a
+    KeyError or a per-problem result."""
+    samples, gt = generate_linearized(make_spec(camera, n_points=20, seed=6))
+    result = ransac(samples, CONST_VELOCITY, camera, RansacConfig(iterations=5, seed=6))
+    calls = {"score_motion": lambda: score_motion(samples, gt.motion, camera, "xx"),
+             "ransac": lambda: ransac(samples, "xx", camera),
+             "refine": lambda: refine(samples, gt.motion, camera, "xx"),
+             "refit_trimmed": lambda: refit_trimmed(samples, result, "xx", camera)}
+    with pytest.raises(ValueError, match=r"^unknown model 'xx': choose from gs, cv, ca$"):
+        calls[entry]()
 
 
 def test_refit_trimmed_exact_on_clean_consensus(camera):
