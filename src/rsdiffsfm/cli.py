@@ -12,7 +12,7 @@ import numpy as np
 
 from . import io_formats as iof
 from .errors import EmptySelection, InvalidScanlinePair, RsSfmError
-from .geometry import CameraConfig
+from .geometry import MODEL_NAMES, CameraConfig
 from .experiment import _scene_spec, run_sweep, sweep_csv
 from .refine import dense_depth
 from .rectify import rectify_image, warp_field
@@ -65,7 +65,7 @@ def _camera_fields(values):
 @main.command()
 @click.option("--flow", "flow_path", required=True, help="RSFLOW1 forward flow file.")
 @click.option("--flow-bwd", "bwd_path", default=None, help="Optional backward flow for filtering.")
-@click.option("--model", type=click.Choice(["gs", "cv", "ca"]), default="cv")
+@click.option("--model", type=click.Choice(MODEL_NAMES), default="cv")
 @click.option("--ransac-iters", default=300, show_default=True, type=click.IntRange(min=1))
 @click.option("--threshold", default=0.001, show_default=True)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))

@@ -17,6 +17,7 @@ from .errors import InvalidScanlinePair
 CONST_VELOCITY = "cv"
 CONST_ACCEL = "ca"
 GLOBAL_SHUTTER = "gs"
+MODEL_NAMES = (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL)
 
 
 def skew(v):
@@ -102,8 +103,8 @@ def beta_timestamp(t, k):
 
 def check_model(model):
     """model, if it names the gs, cv or ca model; ValueError otherwise."""
-    if model not in (GLOBAL_SHUTTER, CONST_VELOCITY, CONST_ACCEL):
-        raise ValueError(f"unknown model {model!r}: choose from gs, cv, ca")
+    if model not in MODEL_NAMES:
+        raise ValueError(f"unknown model {model!r}: choose from {', '.join(MODEL_NAMES)}")
     return model
 
 

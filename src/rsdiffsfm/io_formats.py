@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import CameraConfig
-from .robust import MINIMAL_SIZE, RansacConfig, _is_integer
+from .geometry import CameraConfig, check_model
+from .robust import RansacConfig, _is_integer
 
 FLOW_MAGIC = b"RSFLOW1"
 _HEADER = struct.Struct("<7sII dI dddd B")
@@ -292,16 +292,14 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "list" and not getattr(self, f.name):  # annotations are strings here
                 raise ValueError(f"config list '{f.name}' must be non-empty")
-        unknown = [model for model in self.models if model not in MINIMAL_SIZE]
-        if unknown:
-            raise ValueError(f"unknown models {unknown} in config: choose from "
-                             f"{', '.join(MINIMAL_SIZE)}")
         if not _is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"config trials must be an integer >= 1, got {self.trials!r}")
         if self.n_points < 1:
             raise ValueError(f"config n_points must be >= 1, got {self.n_points}")
-        # the camera and RANSAC settings of every cell, checked by their own types
+        # the models, camera and RANSAC settings of every cell, checked by their own rules
         try:
+            for model in self.models:
+                check_model(model)
             for gamma in self.gammas:
                 self.camera(gamma)
             RansacConfig(iterations=self.ransac_iters, threshold=self.threshold, seed=self.seed)

@@ -9,12 +9,15 @@ is affine in the acceleration factor k: Z(k) = R0 + k R1 (`affine_rows`).
 Where b = a (global shutter, constant velocity, and constant acceleration
 when beta does not depend on k) Z(k) = (2 + k) Z(0), so every k has the
 null vector of Z(0): the differential 8-point system of the flows scaled
-by 1/a, solved with k = 0.  Otherwise 9 samples stack to a 9x9 matrix Z(k)
-whose determinant must vanish: the candidate k values are the real roots
-in ROOT_WINDOW of a 6x6 pencil, shifted to beta's pole k = -2, whose
+by 1/a, solved with k = 0; for 8 rows, the null vector is the last column
+of the complete QR of Z(0)^T.  Otherwise 9 samples stack to a 9x9 matrix
+Z(k) whose determinant must vanish: the candidate k values are the real
+roots in ROOT_WINDOW of a 6x6 pencil, shifted to beta's pole k = -2, whose
 eigenvectors give their null vectors (`_pencil`; Kukelova, Bujnak and
 Pajdla, "Polynomial eigenvalue solutions to minimal problems in computer
-vision", TPAMI 2012).
+vision", TPAMI 2012).  Both paths decide rank with one rule, the SVD's
+sigma_min > RANK_TOL sigma_1, which a Frobenius condition number certifies
+for most subsets; an SVD decides the rest (`_full_rank`).
 """
 
 from __future__ import annotations
@@ -89,13 +92,16 @@ def solve_stack(stack, a, b) -> Hypotheses:
     a, b (S, m) of `scanline_ab`: in subset order, those of one subset in
     ascending k.
 
-    A subset where beta does not depend on k (b = a) needs m >= 8 and rows
-    Z(0) of rank 8; its one candidate, k = 0, takes the null vector of their
-    SVD.  Otherwise, with m = 9, the candidates are the admissible roots of
-    the subset's shifted pencil and their null vectors its eigenvectors
-    (`_pencil`, from which `det_polynomial` also comes); `solve_const_accel`
-    is this kernel on one subset.  Every candidate takes its motion from `recover_stack`
-    against the flows scaled by 1/beta(k).  A subset's hypotheses do not
+    A subset where beta does not depend on k (b = a) needs m >= 8 and unit
+    rows Z(0) of rank 8 (sigma_8 > RANK_TOL sigma_1); its one candidate,
+    k = 0, takes the null vector of Z(0): for m = 8 the last column of the
+    complete QR Z(0)^T = Q R, with the rank rule of `_full_rank` screened by
+    R, and for m > 8 the least-squares one of their SVD.  Otherwise, with
+    m = 9, the candidates are the admissible roots of the subset's shifted
+    pencil and their null vectors its eigenvectors (`_pencil`, from which
+    `det_polynomial` also comes); `solve_const_accel` is this kernel on one
+    subset.  Every candidate takes its motion from `recover_stack` against
+    the flows scaled by 1/beta(k).  A subset's hypotheses do not
     depend on the stack it is solved in.
     """
     n, m = stack.y1.shape
@@ -111,10 +117,17 @@ def solve_stack(stack, a, b) -> Hypotheses:
         failures = {j: DegenerateConfiguration(f"need at least 8 samples, got {m}")
                     for j in range(n)}
     elif len(free):
-        _, sv, Vt = np.linalg.svd(unit_rows(R0[free]))
-        ok = sv[:, 7] > RANK_TOL * sv[:, 0]
+        Z = unit_rows(R0[free])
+        if m == 8:  # Z q_9 = R^T Q^T q_9 = 0 for the complete QR Z^T = Q R
+            Q, R = np.linalg.qr(np.swapaxes(Z, -1, -2), mode="complete")
+            null = Q[..., -1]
+            ok, sv = _full_rank(R[:, :8], Z)
+        else:  # the least-squares null vector of m > 8 rows
+            _, sv, Vt = np.linalg.svd(Z)
+            null = Vt[:, -1]
+            ok = sv[:, 7] > RANK_TOL * sv[:, 0]
         k[free[ok], 0] = 0.0
-        E[free[ok], 0] = Vt[ok, -1]
+        E[free[ok], 0] = null[ok]
         failures.update({int(j): DegenerateConfiguration(
             f"stacked system rank below 8 (sigma_8/sigma_1 = {s[7] / s[0]:.2e})")
             for j, s in zip(free[~ok], sv[~ok])})
@@ -133,6 +146,22 @@ def solve_stack(stack, a, b) -> Hypotheses:
     rect = stack[owner].rescaled(beta(a[owner], b[owner], k[:, None]))
     v, w, reliable = recover_stack(canonicalize_e(E[owner, slot]), rect)
     return Hypotheses(v=v, w=w, k=k, v_reliable=reliable, subset=owner, failures=failures)
+
+
+def _full_rank(screen, rows):
+    """Whether sigma_min > RANK_TOL sigma_1 for each matrix of a stack rows
+    (S, r, c), as its SVD decides, and those singular values (S, r), NaN
+    where the screen decided.  screen (S, n, n) has the singular values of
+    rows up to rounding; cond_F(screen) >= sigma_1 / sigma_min certifies
+    those with cond_F < 0.5 / RANK_TOL (the 0.5 covers the rounding; a
+    singular screen reads inf), and an SVD of rows decides the rest."""
+    ok = np.linalg.cond(screen, "fro") < 0.5 / RANK_TOL
+    sv = np.full(rows.shape[:-1], np.nan)
+    unsure = np.flatnonzero(~ok)
+    if len(unsure):
+        sv[unsure] = np.linalg.svd(rows[unsure], compute_uv=False)
+        ok[unsure] = sv[unsure, -1] > RANK_TOL * sv[unsure, 0]
+    return ok, sv
 
 
 def _solve_one(samples, config, model):
@@ -205,17 +234,15 @@ def _pencil(R0, R1):
     of C^-1 B.  Its real roots k = -2 - 1/lambda in ROOT_WINDOW, ascending
     and NaN-padded (S, 6), are the candidates; an eigenvector of lambda is
     the s part of the null vector, and back-substitution with R gives its
-    translation part.  Where M(-2) has sigma_9 <= RANK_TOL sigma_1, for
-    example where a sample repeats, lambda is NaN and there is no candidate.
-    Returns k, the null vectors (S, 6, 9) and lambda.
+    translation part.  Where M(-2) fails `_full_rank`, for example where a
+    sample repeats, lambda is NaN and there is no candidate.  Returns k, the null vectors (S, 6, 9) and lambda.
     """
     col = np.sqrt(np.linalg.norm(R0, axis=-2) ** 2 + np.linalg.norm(R1, axis=-2) ** 2)
     col[col < 1e-300] = 1.0
     T = R1[..., :3] / col[:, None, :3]
     S = np.stack([R0[..., 3:], R1[..., 3:]], axis=1) / col[:, None, None, 3:]
     shifted = np.concatenate([T, S[:, 0] - 2.0 * S[:, 1]], axis=-1)
-    sv = np.linalg.svd(shifted, compute_uv=False)
-    ok = sv[:, -1] > RANK_TOL * sv[:, 0]
+    ok, _ = _full_rank(shifted, shifted)
     Q, R = np.linalg.qr(T[ok], mode="complete")
     # contiguous operands: a product rounds a subset alike in any stack
     QS = np.ascontiguousarray(np.swapaxes(Q, -1, -2))[:, None] @ S[ok]  # (S, 2, 9, 6)

@@ -433,7 +433,7 @@ def test_estimate_without_a_model_is_estimation_failure(runner, tmp_path):
 @pytest.mark.parametrize("command, setting, message", [
     ("convert", ("--gamma", "2"), "gamma must lie in [0, 1]"),
     ("convert", ("--fx", "0"), "focal lengths must be positive"),
-    ("sweep", "models=xx", "unknown models ['xx']"),
+    ("sweep", "models=xx", "config: unknown model 'xx': choose from gs, cv, ca"),
     ("sweep", "gammas=1.5", "gamma must lie in [0, 1], got 1.5"),
     ("sweep", "n_points=-5", "n_points must be >= 1"),
     ("sweep", "ransac_iters=0", "iterations must be an integer >= 1"),

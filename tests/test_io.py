@@ -287,7 +287,7 @@ def test_experiment_config_empty_list():
 
 
 @pytest.mark.parametrize("setting, message", [
-    ({"models": ["gs", "xx"]}, r"unknown models \['xx'\]"),
+    ({"models": ["gs", "xx"]}, "config: unknown model 'xx': choose from gs, cv, ca"),
     ({"gammas": [0.5, 1.5]}, r"gamma must lie in \[0, 1\], got 1.5"),
     ({"image_size": 1}, "h must be >= 2"),
     ({"focal": 0.0}, "focal lengths must be positive"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from rsdiffsfm.geometry import (
     scanline_ab,
 )
 from rsdiffsfm.gs_solver import gs_rows, solve_gs, unit_rows
-from rsdiffsfm.rs_solvers import ROOT_WINDOW, _pencil, affine_rows, det_polynomial, solve_stack
+from rsdiffsfm.rs_solvers import (
+    RANK_TOL,
+    ROOT_WINDOW,
+    _full_rank,
+    _pencil,
+    affine_rows,
+    det_polynomial,
+    solve_stack,
+)
 
 from conftest import gross_outlier, make_spec
 from oracles import k_free_hypotheses, reference_det_polynomial, s_to_vech, symmetric_s
@@ -243,8 +253,8 @@ K_FREE = {
 @pytest.mark.parametrize("case", sorted(K_FREE))
 def test_k_free_stack_matches_the_8_point_oracle(case):
     """A k-free subset's k = 0 candidate is the 8-point solution of its
-    flows scaled by 1/a: the same failures, and the same hypotheses, bit for
-    bit where a = 1."""
+    flows scaled by 1/a: the same failures, and the same hypotheses up to
+    the rounding of the null vector."""
     model, gamma, m = K_FREE[case]
     camera = CameraConfig(gamma=gamma or 0.0, h=900, fx=810.0, fy=810.0, cx=450.0, cy=450.0,
                           width=900)
@@ -264,15 +274,65 @@ def test_k_free_stack_matches_the_8_point_oracle(case):
     assert set(got.failures) == ({40} if case == "gs" else {40, 41})
     assert np.array_equal(got.subset, want.subset) and np.array_equal(got.k, want.k)
     assert np.array_equal(got.v_reliable, want.v_reliable)
-    if np.all(a == 1.0):
-        assert np.array_equal(got.v, want.v) and np.array_equal(got.w, want.w)
-    else:
-        # the rows differ in rounding only, scaled by 2a rather than built
-        # from u / a: the null vector moves by a few eps sigma_1/sigma_8
-        sv = np.linalg.svd(unit_rows(gs_rows(stack.rescaled(a)[want.subset])), compute_uv=False)
-        bound = 8 * np.finfo(float).eps * sv[:, 0] / sv[:, 7]
-        for x, y in ((got.v, want.v), (got.w, want.w)):
-            assert np.all(np.linalg.norm(x - y, axis=1) <= bound * np.linalg.norm(y, axis=1))
+    # the 8-point subsets take their null vector from a QR, the oracle from
+    # an SVD, and where a != 1 the rows are scaled by 2a rather than built
+    # from u / a: the null vector moves by a few eps sigma_1/sigma_8
+    sv = np.linalg.svd(unit_rows(gs_rows(stack.rescaled(a)[want.subset])), compute_uv=False)
+    bound = 8 * np.finfo(float).eps * sv[:, 0] / sv[:, 7]
+    for x, y in ((got.v, want.v), (got.w, want.w)):
+        assert np.all(np.linalg.norm(x - y, axis=1) <= bound * np.linalg.norm(y, axis=1))
+
+
+def with_spectra(rng, shape, spectra):
+    """A stack of matrices U diag(s) V^T of the given shape, one per spectrum s."""
+    r, c = shape
+    out = []
+    for s in spectra:
+        U, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        V, _ = np.linalg.qr(rng.normal(size=(c, c)))
+        out.append((U * s) @ V[:, :r].T)
+    return np.array(out)
+
+
+def rank_screen(Z):
+    """The matrix `solve_stack` screens a stack Z with: R of the complete QR
+    of Z^T for (8, 9) rows, Z itself for the square M(-2) of `_pencil`."""
+    if Z.shape[-2] == Z.shape[-1]:
+        return Z
+    return np.linalg.qr(np.swapaxes(Z, -1, -2), mode="complete")[1][:, :8]
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (9, 9)])
+def test_rank_rule_is_the_svds(shape):
+    """`_full_rank` decides sigma_min > RANK_TOL sigma_1 exactly as the SVD
+    does: across sigma_min / sigma_1 from 1e-12 to 1e-6, at 1e-10 (1 +- 1e-3),
+    through the band where the Frobenius bound alone cannot decide, for a
+    repeated row and an all-zero matrix; in one stack as one at a time."""
+    r = shape[0]
+    rng = np.random.default_rng(3)
+    ratios = np.concatenate([np.geomspace(1e-12, 1e-6, 25), RANK_TOL * np.array(
+        [1 - 1e-3, 1 + 1e-3, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0])])
+    spectra = []
+    for t in ratios:  # one sigma small, all but sigma_1, a geometric spread, half of them
+        spectra += [np.r_[np.ones(r - 1), t], np.r_[1.0, np.full(r - 1, t)],
+                    np.geomspace(1.0, t, r), np.r_[np.ones(r // 2), np.full(r - r // 2, t)]]
+    Z = with_spectra(rng, shape, spectra)
+    repeated = with_spectra(rng, shape, [np.geomspace(1.0, 0.1, r)])
+    repeated[0, 1] = repeated[0, 0]
+    Z = np.concatenate([Z, repeated, np.zeros((1, *shape))])
+    sv = np.linalg.svd(Z, compute_uv=False)
+    want = sv[:, -1] > RANK_TOL * sv[:, 0]
+    assert want.any() and not want.all()
+    # passing matrices the bound cannot clear on its own: the SVD decides them
+    assert np.any(want & (np.linalg.cond(rank_screen(Z), "fro") >= 1 / RANK_TOL))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, got_sv = _full_rank(rank_screen(Z), Z)
+        assert np.array_equal(ok, want)
+        # a failing matrix's message reads its singular values
+        assert np.array_equal(got_sv[~ok], sv[~ok])
+        for i in range(len(Z)):
+            assert _full_rank(rank_screen(Z[i:i + 1]), Z[i:i + 1])[0][0] == want[i]
 
 
 def test_mixed_stack_keeps_each_subsets_hypotheses(camera):
